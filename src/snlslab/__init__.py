@@ -49,7 +49,6 @@ from .dynamics import (
     evolve_random,
     evolve_transformed,
     step_deterministic,
-    step_snls,
 )
 from .functionals import (
     FunctionalRecord,
@@ -134,7 +133,6 @@ __all__ = [
     "evolve_random",
     "evolve_transformed",
     "step_deterministic",
-    "step_snls",
     # functionals
     "FunctionalRecord",
     "ItoBudget",

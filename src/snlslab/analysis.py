@@ -41,8 +41,10 @@ __all__ = [
     "classify_regime",
     "is_admissible",
     "ScatteringReport",
+    "check_scatter_args",
     "scattering_cauchy",
     "GrowthFitResult",
+    "check_geometric",
     "growth_fit",
     "MonitorPair",
     "default_monitor_pairs",
@@ -311,6 +313,19 @@ def _norm_of(field: Field, kind: str) -> float:
     return sigma_norm(field)
 
 
+def check_scatter_args(norm_kind: str, checkpoints: Sequence[float]) -> list[float]:
+    """Validate a scatter test's norm and checkpoints (at least 3,
+    non-negative, strictly increasing); returns the checkpoints."""
+    if norm_kind not in _NORM_KINDS:
+        raise ValueError(f"norm_kind must be one of {_NORM_KINDS}, got {norm_kind!r}")
+    times = [float(t) for t in checkpoints]
+    if len(times) < 3:
+        raise ValueError(f"need at least 3 checkpoints, got {len(times)}")
+    if not times[0] >= 0.0 or any(not b > a for a, b in zip(times, times[1:])):
+        raise ValueError(f"checkpoints must be non-negative and strictly increasing, got {times}")
+    return times
+
+
 def scattering_cauchy(
     trajectory,
     norm_kind: str,
@@ -324,13 +339,7 @@ def scattering_cauchy(
     consecutive differences decaying toward zero; its absence (the
     long-range regime) as a floor the differences do not go below.
     """
-    if norm_kind not in _NORM_KINDS:
-        raise ValueError(f"norm_kind must be one of {_NORM_KINDS}, got {norm_kind!r}")
-    times = [float(t) for t in checkpoint_times]
-    if len(times) < 3:
-        raise ValueError(f"need at least 3 checkpoints, got {len(times)}")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("checkpoint times must be strictly increasing")
+    times = check_scatter_args(norm_kind, checkpoint_times)
     compensated = [propagate(trajectory.snapshot_at(t), -t) for t in times]
 
     m = len(times)
@@ -373,18 +382,20 @@ class GrowthFitResult:
     intercept: float
 
 
-def _check_geometric(tau_grid: Sequence[float]) -> list[float]:
+def check_geometric(tau_grid: Sequence[float]) -> list[float]:
+    """Validate a growth fit's horizon grid: at least 3 positive,
+    strictly increasing points with a constant ratio."""
     taus = [float(t) for t in tau_grid]
     if len(taus) < 3:
-        raise ValueError(f"horizon grid needs at least 3 points, got {len(taus)}")
-    if any(t <= 0.0 for t in taus):
-        raise ValueError("horizon grid entries must be positive")
+        raise ValueError(f"tau_grid needs at least 3 points, got {len(taus)}")
+    if not all(t > 0.0 and math.isfinite(t) for t in taus):
+        raise ValueError(f"tau_grid entries must be positive and finite, got {taus}")
     ratios = [b / a for a, b in zip(taus, taus[1:])]
     if any(r <= 1.0 for r in ratios):
-        raise ValueError("horizon grid must be strictly increasing")
+        raise ValueError(f"tau_grid must be strictly increasing, got {taus}")
     base = ratios[0]
     if any(abs(r / base - 1.0) > 1e-6 for r in ratios):
-        raise ValueError("horizon grid must be geometric (constant ratio)")
+        raise ValueError(f"tau_grid must be geometric (constant ratio), got {taus}")
     return taus
 
 
@@ -403,7 +414,7 @@ def growth_fit(
     are one-sided, so callers should only reject slopes that exceed the
     predicted exponent plus a tolerance.
     """
-    taus = _check_geometric(tau_grid)
+    taus = check_geometric(tau_grid)
     if len(trajectories) < min_paths:
         raise ValueError(
             f"growth fit needs at least {min_paths} paths, got {len(trajectories)}"

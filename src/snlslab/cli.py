@@ -1,14 +1,10 @@
 """Command-line front end.
 
-One subcommand per experiment kind::
+One subcommand per experiment kind; the subcommands and their help
+lines come from the records of ``config.KINDS``::
 
-    snlslab simulate     --config run.cfg [--seed N] [--out DIR] [--strict]
-    snlslab ensemble     --config run.cfg [--seed N] [--workers N] [--out DIR]
-    snlslab tail-decay   --config run.cfg ...
-    snlslab scatter-test --config run.cfg ...
-    snlslab growth-fit   --config run.cfg ...
-    snlslab regimes      --config run.cfg ...
-    snlslab selftest     [--config run.cfg] [--out DIR]
+    snlslab KIND --config run.cfg [--seed N] [--workers N] [--out DIR] [--strict]
+    snlslab selftest [--out DIR]     (selftest's config is optional)
 
 Every run validates its config, echoes the effective settings, executes,
 and emits CSV + JSON-manifest + summary-table artifacts into the output
@@ -23,7 +19,7 @@ from typing import Sequence
 
 from . import __version__
 from .analysis import classify_regime, growth_fit, scattering_cauchy
-from .config import ConfigError, ExperimentConfig, load_config, make_initial
+from .config import KINDS, ConfigError, ExperimentConfig, load_config, make_initial
 from .dynamics import evolve
 from .ensemble import EnsembleError, run_ensemble, sample_ensemble_paths
 from .noise import make_phi, tail_decay_fit
@@ -36,16 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
-
-_KINDS = (
-    "simulate",
-    "ensemble",
-    "tail-decay",
-    "scatter-test",
-    "growth-fit",
-    "regimes",
-    "selftest",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,17 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"snlslab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "simulate": "run one trajectory and write its series/budget artifacts",
-        "ensemble": "run many seeded trajectories and aggregate the budgets",
-        "tail-decay": "measure the decay of the far-tail stochastic convolution",
-        "scatter-test": "pullback Cauchy diagnostic for scattering at checkpoints",
-        "growth-fit": "fit the growth exponent of the quadratic-weight energy",
-        "regimes": "classify a (dimension, power, envelope) triple",
-        "selftest": "run the closed-form oracle battery",
-    }
-    for kind in _KINDS:
-        p = sub.add_parser(kind, help=helps[kind])
+    for kind in KINDS.values():
+        p = sub.add_parser(kind.name, help=kind.help)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="experiment config file (key = value lines)")
         p.add_argument("--seed", type=int, default=None, metavar="N",
@@ -148,10 +125,7 @@ def _run_tail(config: ExperimentConfig) -> int:
         config.noise, tail.paths, tail.t_inf, tail.dt, workers=config.workers
     )
     phi = make_phi(config.noise, config.grid)
-    window = None
-    if tail.window_lo is not None:
-        window = (tail.window_lo, tail.window_hi)
-    fit = tail_decay_fit(paths, phi, fit_window=window, p_space=tail.p_space)
+    fit = tail_decay_fit(paths, phi, fit_window=tail.window, p_space=tail.p_space)
     _emit(fit, config)
     return EXIT_OK
 

@@ -7,19 +7,11 @@ path) rather than ignored, and keys from sections an experiment kind
 does not consume are rejected too, so a typo can never silently steer a
 run.
 
-Experiment kinds and the sections they read:
-
-===========  ============================================================
-kind         sections
-===========  ============================================================
-simulate     grid, sim, initial, output [, noise when sim.equation=snls]
-ensemble     grid, sim, initial, noise, ensemble, output
-tail-decay   noise, tail, ensemble, output
-scatter-test grid, sim, initial, scatter, output [, noise]
-growth-fit   grid, sim, initial, noise, ensemble, growth, output
-regimes      regimes, output
-selftest     selftest, output
-===========  ============================================================
+Each experiment kind is one ``ExperimentKind`` record in ``KINDS``: its
+name, its command-line help line and the sections it reads. A kind's
+required keys are the schema keys without a default in those sections.
+Every spec is built from its section's keys by one helper, so a value
+its constructor rejects fails at load time with the key named.
 
 Defaults are materialized at load time and echoed back through
 ``ExperimentConfig.echo()``; the SHA-256 of that canonical echo is the
@@ -36,18 +28,22 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify_regime
-from .dynamics import EQUATION_KINDS, SimConfig
+from .analysis import check_geometric, check_scatter_args, classify_regime
+from .dynamics import SimConfig
 from .grids import Field, GridSpec
-from .noise import NoiseSpec, g_sq_tail_bound
+from .noise import NoiseSpec, check_fit_window, g_sq_tail_bound, make_phi, partition_steps
+from .norms import _check_exponent
 
 __all__ = [
     "ConfigError",
+    "ExperimentKind",
+    "KINDS",
     "InitialSpec",
     "ScatterSpec",
     "GrowthSpec",
@@ -59,23 +55,49 @@ __all__ = [
     "make_initial",
 ]
 
-EXPERIMENT_KINDS = (
-    "simulate",
-    "ensemble",
-    "tail-decay",
-    "scatter-test",
-    "growth-fit",
-    "regimes",
-    "selftest",
-)
-
 _INITIAL_KINDS = ("gaussian", "zero")
-_NORM_KINDS = ("L2", "H1", "Sigma")
 _THEOREM_NAMES = ("short_range_L2", "sigma_scattering", "h1_scattering")
 
 
 class ConfigError(ValueError):
     """Configuration rejected; the message carries the key path."""
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    """One experiment kind: its subcommand name, help line, and the
+    config sections it reads besides ``experiment`` and ``output``.
+
+    The sections decide what ``load_config`` builds: a kind that reads
+    ``ensemble`` runs noise paths, so it always gets a noise spec, and
+    one that also reads ``sim`` must integrate the snls equation.
+    """
+
+    name: str
+    help: str
+    sections: tuple[str, ...]
+
+    def reads(self, key: str) -> bool:
+        return key.split(".", 1)[0] in ("experiment", "output", *self.sections)
+
+
+KINDS: dict[str, ExperimentKind] = {
+    k.name: k
+    for k in (
+        ExperimentKind("simulate", "run one trajectory and write its series/budget artifacts",
+                       ("grid", "sim", "initial", "noise")),
+        ExperimentKind("ensemble", "run many seeded trajectories and aggregate the budgets",
+                       ("grid", "sim", "initial", "noise", "ensemble")),
+        ExperimentKind("tail-decay", "measure the decay of the far-tail stochastic convolution",
+                       ("grid", "noise", "tail", "ensemble")),
+        ExperimentKind("scatter-test", "pullback Cauchy diagnostic for scattering at checkpoints",
+                       ("grid", "sim", "initial", "noise", "scatter")),
+        ExperimentKind("growth-fit", "fit the growth exponent of the quadratic-weight energy",
+                       ("grid", "sim", "initial", "noise", "ensemble", "growth")),
+        ExperimentKind("regimes", "classify a (dimension, power, envelope) triple", ("regimes",)),
+        ExperimentKind("selftest", "run the closed-form oracle battery", ("selftest",)),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -88,13 +110,11 @@ class InitialSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in _INITIAL_KINDS:
-            raise ConfigError(
-                f"initial.kind: must be one of {_INITIAL_KINDS}, got {self.kind!r}"
-            )
+            raise ValueError(f"kind must be one of {_INITIAL_KINDS}, got {self.kind!r}")
         if not (self.width > 0 and math.isfinite(self.width)):
-            raise ConfigError(f"initial.width: must be positive, got {self.width}")
+            raise ValueError(f"width must be positive, got {self.width}")
         if not math.isfinite(self.amplitude):
-            raise ConfigError("initial.amplitude: must be finite")
+            raise ValueError("amplitude must be finite")
 
 
 def make_initial(spec: InitialSpec, grid: GridSpec) -> Field:
@@ -111,8 +131,14 @@ class ScatterSpec:
     """Scatter-test controls: checkpoints, norm, referenced statement."""
 
     checkpoints: tuple[float, ...]
-    norm_kind: str = "Sigma"
+    norm_kind: str = field(default="Sigma", metadata={"key": "norm"})
     theorem: str | None = None
+
+    def __post_init__(self) -> None:
+        check_scatter_args(self.norm_kind, self.checkpoints)
+        object.__setattr__(self, "theorem", self.theorem or None)
+        if self.theorem not in (None, *_THEOREM_NAMES):
+            raise ValueError(f"theorem must be one of {_THEOREM_NAMES}, got {self.theorem!r}")
 
 
 @dataclass(frozen=True)
@@ -122,10 +148,19 @@ class GrowthSpec:
     tau_grid: tuple[float, ...]
     bound_slack: float = 0.25
 
+    def __post_init__(self) -> None:
+        check_geometric(self.tau_grid)
+        if not math.isfinite(self.bound_slack):
+            raise ValueError(f"bound_slack must be finite, got {self.bound_slack}")
+
 
 @dataclass(frozen=True)
 class TailSpec:
-    """Tail-study controls: horizon, partition, ensemble size, norm."""
+    """Tail-study controls: horizon, partition, ensemble size, norm.
+
+    A NaN window end (the config default) means unset; unset ends give
+    the default fit window [t_inf/8, t_inf/2].
+    """
 
     t_inf: float
     dt: float = 1e-3
@@ -133,6 +168,27 @@ class TailSpec:
     p_space: float = 2.0
     window_lo: float | None = None
     window_hi: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("window_lo", "window_hi"):
+            if getattr(self, name) is not None and math.isnan(getattr(self, name)):
+                object.__setattr__(self, name, None)
+        partition_steps(self.t_inf, self.dt)
+        if self.paths < 2:
+            raise ValueError(f"need at least 2 paths, got {self.paths}")
+        _check_exponent(self.p_space, "p_space")
+        if (self.window_lo is None) != (self.window_hi is None):
+            raise ValueError(
+                f"set both or neither (window_lo={self.window_lo}, window_hi={self.window_hi})"
+            )
+        try:
+            check_fit_window(self.t_inf, self.window)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (window_lo, window_hi)") from None
+
+    @property
+    def window(self) -> tuple[float, float] | None:
+        return None if self.window_lo is None else (self.window_lo, self.window_hi)
 
 
 @dataclass(frozen=True)
@@ -142,6 +198,14 @@ class RegimeQuery:
     dim: int
     two_sigma: float
     alpha: float
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        if not self.two_sigma > 0:
+            raise ValueError(f"two_sigma must be positive, got {self.two_sigma}")
+        if math.isnan(self.alpha):
+            raise ValueError("alpha must be a number (inf for compact support), got nan")
 
 
 @dataclass(frozen=True)
@@ -223,27 +287,6 @@ _SCHEMA: dict[str, tuple] = {
     "regimes.alpha": ("float", None),
     "selftest.points": ("int", 64),
 }
-
-_SECTIONS_BY_KIND: dict[str, tuple[str, ...]] = {
-    "simulate": ("experiment", "grid", "sim", "initial", "noise", "output"),
-    "ensemble": ("experiment", "grid", "sim", "initial", "noise", "ensemble", "output"),
-    "tail-decay": ("experiment", "grid", "noise", "tail", "ensemble", "output"),
-    "scatter-test": ("experiment", "grid", "sim", "initial", "noise", "scatter", "output"),
-    "growth-fit": ("experiment", "grid", "sim", "initial", "noise", "ensemble", "growth", "output"),
-    "regimes": ("experiment", "regimes", "output"),
-    "selftest": ("experiment", "selftest", "output"),
-}
-
-_REQUIRED_BY_KIND: dict[str, tuple[str, ...]] = {
-    "simulate": ("sim.sigma", "sim.t_end"),
-    "ensemble": ("sim.sigma", "sim.t_end"),
-    "tail-decay": ("tail.t_inf",),
-    "scatter-test": ("sim.sigma", "sim.t_end", "scatter.checkpoints"),
-    "growth-fit": ("sim.sigma", "sim.t_end", "growth.tau_grid"),
-    "regimes": ("regimes.dim", "regimes.two_sigma", "regimes.alpha"),
-    "selftest": (),
-}
-
 
 def _convert(key: str, raw: str):
     tag, _ = _SCHEMA[key]
@@ -332,6 +375,42 @@ def _check_scatter_hypotheses(
     ]
 
 
+def _build(cls, section: str, get, **given):
+    """Build one spec from its section's keys.
+
+    Each dataclass field not in ``given`` reads key ``section.<field>``
+    (or the key named in the field's ``key`` metadata). A value the
+    constructor rejects becomes a ConfigError naming the keys of the
+    fields its message mentions.
+    """
+    keys = {
+        f.name: f"{section}.{f.metadata.get('key', f.name)}"
+        for f in fields(cls)
+        if f.name not in given
+    }
+    values = {name: get(key) for name, key in keys.items()}
+    try:
+        return cls(**given, **values)
+    except ValueError as exc:
+        named = [key for name, key in keys.items() if re.search(rf"\b{name}\b", str(exc))]
+        raise ConfigError(f"{', '.join(named) or section}: {exc}") from None
+
+
+_PHI_KEYS = ("phi_kind", "phi_amplitude", "phi_center", "phi_width")
+_ENVELOPE_KEYS = {
+    "power_law": ("g_alpha",),
+    "indicator": ("g_t0", "g_t1"),
+    "constant": ("g_constant",),
+    "zero": (),
+}
+
+
+def _envelope_keys(noise: NoiseSpec) -> str:
+    """The keys that shape the envelope g, as ``key = value`` text."""
+    shape = [f"noise.{k} = {getattr(noise, k):g}" for k in _ENVELOPE_KEYS[noise.g_kind]]
+    return ", ".join([f"noise.g_kind = {noise.g_kind}", *shape])
+
+
 def load_config(
     path: str | Path | None = None,
     *,
@@ -360,114 +439,52 @@ def load_config(
             raise ConfigError(f"{key}: unknown override key")
         values[key] = val
 
-    kind = values.get("experiment.kind")
-    if kind is None:
+    name = values.get("experiment.kind")
+    if name is None:
         raise ConfigError("experiment.kind: missing required key")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"experiment.kind: must be one of {EXPERIMENT_KINDS}, got {kind!r}"
-        )
+    if name not in KINDS:
+        raise ConfigError(f"experiment.kind: must be one of {tuple(KINDS)}, got {name!r}")
+    kind = KINDS[name]
+    sections = kind.sections
 
-    sections = _SECTIONS_BY_KIND[kind]
     for key in values:
-        if key.split(".", 1)[0] not in sections:
-            raise ConfigError(f"{key}: not used by experiment kind {kind!r}")
-    for key in _REQUIRED_BY_KIND[kind]:
-        if key not in values:
-            raise ConfigError(f"{key}: missing required key for kind {kind!r}")
+        if not kind.reads(key):
+            raise ConfigError(f"{key}: not used by experiment kind {name!r}")
+    for key, (_, default) in _SCHEMA.items():
+        if default is None and kind.reads(key) and key not in values:
+            raise ConfigError(f"{key}: missing required key for kind {name!r}")
 
     def get(key: str):
-        if key in values:
-            return values[key]
-        _, default = _SCHEMA[key]
-        if default is None:
-            raise ConfigError(f"{key}: missing required key")
-        return default
+        return values[key] if key in values else _SCHEMA[key][1]
 
     warnings: list[str] = []
 
-    uses_pde = kind in ("simulate", "ensemble", "scatter-test", "growth-fit")
-    uses_noise_section = any(k.startswith("noise.") for k in values)
-
-    grid = sim = initial = noise = None
-    if uses_pde:
-        try:
-            grid = GridSpec(get("grid.dim"), get("grid.points"), get("grid.box_length"))
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from None
-        equation = get("sim.equation")
-        if equation not in EQUATION_KINDS:
+    grid = _build(GridSpec, "grid", get) if "grid" in sections else None
+    equation = get("sim.equation") if "sim" in sections else None
+    if "ensemble" in sections and equation == "deterministic":
+        raise ConfigError(
+            f"sim.equation: kind {name!r} runs noise ensembles; set sim.equation = snls"
+        )
+    noise = None
+    if "ensemble" in sections or equation == "snls":
+        noise = _build(NoiseSpec, "noise", get)
+    else:
+        stray = [key for key in values if key.startswith("noise.")]
+        if stray:
             raise ConfigError(
-                f"sim.equation: must be one of {EQUATION_KINDS}, got {equation!r}"
-            )
-        needs_noise = equation == "snls" or kind in ("ensemble", "growth-fit")
-        if needs_noise:
-            if kind in ("ensemble", "growth-fit") and equation == "deterministic":
-                raise ConfigError(
-                    f"sim.equation: kind {kind!r} runs noise ensembles; "
-                    "set sim.equation = snls"
-                )
-            try:
-                noise = NoiseSpec(
-                    phi_kind=get("noise.phi_kind"),
-                    phi_width=get("noise.phi_width"),
-                    phi_center=get("noise.phi_center"),
-                    phi_amplitude=get("noise.phi_amplitude"),
-                    g_kind=get("noise.g_kind"),
-                    g_alpha=get("noise.g_alpha"),
-                    g_t0=get("noise.g_t0"),
-                    g_t1=get("noise.g_t1"),
-                    g_constant=get("noise.g_constant"),
-                    seed=get("noise.seed"),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"noise: {exc}") from None
-        elif uses_noise_section:
-            raise ConfigError(
-                "noise.*: noise keys are set but sim.equation = "
+                f"{stray[0]}: noise keys are set but sim.equation = "
                 f"{equation!r} does not consume them"
             )
-        record = get("sim.record")
-        if record not in ("full", "light"):
-            raise ConfigError(f"sim.record: must be 'full' or 'light', got {record!r}")
-        try:
-            sim = SimConfig(
-                grid=grid,
-                sigma=get("sim.sigma"),
-                dt=get("sim.dt"),
-                t_end=get("sim.t_end"),
-                equation=equation,
-                noise=noise,
-                snapshot_stride=get("sim.snapshot_stride"),
-                record=record,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"sim: {exc}") from None
-        initial = InitialSpec(
-            kind=get("initial.kind"),
-            amplitude=get("initial.amplitude"),
-            width=get("initial.width"),
-        )
 
-    scatter = growth = tail = regimes = None
-    if kind == "scatter-test":
-        norm_kind = get("scatter.norm")
-        if norm_kind not in _NORM_KINDS:
-            raise ConfigError(
-                f"scatter.norm: must be one of {_NORM_KINDS}, got {norm_kind!r}"
-            )
-        theorem = get("scatter.theorem") or None
-        if theorem is not None and theorem not in _THEOREM_NAMES:
-            raise ConfigError(
-                f"scatter.theorem: must be one of {_THEOREM_NAMES}, got {theorem!r}"
-            )
-        checkpoints = get("scatter.checkpoints")
-        if len(checkpoints) < 3:
-            raise ConfigError(
-                f"scatter.checkpoints: need at least 3 checkpoints, got {len(checkpoints)}"
-            )
-        if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-            raise ConfigError("scatter.checkpoints: must be strictly increasing")
+    sim = initial = None
+    if "sim" in sections:
+        sim = _build(SimConfig, "sim", get, grid=grid, noise=noise)
+        initial = _build(InitialSpec, "initial", get)
+
+    scatter = None
+    if "scatter" in sections:
+        scatter = _build(ScatterSpec, "scatter", get)
+        checkpoints = scatter.checkpoints
         if checkpoints[-1] > sim.t_end + 1e-9:
             raise ConfigError(
                 f"scatter.checkpoints: last checkpoint {checkpoints[-1]:g} exceeds "
@@ -481,10 +498,10 @@ def load_config(
                     f"scatter.checkpoints: {c:g} is not a recorded snapshot time "
                     f"(multiples of snapshot_stride*dt = {stride_dt:g}, or t_end)"
                 )
-        scatter = ScatterSpec(checkpoints=checkpoints, norm_kind=norm_kind, theorem=theorem)
-        warnings.extend(_check_scatter_hypotheses(kind, scatter, grid, sim, noise))
+        warnings.extend(_check_scatter_hypotheses(name, scatter, grid, sim, noise))
 
-    if kind == "growth-fit":
+    growth = None
+    if "growth" in sections:
         tau_grid = get("growth.tau_grid")
         if tau_grid[-1] > sim.t_end + 1e-9:
             raise ConfigError(
@@ -493,55 +510,31 @@ def load_config(
             )
         if sim.record != "full":
             raise ConfigError("sim.record: growth-fit needs record = full")
-        growth = GrowthSpec(tau_grid=tau_grid, bound_slack=get("growth.bound_slack"))
+        growth = _build(GrowthSpec, "growth", get)
 
-    if kind == "tail-decay":
-        try:
-            grid = GridSpec(get("grid.dim"), get("grid.points"), get("grid.box_length"))
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from None
-        noise = NoiseSpec(
-            phi_kind=get("noise.phi_kind"),
-            phi_width=get("noise.phi_width"),
-            phi_center=get("noise.phi_center"),
-            phi_amplitude=get("noise.phi_amplitude"),
-            g_kind=get("noise.g_kind"),
-            g_alpha=get("noise.g_alpha"),
-            g_t0=get("noise.g_t0"),
-            g_t1=get("noise.g_t1"),
-            g_constant=get("noise.g_constant"),
-            seed=get("noise.seed"),
-        )
-        t_inf = get("tail.t_inf")
-        if not t_inf > 0:
-            raise ConfigError(f"tail.t_inf: must be positive, got {t_inf}")
-        if not math.isfinite(g_sq_tail_bound(noise, max(t_inf / 8.0, 1e-9))):
+    tail = None
+    if "tail" in sections:
+        tail = _build(TailSpec, "tail", get)
+        if not math.isfinite(g_sq_tail_bound(noise, max(tail.t_inf / 8.0, 1e-9))):
             raise ConfigError(
-                "tail.t_inf: the envelope's truncated tail integral diverges "
-                "(needs a power law with alpha > 1/2, an indicator, or zero); "
-                "the tail study's decay hypothesis cannot be met"
+                f"{_envelope_keys(noise)}: the envelope's truncated tail integral "
+                "diverges (needs a power law with alpha > 1/2, an indicator, or "
+                "zero); the tail study's decay hypothesis cannot be met"
             )
-        lo, hi = get("tail.window_lo"), get("tail.window_hi")
-        if math.isnan(lo) != math.isnan(hi):
-            raise ConfigError("tail.window_lo/window_hi: set both or neither")
-        paths = get("tail.paths")
-        if paths < 2:
-            raise ConfigError(f"tail.paths: need at least 2 paths, got {paths}")
-        tail = TailSpec(
-            t_inf=t_inf,
-            dt=get("tail.dt"),
-            paths=paths,
-            p_space=get("tail.p_space"),
-            window_lo=None if math.isnan(lo) else lo,
-            window_hi=None if math.isnan(hi) else hi,
-        )
+        if not make_phi(noise, grid).values.any():
+            shape = ", ".join(f"noise.{k} = {getattr(noise, k)}" for k in _PHI_KEYS)
+            raise ConfigError(
+                f"{shape}: the noise profile is zero on the grid, so the tail "
+                "study has nothing to fit"
+            )
+        _, hi = check_fit_window(tail.t_inf, tail.window)
+        if not g_sq_tail_bound(noise, hi) > g_sq_tail_bound(noise, tail.t_inf):
+            raise ConfigError(
+                f"{_envelope_keys(noise)}: the envelope vanishes on [{hi:g}, "
+                f"tail.t_inf = {tail.t_inf:g}), so the tail study has nothing to fit"
+            )
 
-    if kind == "regimes":
-        regimes = RegimeQuery(
-            dim=get("regimes.dim"),
-            two_sigma=get("regimes.two_sigma"),
-            alpha=get("regimes.alpha"),
-        )
+    regimes = _build(RegimeQuery, "regimes", get) if "regimes" in sections else None
 
     ensemble_size = get("ensemble.size")
     if ensemble_size < 1:
@@ -549,13 +542,15 @@ def load_config(
     workers = get("ensemble.workers")
     if workers < 1:
         raise ConfigError(f"ensemble.workers: must be >= 1, got {workers}")
-    if kind == "growth-fit" and ensemble_size < 200:
+    if "growth" in sections and ensemble_size < 200:
         warnings.append(
             f"ensemble.size = {ensemble_size}: growth-exponent fits want at "
             "least 200 paths for a stable ensemble mean"
         )
 
     selftest_points = get("selftest.points")
+    if selftest_points < 8:
+        raise ConfigError(f"selftest.points: need at least 8 points, got {selftest_points}")
 
     if strict and warnings:
         raise ConfigError(
@@ -568,16 +563,11 @@ def load_config(
     # not affect the config hash.
     resolved: list[tuple[str, str]] = []
     for key in sorted(_SCHEMA):
-        if key in ("ensemble.workers", "output.dir"):
-            continue
-        if key.split(".", 1)[0] not in sections:
+        if key in ("ensemble.workers", "output.dir") or not kind.reads(key):
             continue
         if key.startswith("noise.") and noise is None:
             continue
-        try:
-            val = get(key)
-        except ConfigError:
-            continue  # unused optional requirement of another kind
+        val = get(key)
         if isinstance(val, tuple):
             rendered = ",".join(repr(v) for v in val)
         else:
@@ -585,7 +575,7 @@ def load_config(
         resolved.append((key, rendered))
 
     return ExperimentConfig(
-        kind=kind,
+        kind=name,
         grid=grid,
         sim=sim,
         initial=initial,

@@ -36,15 +36,13 @@ from .grids import (
     gradient,
     spectral_tail_fraction,
 )
-from .noise import NoisePath, NoiseSpec, make_phi, sample_path
-from .operators import propagate
+from .noise import NoisePath, NoiseSpec, make_phi, partition_steps, sample_path
 
 __all__ = [
     "EQUATION_KINDS",
     "SimConfig",
     "Trajectory",
     "step_deterministic",
-    "step_snls",
     "evolve",
     "evolve_random",
     "evolve_transformed",
@@ -56,13 +54,6 @@ _RECORD_MODES = ("full", "light")
 #: run warnings trigger above these fractions; see the grids module
 BOUNDARY_TOL = 1e-10
 SPECTRAL_TAIL_TOL = 1e-10
-
-
-def _count_steps(t_end: float, dt: float) -> int:
-    steps = int(round(t_end / dt))
-    if abs(steps * dt - t_end) > 1e-9 * max(dt, abs(t_end)):
-        raise ValueError(f"t_end={t_end} is not an integer multiple of dt={dt}")
-    return steps
 
 
 @dataclass(frozen=True)
@@ -117,11 +108,11 @@ class SimConfig:
                     f"t=1 coefficient blow-up (sigma*dim={self.sigma * self.grid.dim:g} < 2); "
                     f"largest safe horizon is {1.0 - 10.0 * self.dt:g}"
                 )
-        _count_steps(self.t_end, self.dt)  # validates divisibility
+        self.steps  # validates divisibility
 
     @property
     def steps(self) -> int:
-        return _count_steps(self.t_end, self.dt)
+        return partition_steps(self.t_end, self.dt, "t_end") if self.t_end > 0 else 0
 
     def times(self) -> np.ndarray:
         return np.arange(self.steps + 1) * self.dt
@@ -178,18 +169,6 @@ def step_deterministic(field: Field, dt: float, sigma: float) -> Field:
     hat *= np.exp(1j * dt * field.grid.k_squared())
     vals = _phase_rotation(np.fft.ifftn(hat), sigma, 0.5 * dt, None)
     return Field(field.grid, vals)
-
-
-def step_snls(field: Field, dt: float, sigma: float, increment: Field) -> Field:
-    """One noise-driven step: Strang step plus i·S(dt)[increment].
-
-    `increment` is the realized noise φ·g(t_k)·ΔB_k on the same grid.
-    """
-    if increment.grid != field.grid:
-        raise ValueError("noise increment lives on a different grid")
-    base = step_deterministic(field, dt, sigma)
-    kick = propagate(increment, dt)
-    return Field(field.grid, base.values + 1j * kick.values)
 
 
 def _validate_shift(shift: Sequence[Field] | None, grid: GridSpec, steps: int) -> list[np.ndarray] | None:

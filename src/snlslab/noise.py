@@ -30,6 +30,7 @@ __all__ = [
     "make_phi",
     "g_value",
     "g_sq_tail_bound",
+    "partition_steps",
     "sample_path",
     "coarsen_path",
     "path_manifest",
@@ -38,6 +39,7 @@ __all__ = [
     "tail_convolution",
     "convolution_series",
     "tail_sup_norms",
+    "check_fit_window",
     "tail_decay_fit",
     "TailFitResult",
 ]
@@ -99,7 +101,9 @@ class NoiseSpec:
         if self.g_kind == "power_law" and self.g_alpha < 0:
             raise ValueError(f"g_alpha must be non-negative, got {self.g_alpha}")
         if self.g_kind == "indicator" and not (0 <= self.g_t0 < self.g_t1):
-            raise ValueError(f"indicator support needs 0 <= t0 < t1, got [{self.g_t0}, {self.g_t1})")
+            raise ValueError(
+                f"indicator support needs 0 <= g_t0 < g_t1, got [{self.g_t0}, {self.g_t1})"
+            )
         if not (0 <= int(self.seed) < (1 << 64)):
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -162,6 +166,22 @@ def g_sq_tail_bound(spec: NoiseSpec, t_inf: float) -> float:
     return 0.0
 
 
+def partition_steps(horizon: float, dt: float, name: str = "t_inf") -> int:
+    """Number of steps of size dt that partition [0, horizon].
+
+    Both must be positive and finite, and horizon an integer multiple of
+    dt up to a relative 1e-9; ``name`` labels the horizon in errors.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"{name} must be positive and finite, got {horizon}")
+    steps = int(round(horizon / dt))
+    if abs(steps * dt - horizon) > 1e-9 * max(dt, horizon):
+        raise ValueError(f"{name}={horizon} is not an integer multiple of dt={dt}")
+    return steps
+
+
 @dataclass(frozen=True)
 class NoisePath:
     """Brownian increments on the uniform partition of [0, t_inf].
@@ -179,14 +199,8 @@ class NoisePath:
     coarsen_factor: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (self.t_inf > 0 and math.isfinite(self.t_inf)):
-            raise ValueError(f"t_inf must be positive, got {self.t_inf}")
+        steps = partition_steps(self.t_inf, self.dt)
         inc = np.asarray(self.increments, dtype=np.float64)
-        steps = int(round(self.t_inf / self.dt))
-        if steps < 1 or abs(steps * self.dt - self.t_inf) > 1e-9 * max(1.0, self.t_inf):
-            raise ValueError(f"dt {self.dt} does not evenly partition [0, {self.t_inf}]")
         if inc.ndim != 1 or len(inc) != steps:
             raise ValueError(f"expected {steps} increments, got shape {inc.shape}")
         if not np.all(np.isfinite(inc)):
@@ -220,9 +234,7 @@ class NoisePath:
 
 def sample_path(spec: NoiseSpec, t_inf: float, dt: float) -> NoisePath:
     """Draw the path determined by spec.seed (bitwise reproducible)."""
-    steps = int(round(t_inf / dt))
-    if steps < 1 or abs(steps * dt - t_inf) > 1e-9 * max(1.0, t_inf):
-        raise ValueError(f"dt {dt} does not evenly partition [0, {t_inf}]")
+    steps = partition_steps(t_inf, dt)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     increments = rng.normal(0.0, math.sqrt(dt), steps)
     return NoisePath(spec, float(t_inf), float(dt), increments)
@@ -379,6 +391,16 @@ def tail_sup_norms(path: NoisePath, phi: Field, p_space: float = 2.0) -> np.ndar
     return np.maximum.accumulate(norms[::-1])[::-1]
 
 
+def check_fit_window(t_inf: float, window: tuple[float, float] | None = None) -> tuple[float, float]:
+    """The tail fit window: [t_inf/8, t_inf/2] by default; a given
+    window must sit inside it, where truncating the upper limit of the
+    tail is still negligible for decaying envelopes."""
+    lo, hi = window if window is not None else (t_inf / 8.0, t_inf / 2.0)
+    if not (t_inf / 8.0 - 1e-12 <= lo < hi <= t_inf / 2.0 + 1e-12):
+        raise ValueError(f"fit window [{lo}, {hi}] must sit inside [{t_inf / 8}, {t_inf / 2}]")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class TailFitResult:
     """Per-path log-log decay slopes of the tail sup-norm, with summary."""
@@ -399,11 +421,9 @@ def tail_decay_fit(
     """Least-squares decay exponent of sup_{s>=t} ||tail(s)||_{W^{1,p}}.
 
     The fit runs over a geometric grid (ratio sqrt(2)) spanning the fit
-    window, against log<t>; the window must sit inside
-    [t_inf/8, t_inf/2], where the truncation of the upper limit is still
-    negligible for decaying envelopes. Returns per-path slopes plus the
-    ensemble median and interquartile range, and the closed-form bound
-    on the truncated envelope energy.
+    window (see ``check_fit_window``), against log<t>. Returns per-path
+    slopes plus the ensemble median and interquartile range, and the
+    closed-form bound on the truncated envelope energy.
     """
     if not paths:
         raise ValueError("need at least one path")
@@ -414,9 +434,7 @@ def tail_decay_fit(
     for p in paths:
         if (p.t_inf, p.dt) != (t_inf, dt):
             raise ValueError("all paths must share the same partition")
-    lo, hi = fit_window if fit_window is not None else (t_inf / 8.0, t_inf / 2.0)
-    if not (t_inf / 8.0 - 1e-12 <= lo < hi <= t_inf / 2.0 + 1e-12):
-        raise ValueError(f"fit window [{lo}, {hi}] must sit inside [{t_inf / 8}, {t_inf / 2}]")
+    lo, hi = check_fit_window(t_inf, fit_window)
     # geometric grid with ratio sqrt(2) anchored at the window ends
     n_pts = max(2, int(round(math.log(hi / lo) / math.log(math.sqrt(2.0)))) + 1)
     t_grid = lo * (hi / lo) ** (np.arange(n_pts) / (n_pts - 1))

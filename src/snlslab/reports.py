@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import GrowthFitResult, RegimeReport, ScatteringReport, StrichartzReport
+from .analysis import GrowthFitResult, RegimeReport, ScatteringReport
 from .config import ExperimentConfig
 from .dynamics import Trajectory
 from .ensemble import EnsembleResult
@@ -278,31 +278,6 @@ def _serialize_regimes(rep: RegimeReport):
     return csvs, doc, _table(lines)
 
 
-def _serialize_strichartz(rep: StrichartzReport):
-    header = ["time"] + [ch.pair.label for ch in rep.channels]
-    n = len(rep.channels[0].times)
-    rows = []
-    for i in range(n):
-        rows.append(
-            [float(rep.channels[0].times[i])]
-            + [float(ch.values[i]) for ch in rep.channels]
-        )
-    csvs = {"spacetime_norms.csv": _csv_text(header, rows)}
-    extra = {
-        "s1_proxy": rep.s1_proxy,
-        "plateau": {ch.pair.label: ch.plateau for ch in rep.channels},
-    }
-    lines = [("s1 proxy", format_float(rep.s1_proxy))]
-    for ch in rep.channels:
-        lines.append(
-            (
-                ch.pair.label,
-                f"final={format_float(float(ch.values[-1]))} plateau={ch.plateau}",
-            )
-        )
-    return csvs, extra, _table(lines)
-
-
 def _serialize_selftest(rep: SelftestReport):
     csvs = {
         "selftest.csv": _csv_text(
@@ -330,7 +305,6 @@ _SERIALIZERS = (
     (ScatteringReport, _serialize_scatter),
     (GrowthFitResult, _serialize_growth),
     (RegimeReport, _serialize_regimes),
-    (StrichartzReport, _serialize_strichartz),
     (SelftestReport, _serialize_selftest),
 )
 
