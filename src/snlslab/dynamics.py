@@ -20,21 +20,28 @@ step's propagator, which reproduces the discrete Duhamel form exactly.
 While stepping, the engine records the functional series and the
 discrete sums every Ito budget needs (all evaluated at left endpoints),
 so a finished trajectory certifies itself against its noise input.
+
+The engine advances a batch of paths as one (paths, *grid) array;
+a single run is a batch of one. Every grid sum is taken row by row over
+C-contiguous rows, so a path's numbers do not depend on its batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .functionals import compute_functionals
+from .functionals import FunctionalRecord, compute_functionals
 from .grids import (
     Field,
     GridSpec,
     boundary_mass_fraction,
+    boundary_mass_fractions,
     gradient,
-    spectral_tail_fraction,
+    row_sums,
+    spectral_tail_fraction,  # noqa: F401  perfbench/tracing.py wraps dynamics.spectral_tail_fraction
+    spectral_tail_fractions,
 )
 from .noise import NoisePath, NoiseSpec, make_phi, partition_steps, sample_path
 
@@ -42,10 +49,13 @@ __all__ = [
     "EQUATION_KINDS",
     "SimConfig",
     "Trajectory",
+    "BatchRun",
+    "PathError",
     "step_deterministic",
     "evolve",
     "evolve_random",
     "evolve_transformed",
+    "evolve_batch",
 ]
 
 EQUATION_KINDS = ("deterministic", "snls", "random_shifted", "transformed")
@@ -149,31 +159,91 @@ class Trajectory:
         raise KeyError(f"no snapshot at t={t:g}; stored snapshot times: {stored}")
 
 
+class PathError(RuntimeError):
+    """A batched run failed on one path; ``path`` is its row in the batch."""
+
+    def __init__(self, message: str, path: int) -> None:
+        super().__init__(message)
+        self.path = path
+
+    def __reduce__(self):
+        return type(self), (str(self), self.path)
+
+
+@dataclass(frozen=True)
+class BatchRun:
+    """Finished runs of a batch of paths that share one config.
+
+    Row p of every per-path array belongs to path p: series and budget
+    arrays have shape (paths, steps+1), the monitor fractions
+    (paths, snapshots) against the shared ``monitors["times"]``, and
+    ``final`` (paths, *grid). Snapshot fields are not kept.
+    """
+
+    config: SimConfig
+    times: np.ndarray
+    series: dict[str, np.ndarray]
+    budget: dict[str, np.ndarray]
+    monitors: dict[str, np.ndarray]
+    final: np.ndarray
+    paths: tuple[NoisePath, ...] | None
+    warnings: tuple[tuple[str, ...], ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.final)
+
+    def trajectory(self, p: int,
+                   snapshots: Sequence[tuple[float, Field]] = ()) -> Trajectory:
+        """Path p as a Trajectory; it holds only the snapshots passed in."""
+        return Trajectory(
+            config=self.config,
+            times=self.times,
+            series={key: col[p] for key, col in self.series.items()},
+            budget={key: col[p] for key, col in self.budget.items()},
+            monitors={key: col if key == "times" else col[p]
+                      for key, col in self.monitors.items()},
+            snapshots=tuple(snapshots),
+            final=Field(self.config.grid, self.final[p]),
+            path=None if self.paths is None else self.paths[p],
+            warnings=self.warnings[p],
+        )
+
+
 def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
                     shift: np.ndarray | None) -> np.ndarray:
     """Exact nonlinear substep w ← e^{iτ|w|^{2σ}} w with w = vals + shift
     (shift frozen), returning the unshifted field."""
     w = vals if shift is None else vals + shift
-    rho = w.real**2 + w.imag**2
+    flat = w.reshape(-1)  # numpy runs elementwise work faster over one 1-d run
+    rho = flat.real**2 + flat.imag**2
     amp = rho if sigma == 1.0 else rho**sigma
-    out = np.exp(1j * tau * amp) * w
+    out = np.exp(1j * tau * amp) * flat
     if shift is not None:
-        out -= shift
-    return out
+        out -= shift.reshape(-1)
+    return out.reshape(w.shape)
+
+
+def _strang_step(vals: np.ndarray, sigma: float, grid: GridSpec, lin: np.ndarray,
+                 tau_left: float, tau_right: float,
+                 s_left: np.ndarray | None = None,
+                 s_right: np.ndarray | None = None) -> np.ndarray:
+    """Half phase — full linear propagator — half phase, on every row of
+    a (paths, *grid) array; lin is the propagator's Fourier multiplier."""
+    vals = _phase_rotation(vals, sigma, tau_left, s_left)
+    vals = grid.ifft(grid.fft(vals) * lin)
+    return _phase_rotation(vals, sigma, tau_right, s_right)
 
 
 def step_deterministic(field: Field, dt: float, sigma: float) -> Field:
     """One Strang step of the plain equation."""
-    vals = _phase_rotation(field.values, sigma, 0.5 * dt, None)
-    hat = np.fft.fftn(vals)
-    hat *= np.exp(1j * dt * field.grid.k_squared())
-    vals = _phase_rotation(np.fft.ifftn(hat), sigma, 0.5 * dt, None)
-    return Field(field.grid, vals)
+    grid = field.grid
+    lin = np.exp(1j * dt * grid.k_squared())
+    vals = _strang_step(field.values[None], sigma, grid, lin, 0.5 * dt, 0.5 * dt)
+    return Field(grid, vals[0])
 
 
-def _validate_shift(shift: Sequence[Field] | None, grid: GridSpec, steps: int) -> list[np.ndarray] | None:
-    if shift is None:
-        return None
+def _validate_shift(shift: Sequence[Field], grid: GridSpec, steps: int) -> list[np.ndarray]:
     if len(shift) != steps + 1:
         raise ValueError(f"shift series must have steps+1 = {steps + 1} entries, got {len(shift)}")
     vals = []
@@ -184,17 +254,21 @@ def _validate_shift(shift: Sequence[Field] | None, grid: GridSpec, steps: int) -
     return vals
 
 
-def _resolve_path(config: SimConfig, path: NoisePath | None) -> NoisePath:
-    if path is None:
-        return sample_path(config.noise, config.t_end, config.dt)
-    if config.noise is not None and path.spec != config.noise:
-        raise ValueError("config.noise and the supplied path disagree; pass one or the other")
+def _check_partition(config: SimConfig, path: NoisePath) -> None:
     if abs(path.t_inf - config.t_end) > 1e-9 * max(1.0, config.t_end) or \
             abs(path.dt - config.dt) > 1e-12 * config.dt:
         raise ValueError(
             f"noise path partition (t_inf={path.t_inf}, dt={path.dt}) does not match "
             f"the run (t_end={config.t_end}, dt={config.dt})"
         )
+
+
+def _resolve_path(config: SimConfig, path: NoisePath | None) -> NoisePath:
+    if path is None:
+        return sample_path(config.noise, config.t_end, config.dt)
+    if config.noise is not None and path.spec != config.noise:
+        raise ValueError("config.noise and the supplied path disagree; pass one or the other")
+    _check_partition(config, path)
     return path
 
 
@@ -206,21 +280,10 @@ def evolve(config: SimConfig, u0: Field, *, path: NoisePath | None = None,
     path is sampled from config.noise). `shift` supplies the frozen
     shift series for the shifted/transformed equations.
     """
-    if config.equation == "deterministic":
-        if path is not None or shift is not None:
-            raise ValueError("deterministic runs take neither a noise path nor a shift")
-        return _integrate(config, u0, path=None, shift=None)
-    if config.equation == "snls":
-        if shift is not None:
-            raise ValueError("snls runs do not take a shift series")
-        if config.steps == 0:  # zero-length run: no increments to draw
-            return _integrate(config, u0, path=None, shift=None)
-        return _integrate(config, u0, path=_resolve_path(config, path), shift=None)
-    if path is not None:
-        raise ValueError(f"equation {config.equation!r} does not take a noise path")
-    if config.equation == "random_shifted":
-        return evolve_random(config, u0, shift)
-    return evolve_transformed(config, u0, shift)
+    if config.equation == "snls" and shift is None:
+        # a zero-length run has no increments to draw
+        path = _resolve_path(config, path) if config.steps else None
+    return _evolve_one(config, u0, path, shift)
 
 
 def evolve_random(config: SimConfig, u0: Field,
@@ -232,7 +295,7 @@ def evolve_random(config: SimConfig, u0: Field,
     """
     if config.equation != "random_shifted":
         raise ValueError(f"config.equation must be 'random_shifted', got {config.equation!r}")
-    return _integrate(config, u0, path=None, shift=_validate_shift(shift, config.grid, config.steps))
+    return _evolve_one(config, u0, None, shift)
 
 
 def evolve_transformed(config: SimConfig, u0: Field,
@@ -240,21 +303,103 @@ def evolve_transformed(config: SimConfig, u0: Field,
     """Integrate the lens-transformed equation on [0, t_end], t_end < 1."""
     if config.equation != "transformed":
         raise ValueError(f"config.equation must be 'transformed', got {config.equation!r}")
-    return _integrate(config, u0, path=None, shift=_validate_shift(shift, config.grid, config.steps))
+    return _evolve_one(config, u0, None, shift)
 
 
-def _integrate(config: SimConfig, u0: Field, path: NoisePath | None,
-               shift: list[np.ndarray] | None) -> Trajectory:
+def _evolve_one(config: SimConfig, u0: Field, path: NoisePath | None,
+                shift: Sequence[Field] | None) -> Trajectory:
+    """A batch of one that also keeps its snapshot fields."""
+    run, snapshots = _integrate(
+        config,
+        *_batch_inputs(config, u0, None if path is None else [path],
+                       None if shift is None else [shift]),
+        keep_snapshots=True,
+    )
+    return run.trajectory(0, snapshots)
+
+
+def evolve_batch(config: SimConfig, u0: Field | Sequence[Field],
+                 paths: Sequence[NoisePath] | None = None, *,
+                 shifts: Sequence[Sequence[Field]] | None = None) -> BatchRun:
+    """Run a batch of paths of one config as one (paths, *grid) array.
+
+    u0 is one Field shared by every path or one Field per path. `paths`
+    (snls only) holds one noise path per row; their specs must equal
+    config.noise up to the seed. `shifts` (shifted and transformed
+    equations) holds one shift series per row. Row p of the result is
+    bit-identical to the batch of one made of row p's inputs.
+    """
+    return _integrate(config, *_batch_inputs(config, u0, paths, shifts))[0]
+
+
+def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
+                  paths: Sequence[NoisePath] | None,
+                  shifts: Sequence[Sequence[Field]] | None,
+                  ) -> tuple[np.ndarray, tuple[NoisePath, ...] | None, list[np.ndarray] | None]:
+    """Check a batch against config; return the initial rows, the paths
+    and the shift series as one (paths, *grid) array per partition point."""
+    equation = config.equation
+    if equation == "deterministic" and (paths is not None or shifts is not None):
+        raise ValueError("deterministic runs take neither a noise path nor a shift")
+    if equation == "snls":
+        if shifts is not None:
+            raise ValueError("snls runs do not take a shift series")
+        if paths is None and config.steps:
+            raise ValueError("snls batches need one noise path per row")
+    elif paths is not None:
+        raise ValueError(f"equation {equation!r} does not take a noise path")
+
+    initial = [u0] if isinstance(u0, Field) else list(u0)
+    sizes = {len(seq) for seq in (paths, shifts) if seq is not None}
+    if len(initial) > 1:
+        sizes.add(len(initial))
+    if len(sizes) > 1:
+        raise ValueError(f"u0, paths and shifts disagree on the batch size: {sorted(sizes)}")
+    size = sizes.pop() if sizes else 1
+    if size < 1 or not initial:
+        raise ValueError("a batch needs at least one path")
+
     grid = config.grid
-    if u0.grid != grid:
-        raise ValueError("initial field lives on a different grid than the config")
-    frac0 = boundary_mass_fraction(u0)
-    if frac0 > BOUNDARY_TOL:
-        raise ValueError(
-            f"initial data touches the box boundary: mass fraction {frac0:.3e} outside the "
-            f"inner half-box exceeds {BOUNDARY_TOL:g}; enlarge the box or narrow the data"
-        )
+    for field in initial:
+        if field.grid != grid:
+            raise ValueError("initial field lives on a different grid than the config")
+        frac0 = boundary_mass_fraction(field)
+        if frac0 > BOUNDARY_TOL:
+            raise ValueError(
+                f"initial data touches the box boundary: mass fraction {frac0:.3e} outside the "
+                f"inner half-box exceeds {BOUNDARY_TOL:g}; enlarge the box or narrow the data"
+            )
+    rows = np.stack([f.values for f in initial])
+    if len(initial) == 1:
+        rows = np.repeat(rows, size, axis=0)
 
+    if paths is not None:
+        paths = tuple(paths)
+        ref = config.noise
+        for p, path in enumerate(paths):
+            if replace(path.spec, seed=ref.seed) != ref:
+                raise ValueError(f"path {p}: its noise spec differs from config.noise "
+                                 f"in more than the seed")
+            _check_partition(config, path)
+    shift = None
+    if shifts is not None:
+        per_path = [_validate_shift(series, grid, config.steps) for series in shifts]
+        shift = [np.stack(step) for step in zip(*per_path)]
+    return rows, paths, shift
+
+
+def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
+               shift: list[np.ndarray] | None, keep_snapshots: bool = False,
+               ) -> tuple[BatchRun, list[tuple[float, Field]]]:
+    """The path-batched kernel: advance the (paths, *grid) array u0 and
+    record series, budget sums and monitors for every row.
+
+    Every reduction runs over one C-contiguous row at a time, so row p
+    is bit-identical to a batch of one. Snapshot fields of row 0 are
+    kept only when asked for.
+    """
+    grid = config.grid
+    size = len(u0)
     steps = config.steps
     dt = config.dt
     sigma = config.sigma
@@ -274,18 +419,22 @@ def _integrate(config: SimConfig, u0: Field, path: NoisePath | None,
         c1 = (1.0 - (t_left + 0.25 * dt)) ** power
         c2 = (1.0 - (t_left + 0.75 * dt)) ** power
 
-    # noise precomputation: the stepped profile and the budget weights
-    noise_on = path is not None
+    # noise precomputation: the stepped profile, the per-path kicks and
+    # the budget weights; profile and envelope are shared by every path
+    noise_on = paths is not None
     track_energy = full and config.equation in ("deterministic", "snls")
     if noise_on:
-        phi = make_phi(path.spec, grid)
+        phi = make_phi(paths[0].spec, grid)
         phi_hat = phi.spectrum()
-        prop_phi = np.fft.ifftn(np.exp(1j * dt * grid.k_squared()) * phi_hat)
-        g_left = path.g_at_left()
-        incr = path.increments
+        prop_phi = np.fft.ifftn(lin * phi_hat)
+        g_left = paths[0].g_at_left()
+        incr = np.stack([path.increments for path in paths])
+        kicks = (1j * (g_left * incr)).T.reshape((steps, size) + (1,) * n)
         cw_phi = phi.values.conj()
         phi_sq = phi.values.real**2 + phi.values.imag**2
         norm_phi_sq = float(phi_sq.sum()) * dvol
+        # per-step grid sums, (steps, paths), combined into budget terms after the loop
+        dots = np.empty((steps, size), dtype=complex)
         if track_energy:
             grads_phi = [g.values for g in gradient(phi)]
             xgrad_phi = sum(x_j * gp for x_j, gp in zip(grid.coords(), grads_phi))
@@ -296,129 +445,132 @@ def _integrate(config: SimConfig, u0: Field, path: NoisePath | None,
             a0 = float((grid.radius_squared() * phi_sq).sum()) * dvol
             a1 = float((phi.values * cw_xgrad).imag.sum()) * dvol
             a2 = sum(float((gp.real**2 + gp.imag**2).sum()) for gp in grads_phi) * dvol
+            energy_dots = np.empty((4, steps, size), dtype=complex)
+            energy_sums = np.empty((2, steps, size))
 
-    series_lists: dict[str, list[float]] = {}
-    mass_im = np.zeros(steps) if noise_on else None
-    t1_terms = np.zeros(steps) if (noise_on and track_energy) else None
-    t2_terms = np.zeros(steps) if (noise_on and track_energy) else None
+    # one row per partition point, (steps+1, paths); transposed at the end
+    names = [f.name for f in dataclass_fields(FunctionalRecord) if f.name != "t"] if full else ["mass"]
+    series = {name: np.empty((steps + 1, size)) for name in names}
 
     snapshots: list[tuple[float, Field]] = []
     mon_times: list[float] = []
-    mon_boundary: list[float] = []
-    mon_tail: list[float] = []
+    mon_boundary: list[np.ndarray] = []
+    mon_tail: list[np.ndarray] = []
 
-    def record_series(t_now: float, vals: np.ndarray) -> None:
+    def record_series(k: int, vals: np.ndarray) -> None:
         if full:
-            rec = compute_functionals(Field(grid, vals), t_now, sigma, frame)
-            for key, value in rec.as_dict().items():
-                if key != "t":
-                    series_lists.setdefault(key, []).append(value)
+            for p in range(size):
+                rec = compute_functionals(Field(grid, vals[p]), k * dt, sigma, frame)
+                for name in names:
+                    series[name][k, p] = getattr(rec, name)
         else:
-            rho = vals.real**2 + vals.imag**2
-            series_lists.setdefault("mass", []).append(float(rho.sum()) * dvol)
+            series["mass"][k] = row_sums(vals.real**2 + vals.imag**2)
 
     def record_snapshot(t_now: float, vals: np.ndarray) -> None:
-        snap = Field(grid, vals)
-        snapshots.append((t_now, snap))
         mon_times.append(t_now)
-        mon_boundary.append(boundary_mass_fraction(snap))
-        mon_tail.append(spectral_tail_fraction(snap))
+        mon_boundary.append(boundary_mass_fractions(grid, vals))
+        mon_tail.append(spectral_tail_fractions(grid, vals))
+        if keep_snapshots:
+            snapshots.append((t_now, Field(grid, vals[0])))
 
-    vals = u0.values.copy()
+    vals = u0
+    tau = 0.5 * dt
     for k in range(steps):
-        t_k = k * dt
-        record_series(t_k, vals)
+        record_series(k, vals)
         if k % config.snapshot_stride == 0:
-            record_snapshot(t_k, vals)
+            record_snapshot(k * dt, vals)
         if noise_on:
             prod = vals * cw_phi
-            s1 = complex(prod.sum()) * dvol
-            mass_im[k] = 2.0 * s1.imag
+            dots[k] = row_sums(prod)
             if track_energy:
-                w = 1.0 + t_k
                 rho = vals.real**2 + vals.imag**2
                 rho_sig = rho if sigma == 1.0 else rho**sigma
-                s2 = complex((vals * cw_x2phi).sum()) * dvol
-                s3 = complex((vals * cw_xgrad).sum()) * dvol
-                p_lap = complex((vals * cw_lap).sum()) * dvol
-                q_nl = complex((rho_sig * prod).sum()) * dvol
-                b1 = float((rho_sig * phi_sq).sum()) * dvol
+                energy_dots[0, k] = row_sums(vals * cw_x2phi)
+                energy_dots[1, k] = row_sums(vals * cw_xgrad)
+                energy_dots[2, k] = row_sums(vals * cw_lap)
+                energy_dots[3, k] = row_sums(rho_sig * prod)
+                energy_sums[0, k] = row_sums(rho_sig * phi_sq)
                 im_pt = prod.imag
                 if sigma == 1.0:
-                    b2 = float((im_pt**2).sum()) * dvol
-                else:
-                    mask = rho > 0.0
-                    b2 = float((rho[mask] ** (sigma - 1.0) * im_pt[mask] ** 2).sum()) * dvol
-                g_k = g_left[k]
-                t2_terms[k] = g_k * (
-                    2.0 * s2.imag + 4.0 * n * w * s1.real + 8.0 * w * s3.real
-                    + 8.0 * w * w * (q_nl.imag - p_lap.imag)
-                )
-                t1_terms[k] = g_k * g_k * (
-                    a0 - 4.0 * w * a1 + 4.0 * w * w * (a2 + b1) + 8.0 * sigma * w * w * b2
-                )
-        # Strang step
-        tau = 0.5 * dt
-        s_left = shift[k] if shift is not None else None
-        s_right = shift[k + 1] if shift is not None else None
-        vals = _phase_rotation(vals, sigma, tau * c1[k] if c1 is not None else tau, s_left)
-        vals = np.fft.ifftn(np.fft.fftn(vals) * lin)
-        vals = _phase_rotation(vals, sigma, tau * c2[k] if c2 is not None else tau, s_right)
+                    energy_sums[1, k] = row_sums(im_pt**2)
+                else:  # the rho > 0 mask differs by path: one masked sum per row
+                    energy_sums[1, k] = [
+                        float((r[m] ** (sigma - 1.0) * i[m] ** 2).sum())
+                        for r, i, m in zip(rho, im_pt, rho > 0.0)
+                    ]
+        vals = _strang_step(
+            vals, sigma, grid, lin,
+            tau * c1[k] if c1 is not None else tau,
+            tau * c2[k] if c2 is not None else tau,
+            shift[k] if shift is not None else None,
+            shift[k + 1] if shift is not None else None,
+        )
         if noise_on:
-            vals = vals + (1j * (g_left[k] * incr[k])) * prop_phi
-        probe = float(vals.real.sum()) + float(vals.imag.sum())
-        if not np.isfinite(probe):
-            raise RuntimeError(
-                f"non-finite field after step {k + 1} of {steps} (t={(k + 1) * dt:.6g}); "
-                f"the run was aborted"
+            vals = vals + kicks[k] * prop_phi
+        finite = np.isfinite(row_sums(vals))
+        if not finite.all():
+            p = int(np.argmin(finite))
+            where = f" in path {p} of the batch" if size > 1 else ""
+            raise PathError(
+                f"non-finite field after step {k + 1} of {steps} (t={(k + 1) * dt:.6g})"
+                f"{where}; the run was aborted",
+                p,
             )
 
-    t_end = steps * dt
-    record_series(t_end, vals)
-    record_snapshot(t_end, vals)  # the loop never records the final index
-    final = snapshots[-1][1]
+    record_series(steps, vals)
+    record_snapshot(steps * dt, vals)  # the loop never records the final index
 
     times = config.times()
-    series = {key: _frozen(np.asarray(col)) for key, col in series_lists.items()}
+    if not full:
+        series["mass"] *= dvol
+    series = {name: _frozen(col.T) for name, col in series.items()}
 
     budget: dict[str, np.ndarray] = {}
+    zeros = _frozen(np.zeros((size, steps + 1)))
     if config.equation in ("deterministic", "snls"):
         if noise_on:
-            d_b = incr
-            budget["mass_martingale"] = _cumsum0(mass_im * g_left * d_b)
-            budget["mass_drift"] = _cumsum0(np.full(steps, norm_phi_sq) * g_left**2 * dt)
+            s1 = dots * dvol
+            budget["mass_martingale"] = _cumsum0(2.0 * s1.imag.T * g_left * incr)
+            drift = _cumsum0(np.full(steps, norm_phi_sq) * g_left**2 * dt)
+            budget["mass_drift"] = _frozen(np.broadcast_to(drift, (size, steps + 1)))
         else:
-            budget["mass_martingale"] = _frozen(np.zeros(steps + 1))
-            budget["mass_drift"] = _frozen(np.zeros(steps + 1))
+            budget["mass_martingale"] = budget["mass_drift"] = zeros
         if track_energy:
             flow_coeff = 4.0 * (2.0 - n * sigma) / (sigma + 1.0)
             integrand = flow_coeff * (1.0 + times) * series["potential"]
             budget["energy_flow_drift"] = _cumtrapz0(integrand, dt)
             if noise_on:
-                budget["energy_ito_drift"] = _cumsum0(t1_terms * dt)
-                budget["energy_martingale"] = _cumsum0(t2_terms * d_b)
+                s2, s3, p_lap, q_nl = energy_dots * dvol
+                b1, b2 = energy_sums * dvol
+                w = (1.0 + np.arange(steps) * dt)[:, None]
+                g = g_left[:, None]
+                t2_terms = g * (
+                    2.0 * s2.imag + 4.0 * n * w * s1.real + 8.0 * w * s3.real
+                    + 8.0 * w * w * (q_nl.imag - p_lap.imag)
+                )
+                t1_terms = g * g * (
+                    a0 - 4.0 * w * a1 + 4.0 * w * w * (a2 + b1) + 8.0 * sigma * w * w * b2
+                )
+                budget["energy_ito_drift"] = _cumsum0(t1_terms.T * dt)
+                budget["energy_martingale"] = _cumsum0(t2_terms.T * incr)
             else:
-                budget["energy_ito_drift"] = _frozen(np.zeros(steps + 1))
-                budget["energy_martingale"] = _frozen(np.zeros(steps + 1))
+                budget["energy_ito_drift"] = budget["energy_martingale"] = zeros
 
-    monitors = {
-        "times": _frozen(np.asarray(mon_times)),
-        "boundary_fraction": _frozen(np.asarray(mon_boundary)),
-        "spectral_tail": _frozen(np.asarray(mon_tail)),
-    }
-    warnings = _collect_warnings(monitors)
-
-    return Trajectory(
+    mon_times_arr = _frozen(np.asarray(mon_times))
+    boundary = _frozen(np.array(mon_boundary).T)
+    tail = _frozen(np.array(mon_tail).T)
+    run = BatchRun(
         config=config,
         times=_frozen(times),
         series=series,
         budget=budget,
-        monitors=monitors,
-        snapshots=tuple(snapshots),
-        final=final,
-        path=path,
-        warnings=warnings,
+        monitors={"times": mon_times_arr, "boundary_fraction": boundary, "spectral_tail": tail},
+        final=_frozen(vals),
+        paths=paths,
+        warnings=tuple(_collect_warnings(mon_times_arr, boundary[p], tail[p])
+                       for p in range(size)),
     )
+    return run, snapshots
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -428,27 +580,26 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _cumsum0(increments: np.ndarray) -> np.ndarray:
-    out = np.empty(len(increments) + 1)
-    out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
+    """Running sums along the last axis, with a leading 0."""
+    out = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    np.cumsum(increments, axis=-1, out=out[..., 1:])
     return _frozen(out)
 
 
 def _cumtrapz0(values: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty(len(values))
-    out[0] = 0.0
-    np.cumsum(0.5 * (values[1:] + values[:-1]) * dt, out=out[1:])
+    """Cumulative trapezoid rule along the last axis, starting at 0."""
+    out = np.zeros(values.shape)
+    np.cumsum(0.5 * (values[..., 1:] + values[..., :-1]) * dt, axis=-1, out=out[..., 1:])
     return _frozen(out)
 
 
-def _collect_warnings(monitors: dict[str, np.ndarray]) -> tuple[str, ...]:
+def _collect_warnings(times: np.ndarray, boundary: np.ndarray,
+                      tail: np.ndarray) -> tuple[str, ...]:
     warnings: list[str] = []
-    times = monitors["times"]
-    for key, tol, label in (
-        ("boundary_fraction", BOUNDARY_TOL, "boundary mass fraction"),
-        ("spectral_tail", SPECTRAL_TAIL_TOL, "high-frequency spectral tail"),
+    for vals, tol, label in (
+        (boundary, BOUNDARY_TOL, "boundary mass fraction"),
+        (tail, SPECTRAL_TAIL_TOL, "high-frequency spectral tail"),
     ):
-        vals = monitors[key]
         above = vals > tol
         if above.any():
             first = int(np.argmax(above))

@@ -3,10 +3,11 @@
 Each path gets its own noise seed derived from the base seed and the
 path index alone, so results never depend on scheduling, and an
 ensemble can be extended by running further indices. Workers compute
-paths in parallel (processes, since the work is numpy-bound); the
+batches of paths in parallel (processes, since the work is
+numpy-bound), each batch stepped as one (paths, *grid) array; the
 reduction is a single-threaded fold over results in path-index order,
-which makes outputs bitwise identical for any worker count, including
-the inline workers=1 route.
+which makes outputs bitwise identical for any worker count and batch
+composition, including the inline workers=1 route.
 
 A failing path aborts the whole ensemble with its path index in the
 error message rather than yielding a partial, silently biased result.
@@ -20,8 +21,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, make_initial, with_path_seed
-from .dynamics import evolve
+from .dynamics import PathError, evolve_batch
+from .dynamics import evolve  # noqa: F401  perfbench/tracing.py wraps ensemble.evolve
+from .functionals import ito_mass_budget
 from .noise import NoisePath, sample_path
+
+#: field bytes one batch of paths may hold. On a 2-core Xeon at N=256,
+#: 32-path batches (128 KiB) took ~27 us per path-step and 64 to 256
+#: paths 32-40 us, so larger ensembles are split.
+BATCH_FIELD_BYTES = 1 << 17
 
 __all__ = [
     "EnsembleError",
@@ -41,8 +49,9 @@ def pool_map(fn: Callable, items: Sequence, workers: int) -> list:
     """Map fn over items with a bounded process pool, order-preserving.
 
     workers=1 runs inline (no pool, no pickling). Any exception aborts
-    with the failing item's index. Results are collected in submission
-    order, so downstream folds are deterministic.
+    with the failing item's index; an EnsembleError from fn already
+    names its path and passes through. Results are collected in
+    submission order, so downstream folds are deterministic.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -51,6 +60,8 @@ def pool_map(fn: Callable, items: Sequence, workers: int) -> list:
         for i, item in enumerate(items):
             try:
                 out.append(fn(item))
+            except EnsembleError:
+                raise
             except Exception as exc:
                 raise EnsembleError(f"path {i} failed: {exc}") from exc
         return out
@@ -60,6 +71,8 @@ def pool_map(fn: Callable, items: Sequence, workers: int) -> list:
         for i, fut in enumerate(futures):
             try:
                 out.append(fut.result())
+            except EnsembleError:
+                raise
             except Exception as exc:
                 raise EnsembleError(f"path {i} failed: {exc}") from exc
         return out
@@ -69,9 +82,8 @@ def pool_map(fn: Callable, items: Sequence, workers: int) -> list:
 class PathResult:
     """Per-path payload kept by ensembles: series and budget arrays only.
 
-    Snapshots are deliberately dropped before crossing the process
-    boundary; ensemble statistics need the functional series, not
-    fields.
+    Batched runs keep no snapshot fields; ensemble statistics need the
+    functional series, not fields.
     """
 
     index: int
@@ -126,41 +138,61 @@ class SeriesView:
     series: dict[str, np.ndarray]
 
 
-def _run_one_path(args: tuple[ExperimentConfig, int]) -> PathResult:
-    config, index = args
-    sim = with_path_seed(config, index)
-    u0 = make_initial(config.initial, config.grid)
-    traj = evolve(sim, u0)
-    from .functionals import ito_mass_budget
+def _batches(size: int, field_bytes: int, workers: int) -> list[tuple[int, int]]:
+    """Split path indices 0..size-1 into [start, stop) batches.
 
-    budget = {
-        "mass_martingale": traj.budget["mass_martingale"],
-        "mass_drift": traj.budget["mass_drift"],
-    }
-    residual = ito_mass_budget(traj).residual
-    series = {k: np.asarray(v, dtype=float) for k, v in traj.series.items()}
-    series["_mass_residual"] = np.array([residual])
-    return PathResult(
-        index=index,
-        seed=sim.noise.seed,
-        times=np.asarray(traj.times, dtype=float),
-        series=series,
-        budget=budget,
-        warnings=traj.warnings,
-    )
+    A batch holds at most BATCH_FIELD_BYTES of field rows; with several
+    workers there are at least as many batches as workers.
+    """
+    per = max(1, BATCH_FIELD_BYTES // field_bytes)
+    if workers > 1:
+        per = min(per, -(-size // workers))
+    return [(start, min(start + per, size)) for start in range(0, size, per)]
+
+
+def _run_batch(args: tuple[ExperimentConfig, int, int]) -> list[PathResult]:
+    config, start, stop = args
+    try:
+        sims = [with_path_seed(config, i) for i in range(start, stop)]
+        u0 = make_initial(config.initial, config.grid)
+        if sims[0].steps:
+            run = evolve_batch(sims[0], u0, [sample_path(sim.noise, sim.t_end, sim.dt)
+                                             for sim in sims])
+        else:  # a zero-length run has no increments to draw
+            run = evolve_batch(sims[0], [u0] * len(sims))
+    except PathError as exc:
+        raise EnsembleError(f"path {start + exc.path} failed: {exc}") from exc
+    except Exception as exc:  # not tied to one row: the batch's first path fails first
+        raise EnsembleError(f"path {start} failed: {exc}") from exc
+
+    out = []
+    for p, sim in enumerate(sims):
+        traj = run.trajectory(p)
+        series = {k: np.asarray(v, dtype=float) for k, v in traj.series.items()}
+        series["_mass_residual"] = np.array([ito_mass_budget(traj).residual])
+        out.append(PathResult(
+            index=start + p,
+            seed=sim.noise.seed,
+            times=np.asarray(traj.times, dtype=float),
+            series=series,
+            budget={key: traj.budget[key] for key in ("mass_martingale", "mass_drift")},
+            warnings=traj.warnings,
+        ))
+    return out
 
 
 def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     """Run the configured ensemble and fold deterministic aggregates.
 
-    Requires a noise-driven kind ('ensemble' or 'growth-fit'). The
-    per-path work is scheduled over ``config.workers`` processes; the
-    fold is sequential in path order.
+    Requires a noise-driven kind ('ensemble' or 'growth-fit'). Paths are
+    stepped in batches, one (paths, *grid) array each, scheduled over
+    ``config.workers`` processes; the fold is sequential in path order.
     """
     if config.sim is None or config.noise is None:
         raise ValueError(f"kind {config.kind!r} does not define an ensemble of runs")
-    jobs = [(config, i) for i in range(config.ensemble_size)]
-    results = pool_map(_run_one_path, jobs, config.workers)
+    jobs = [(config, start, stop) for start, stop in
+            _batches(config.ensemble_size, 16 * config.grid.num_cells, config.workers)]
+    results = [r for batch in pool_map(_run_batch, jobs, config.workers) for r in batch]
 
     times = results[0].times
     for r in results[1:]:

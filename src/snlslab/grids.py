@@ -19,8 +19,11 @@ __all__ = [
     "Field",
     "make_grid",
     "gradient",
+    "row_sums",
     "boundary_mass_fraction",
+    "boundary_mass_fractions",
     "spectral_tail_fraction",
+    "spectral_tail_fractions",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -76,6 +79,24 @@ class GridSpec:
     @property
     def num_cells(self) -> int:
         return self.points**self.dim
+
+    # -- transforms over the grid axes of a (paths, *grid) array --------
+
+    def fft(self, values: np.ndarray) -> np.ndarray:
+        """Unnormalized forward DFT over the last dim axes of values.
+
+        Row by row bit-identical to np.fft.fftn of each field; the 1-d
+        call skips fftn's multi-axis set-up.
+        """
+        if self.dim == 1:
+            return np.fft.fft(values)
+        return np.fft.fftn(values, axes=tuple(range(-self.dim, 0)))
+
+    def ifft(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of fft."""
+        if self.dim == 1:
+            return np.fft.ifft(values)
+        return np.fft.ifftn(values, axes=tuple(range(-self.dim, 0)))
 
     # -- cached arrays -----------------------------------------------------
 
@@ -207,6 +228,41 @@ def gradient(field: Field) -> tuple[Field, ...]:
     return tuple(comps)
 
 
+def row_sums(values: np.ndarray) -> np.ndarray:
+    """Sum of each row of a (paths, *grid) array over its grid axes.
+
+    Each C-contiguous row is summed as one run, exactly as ``.sum()``
+    sums a single field, so batched and per-field sums agree bit for bit.
+    """
+    return values.reshape(len(values), -1).sum(axis=1)
+
+
+def _masked_share(density: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row share of density on a grid mask; 0 for an all-zero row."""
+    total = row_sums(density)
+    # density[:, mask] comes out F-ordered; contiguous rows sum like one field's
+    part = np.ascontiguousarray(density[:, mask]).sum(axis=1)
+    return np.divide(part, total, out=np.zeros_like(total), where=total != 0.0)
+
+
+def boundary_mass_fractions(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """boundary_mass_fraction of every row of a (paths, *grid) array."""
+    inside = np.ones(grid.shape, dtype=bool)
+    for x in grid.coords():
+        inside = inside & (np.abs(x) <= grid.box_length / 4.0)
+    return _masked_share(values.real**2 + values.imag**2, ~inside)
+
+
+def spectral_tail_fractions(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """spectral_tail_fraction of every row of a (paths, *grid) array."""
+    cutoff = (2.0 / 3.0) * np.pi / grid.dx
+    outer = np.zeros(grid.shape, dtype=bool)
+    for k in grid.freqs():
+        outer = outer | (np.abs(k) > cutoff)
+    hat = grid.fft(values)
+    return _masked_share(hat.real**2 + hat.imag**2, outer)
+
+
 def boundary_mass_fraction(field: Field) -> float:
     """Fraction of the L2 mass outside the centered half-box.
 
@@ -214,15 +270,7 @@ def boundary_mass_fraction(field: Field) -> float:
     the computational box keeps this far below any truncation tolerance,
     while wrap-around or non-decaying data pushes it toward order one.
     """
-    density = field.values.real**2 + field.values.imag**2
-    total = float(density.sum())
-    if total == 0.0:
-        return 0.0
-    quarter = field.grid.box_length / 4.0
-    inside = np.ones(field.grid.shape, dtype=bool)
-    for x in field.grid.coords():
-        inside = inside & (np.abs(x) <= quarter)
-    return float(density[~inside].sum() / total)
+    return float(boundary_mass_fractions(field.grid, field.values[None])[0])
 
 
 def spectral_tail_fraction(field: Field) -> float:
@@ -231,16 +279,7 @@ def spectral_tail_fraction(field: Field) -> float:
     Flags under-resolution: a well-resolved field keeps essentially no
     energy at |k| above two thirds of the axis Nyquist frequency.
     """
-    hat = field.spectrum()
-    energy = hat.real**2 + hat.imag**2
-    total = float(energy.sum())
-    if total == 0.0:
-        return 0.0
-    cutoff = (2.0 / 3.0) * np.pi / field.grid.dx
-    outer = np.zeros(field.grid.shape, dtype=bool)
-    for k in field.grid.freqs():
-        outer = outer | (np.abs(k) > cutoff)
-    return float(energy[outer].sum() / total)
+    return float(spectral_tail_fractions(field.grid, field.values[None])[0])
 
 
 def write_snapshot(field: Field, path: str | Path) -> None:

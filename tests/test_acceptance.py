@@ -31,8 +31,8 @@ from snlslab.analysis import (
     strauss_exponent,
 )
 from snlslab.config import InitialSpec, load_config, make_initial
-from snlslab.dynamics import SimConfig, evolve, step_deterministic
-from snlslab.ensemble import run_ensemble, sample_ensemble_paths
+from snlslab.dynamics import SimConfig, evolve, evolve_batch, step_deterministic
+from snlslab.ensemble import BATCH_FIELD_BYTES, run_ensemble, sample_ensemble_paths
 from snlslab.functionals import (
     compute_functionals,
     ito_energy_budget,
@@ -252,19 +252,21 @@ def test_06_ito_mass_identity_and_refinement():
     sim_coarse = dataclasses.replace(sim_fine, dt=1e-3)
 
     n_paths = 1000
+    per_batch = BATCH_FIELD_BYTES // (16 * grid.num_cells)
     dm = np.empty(n_paths)
     res_fine = np.empty(n_paths)
     res_coarse = np.empty(n_paths)
-    for i in range(n_paths):
-        spec = dataclasses.replace(base, seed=9000 + i)
-        fine = sample_path(spec, 1.0, 5e-4)
-        coarse = coarsen_path(fine, 2)
-        tf = evolve(dataclasses.replace(sim_fine, noise=spec), u0, path=fine)
-        tc = evolve(dataclasses.replace(sim_coarse, noise=spec), u0, path=coarse)
+    for lo in range(0, n_paths, per_batch):
+        rows = range(lo, min(lo + per_batch, n_paths))
+        fine = [sample_path(dataclasses.replace(base, seed=9000 + i), 1.0, 5e-4) for i in rows]
+        coarse = [coarsen_path(path, 2) for path in fine]
+        tf = evolve_batch(sim_fine, u0, fine)
+        tc = evolve_batch(sim_coarse, u0, coarse)
         mass = tf.series["mass"]
-        dm[i] = mass[-1] - mass[0]
-        res_fine[i] = ito_mass_budget(tf).residual
-        res_coarse[i] = ito_mass_budget(tc).residual
+        dm[lo:rows.stop] = mass[:, -1] - mass[:, 0]
+        for p, i in enumerate(rows):
+            res_fine[i] = ito_mass_budget(tf.trajectory(p)).residual
+            res_coarse[i] = ito_mass_budget(tc.trajectory(p)).residual
 
     mean = float(dm.mean())
     se = float(dm.std(ddof=1) / math.sqrt(n_paths))
