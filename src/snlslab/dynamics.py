@@ -166,9 +166,6 @@ class PathError(RuntimeError):
         super().__init__(message)
         self.path = path
 
-    def __reduce__(self):
-        return type(self), (str(self), self.path)
-
 
 @dataclass(frozen=True)
 class BatchRun:
@@ -195,9 +192,14 @@ class BatchRun:
 
     def trajectory(self, p: int,
                    snapshots: Sequence[tuple[float, Field]] = ()) -> Trajectory:
-        """Path p as a Trajectory; it holds only the snapshots passed in."""
+        """Path p as a Trajectory; it holds only the snapshots passed in.
+
+        Its config carries path p's own noise spec, so re-running it
+        replays that path.
+        """
+        path = None if self.paths is None else self.paths[p]
         return Trajectory(
-            config=self.config,
+            config=self.config if path is None else replace(self.config, noise=path.spec),
             times=self.times,
             series={key: col[p] for key, col in self.series.items()},
             budget={key: col[p] for key, col in self.budget.items()},
@@ -205,7 +207,7 @@ class BatchRun:
                       for key, col in self.monitors.items()},
             snapshots=tuple(snapshots),
             final=Field(self.config.grid, self.final[p]),
-            path=None if self.paths is None else self.paths[p],
+            path=path,
             warnings=self.warnings[p],
         )
 
@@ -215,13 +217,12 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
     """Exact nonlinear substep w ← e^{iτ|w|^{2σ}} w with w = vals + shift
     (shift frozen), returning the unshifted field."""
     w = vals if shift is None else vals + shift
-    flat = w.reshape(-1)  # numpy runs elementwise work faster over one 1-d run
-    rho = flat.real**2 + flat.imag**2
+    rho = w.real**2 + w.imag**2
     amp = rho if sigma == 1.0 else rho**sigma
-    out = np.exp(1j * tau * amp) * flat
+    out = np.exp(1j * tau * amp) * w
     if shift is not None:
-        out -= shift.reshape(-1)
-    return out.reshape(w.shape)
+        out -= shift
+    return out
 
 
 def _strang_step(vals: np.ndarray, sigma: float, grid: GridSpec, lin: np.ndarray,

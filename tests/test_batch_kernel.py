@@ -9,6 +9,7 @@ so a change of the numbers shows here.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +131,8 @@ def test_batch_rows_equal_batches_of_one(kind, dim):
             for key in ours:
                 assert ours[key].tobytes() == theirs[key].tobytes(), (group, key, row)
         assert mine.warnings == alone.warnings
+        if mine.path is not None:
+            assert mine.config.noise == mine.path.spec
         assert mine.final.values.tobytes() == alone.final.values.tobytes()
     assert _digest(three.trajectory(0)) == PINNED[(kind, dim)]
 
@@ -210,7 +213,9 @@ def test_batches_respect_cap_and_workers(monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_error_names_failing_path(monkeypatch, workers):
-    # worker processes inherit the patched sampler because the pool forks
+    # worker processes see the patched sampler only if the pool forks
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched sampler reaches workers only under the fork start method")
     config = load_config(text=ENSEMBLE_TEXT, overrides={"ensemble.workers": workers})
     doomed = ensemble.with_path_seed(config, 5).noise
     real = ensemble.sample_path
