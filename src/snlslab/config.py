@@ -514,6 +514,11 @@ def load_config(
 
     tail = None
     if "tail" in sections:
+        if "ensemble.size" in values:
+            raise ConfigError(
+                "ensemble.size: tail-decay sizes its ensemble by tail.paths; "
+                "set tail.paths instead"
+            )
         tail = _build(TailSpec, "tail", get)
         if not math.isfinite(g_sq_tail_bound(noise, max(tail.t_inf / 8.0, 1e-9))):
             raise ConfigError(

@@ -32,7 +32,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import FunctionalRecord, compute_functionals
+from .functionals import (
+    FRAME_UNSET,
+    FunctionalRecord,
+    compute_functionals,  # noqa: F401  perfbench/tracing.py wraps dynamics.compute_functionals
+    functional_columns,
+)
 from .grids import (
     Field,
     GridSpec,
@@ -458,12 +463,15 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
     mon_boundary: list[np.ndarray] = []
     mon_tail: list[np.ndarray] = []
 
+    checked = [name for name in names if name not in FRAME_UNSET[frame]]
+
     def record_series(k: int, vals: np.ndarray) -> None:
         if full:
-            for p in range(size):
-                rec = compute_functionals(Field(grid, vals[p]), k * dt, sigma, frame)
-                for name in names:
-                    series[name][k, p] = getattr(rec, name)
+            cols = functional_columns(grid, vals, k * dt, sigma, frame)
+            for name in names:
+                series[name][k] = cols[name]
+            finite = np.logical_and.reduce([np.isfinite(cols[name]) for name in checked])
+            _require_finite(finite, "functionals", k, steps, dt)
         else:
             series["mass"][k] = row_sums(vals.real**2 + vals.imag**2)
 
@@ -494,6 +502,8 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
                 im_pt = prod.imag
                 if sigma == 1.0:
                     energy_sums[1, k] = row_sums(im_pt**2)
+                elif (rho > 0.0).all():  # an all-True mask sums the same contiguous rows
+                    energy_sums[1, k] = row_sums(rho ** (sigma - 1.0) * im_pt**2)
                 else:  # the rho > 0 mask differs by path: one masked sum per row
                     energy_sums[1, k] = [
                         float((r[m] ** (sigma - 1.0) * i[m] ** 2).sum())
@@ -508,15 +518,7 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
         )
         if noise_on:
             vals = vals + kicks[k] * prop_phi
-        finite = np.isfinite(row_sums(vals))
-        if not finite.all():
-            p = int(np.argmin(finite))
-            where = f" in path {p} of the batch" if size > 1 else ""
-            raise PathError(
-                f"non-finite field after step {k + 1} of {steps} (t={(k + 1) * dt:.6g})"
-                f"{where}; the run was aborted",
-                p,
-            )
+        _require_finite(np.isfinite(row_sums(vals)), "field", k + 1, steps, dt)
 
     record_series(steps, vals)
     record_snapshot(steps * dt, vals)  # the loop never records the final index
@@ -572,6 +574,18 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
                        for p in range(size)),
     )
     return run, snapshots
+
+
+def _require_finite(finite: np.ndarray, what: str, k: int, steps: int, dt: float) -> None:
+    """Raise PathError for the first row that is not finite after step k."""
+    if not finite.all():
+        p = int(np.argmin(finite))
+        where = f" in path {p} of the batch" if len(finite) > 1 else ""
+        raise PathError(
+            f"non-finite {what} after step {k} of {steps} (t={k * dt:.6g})"
+            f"{where}; the run was aborted",
+            p,
+        )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -27,7 +27,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grids import Field, gradient
+from .grids import (
+    Field,
+    GridSpec,
+    gradient,  # noqa: F401  perfbench/tracing.py wraps functionals.gradient
+    gradients,
+    row_sums,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from .dynamics import Trajectory
@@ -36,12 +42,19 @@ __all__ = [
     "FunctionalRecord",
     "ItoBudget",
     "compute_functionals",
+    "functional_columns",
     "potential_integral",
     "ito_mass_budget",
     "ito_energy_budget",
 ]
 
 _FRAMES = ("physical", "transformed")
+
+#: the FunctionalRecord columns each frame leaves NaN
+FRAME_UNSET = {
+    "physical": ("e1_tilde", "e2_tilde"),
+    "transformed": ("pc_energy", "pc_energy_decomp"),
+}
 
 
 @dataclass(frozen=True)
@@ -86,71 +99,80 @@ def potential_integral(field: Field, sigma: float) -> float:
     return float((rho ** (sigma + 1.0)).sum()) * field.grid.cell_volume
 
 
+def functional_columns(
+    grid: GridSpec,
+    vals: np.ndarray,
+    t: float,
+    sigma: float,
+    frame: str = "physical",
+) -> dict[str, np.ndarray]:
+    """Every monitored functional of each row of a (paths, *grid) array
+    at time `t`: one (paths,) array per FunctionalRecord column but t.
+
+    The quadratic-weight energy is computed twice — directly from the
+    (x − 2iw∇) operator and through the V, G, H decomposition — so the
+    two routes cross-check each other in every recorded row. Every grid
+    sum runs over one C-contiguous row, so a row's values do not depend
+    on its batch.
+    """
+    if frame not in _FRAMES:
+        raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if frame == "transformed" and not 0.0 <= t < 1.0:
+        raise ValueError(f"transformed-frame time must lie in [0, 1), got {t}")
+    dvol = grid.cell_volume
+    rho = vals.real**2 + vals.imag**2
+
+    mass = row_sums(rho) * dvol
+    virial = row_sums(grid.radius_squared() * rho) * dvol
+    potential = row_sums(rho ** (sigma + 1.0)) * dvol
+
+    grads = gradients(grid, vals)
+    grad_sq = 0.0
+    flux = 0.0
+    for x_j, gv in zip(grid.coords(), grads):
+        grad_sq += row_sums(gv.real**2 + gv.imag**2) * dvol
+        # Im ∫ u x_j conj(∂_j u)
+        flux += row_sums(x_j * (vals * gv.conj()).imag) * dvol
+    hamiltonian = 0.5 * grad_sq + potential / (2.0 * sigma + 2.0)
+
+    cols = {
+        "mass": mass,
+        "hamiltonian": hamiltonian,
+        "gradient_sq": grad_sq,
+        "potential": potential,
+        "virial": virial,
+        "virial_flux": flux,
+    }
+    if frame == "physical":
+        w = 1.0 + t
+        j_sq = 0.0
+        for x_j, gv in zip(grid.coords(), grads):
+            jv = x_j * vals - 2.0j * w * gv
+            j_sq += row_sums(jv.real**2 + jv.imag**2) * dvol
+        cols["pc_energy"] = j_sq + 4.0 / (sigma + 1.0) * w * w * potential
+        cols["pc_energy_decomp"] = virial - 4.0 * w * flux + 8.0 * w * w * hamiltonian
+    else:
+        power = sigma * grid.dim - 2.0
+        e1 = 4.0 * grad_sq + 4.0 / (sigma + 1.0) * (1.0 - t) ** power * potential
+        cols["e1_tilde"] = e1
+        cols["e2_tilde"] = (1.0 - t) ** (-power) * e1
+    for name in FRAME_UNSET[frame]:
+        cols[name] = np.full(len(vals), math.nan)
+    return cols
+
+
 def compute_functionals(
     field: Field,
     t: float,
     sigma: float,
     frame: str = "physical",
 ) -> FunctionalRecord:
-    """Evaluate every monitored functional of `field` at time `t`.
-
-    The quadratic-weight energy is computed twice — directly from the
-    (x − 2iw∇) operator and through the V, G, H decomposition — so the
-    two routes cross-check each other in every recorded row.
-    """
-    if frame not in _FRAMES:
-        raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    grid = field.grid
-    dvol = grid.cell_volume
-    vals = field.values
-    rho = vals.real**2 + vals.imag**2
-
-    mass = float(rho.sum()) * dvol
-    virial = float((grid.radius_squared() * rho).sum()) * dvol
-    potential = float((rho ** (sigma + 1.0)).sum()) * dvol
-
-    grads = gradient(field)
-    grad_sq = 0.0
-    flux = 0.0
-    for x_j, g_j in zip(grid.coords(), grads):
-        gv = g_j.values
-        grad_sq += float((gv.real**2 + gv.imag**2).sum()) * dvol
-        # Im ∫ u x_j conj(∂_j u)
-        flux += float((x_j * (vals * gv.conj()).imag).sum()) * dvol
-    hamiltonian = 0.5 * grad_sq + potential / (2.0 * sigma + 2.0)
-
-    if frame == "physical":
-        w = 1.0 + t
-        j_sq = 0.0
-        for x_j, g_j in zip(grid.coords(), grads):
-            jv = x_j * vals - 2.0j * w * g_j.values
-            j_sq += float((jv.real**2 + jv.imag**2).sum()) * dvol
-        pc_energy = j_sq + 4.0 / (sigma + 1.0) * w * w * potential
-        pc_decomp = virial - 4.0 * w * flux + 8.0 * w * w * hamiltonian
-        e1 = e2 = math.nan
-    else:
-        if not 0.0 <= t < 1.0:
-            raise ValueError(f"transformed-frame time must lie in [0, 1), got {t}")
-        power = sigma * grid.dim - 2.0
-        e1 = 4.0 * grad_sq + 4.0 / (sigma + 1.0) * (1.0 - t) ** power * potential
-        e2 = (1.0 - t) ** (-power) * e1
-        pc_energy = pc_decomp = math.nan
-
-    return FunctionalRecord(
-        t=float(t),
-        mass=mass,
-        hamiltonian=hamiltonian,
-        gradient_sq=grad_sq,
-        potential=potential,
-        virial=virial,
-        virial_flux=flux,
-        pc_energy=pc_energy,
-        pc_energy_decomp=pc_decomp,
-        e1_tilde=e1,
-        e2_tilde=e2,
-    )
+    """Evaluate every monitored functional of `field` at time `t`: the
+    batch of one of functional_columns."""
+    cols = functional_columns(field.grid, field.values[None], t, sigma, frame)
+    return FunctionalRecord(t=float(t), **{name: float(col[0]) for name, col in cols.items()})
 
 
 @dataclass(frozen=True)

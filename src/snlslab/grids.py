@@ -19,6 +19,7 @@ __all__ = [
     "Field",
     "make_grid",
     "gradient",
+    "gradients",
     "row_sums",
     "boundary_mass_fraction",
     "boundary_mass_fractions",
@@ -162,6 +163,34 @@ class GridSpec:
 
         return self._cached("_radius_squared", build)
 
+    def derivative_symbols(self) -> tuple[np.ndarray, ...]:
+        """Broadcastable 1j*k arrays, one per axis: the symbols of ∂_j."""
+        ik = self._cached("_axis_ik", lambda: 1j * self.axis_freqs())
+        return tuple(self._broadcast(ik, a) for a in range(self.dim))
+
+    def outside_half_box(self) -> np.ndarray:
+        """Points outside the centred half-box [-L/4, L/4]^dim."""
+
+        def build() -> np.ndarray:
+            inside = np.ones(self.shape, dtype=bool)
+            for x in self.coords():
+                inside = inside & (np.abs(x) <= self.box_length / 4.0)
+            return ~inside
+
+        return self._cached("_outside_half_box", build)
+
+    def outer_frequencies(self) -> np.ndarray:
+        """Frequencies with some |k_j| above two thirds of the axis Nyquist."""
+
+        def build() -> np.ndarray:
+            cutoff = (2.0 / 3.0) * np.pi / self.dx
+            outer = np.zeros(self.shape, dtype=bool)
+            for k in self.freqs():
+                outer = outer | (np.abs(k) > cutoff)
+            return outer
+
+        return self._cached("_outer_frequencies", build)
+
 
 def make_grid(dim: int, points: int, box_length: float) -> GridSpec:
     """Validated GridSpec constructor."""
@@ -221,13 +250,16 @@ class Field:
             raise ValueError("fields live on different grids")
 
 
+def gradients(grid: GridSpec, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Spectral gradient of every row of a (paths, *grid) array, one
+    (paths, *grid) array per axis."""
+    hat = grid.fft(values)
+    return tuple(grid.ifft(ik * hat) for ik in grid.derivative_symbols())
+
+
 def gradient(field: Field) -> tuple[Field, ...]:
     """Spectral gradient, one component field per axis."""
-    hat = field.spectrum()
-    comps = []
-    for k in field.grid.freqs():
-        comps.append(Field(field.grid, np.fft.ifftn(1j * k * hat)))
-    return tuple(comps)
+    return tuple(Field(field.grid, g[0]) for g in gradients(field.grid, field.values[None]))
 
 
 def row_sums(values: np.ndarray) -> np.ndarray:
@@ -249,20 +281,13 @@ def _masked_share(density: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def boundary_mass_fractions(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """boundary_mass_fraction of every row of a (paths, *grid) array."""
-    inside = np.ones(grid.shape, dtype=bool)
-    for x in grid.coords():
-        inside = inside & (np.abs(x) <= grid.box_length / 4.0)
-    return _masked_share(values.real**2 + values.imag**2, ~inside)
+    return _masked_share(values.real**2 + values.imag**2, grid.outside_half_box())
 
 
 def spectral_tail_fractions(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """spectral_tail_fraction of every row of a (paths, *grid) array."""
-    cutoff = (2.0 / 3.0) * np.pi / grid.dx
-    outer = np.zeros(grid.shape, dtype=bool)
-    for k in grid.freqs():
-        outer = outer | (np.abs(k) > cutoff)
     hat = grid.fft(values)
-    return _masked_share(hat.real**2 + hat.imag**2, outer)
+    return _masked_share(hat.real**2 + hat.imag**2, grid.outer_frequencies())
 
 
 def boundary_mass_fraction(field: Field) -> float:

@@ -9,6 +9,7 @@ so a change of the numbers shows here.
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 from dataclasses import replace
 
@@ -16,9 +17,10 @@ import numpy as np
 import pytest
 
 import snlslab.ensemble as ensemble
-from snlslab.config import load_config
+from snlslab.config import InitialSpec, load_config, make_initial
 from snlslab.dynamics import SimConfig, evolve, evolve_batch
 from snlslab.ensemble import EnsembleError, run_ensemble
+from snlslab.functionals import FunctionalRecord, compute_functionals, functional_columns
 from snlslab.grids import Field, GridSpec
 from snlslab.noise import NoisePath, NoiseSpec, sample_path
 from snlslab.reports import emit_report
@@ -118,23 +120,97 @@ def test_evolve_matches_pinned_digest(kind, dim):
     assert _digest(traj) == PINNED[(kind, dim)]
 
 
+def _assert_same_run(mine, alone, row):
+    for group in ("series", "budget", "monitors"):
+        ours, theirs = getattr(mine, group), getattr(alone, group)
+        assert list(ours) == list(theirs)
+        for key in ours:
+            assert ours[key].tobytes() == theirs[key].tobytes(), (group, key, row)
+    assert mine.warnings == alone.warnings
+    assert mine.final.values.tobytes() == alone.final.values.tobytes()
+
+
 @pytest.mark.parametrize("kind,dim", CASES)
 def test_batch_rows_equal_batches_of_one(kind, dim):
     three = _batch(kind, dim, [0, 1, 2])
     assert three.size == 3
     for row in range(3):
-        alone = _batch(kind, dim, [row]).trajectory(0)
         mine = three.trajectory(row)
-        for group in ("series", "budget", "monitors"):
-            ours, theirs = getattr(mine, group), getattr(alone, group)
-            assert list(ours) == list(theirs)
-            for key in ours:
-                assert ours[key].tobytes() == theirs[key].tobytes(), (group, key, row)
-        assert mine.warnings == alone.warnings
+        _assert_same_run(mine, _batch(kind, dim, [row]).trajectory(0), row)
         if mine.path is not None:
             assert mine.config.noise == mine.path.spec
-        assert mine.final.values.tobytes() == alone.final.values.tobytes()
     assert _digest(three.trajectory(0)) == PINNED[(kind, dim)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sigma_ito_sum_with_zero_density_rows(dim):
+    # row 1 starts from zero, so rho > 0 fails at step 0 and the sigma != 1
+    # Ito sum takes its per-row masked route for the whole batch
+    cfg = _config("snls_full_s075", dim)
+    u0 = [_initial(cfg.grid, 0), make_initial(InitialSpec(kind="zero"), cfg.grid),
+          _initial(cfg.grid, 2)]
+    assert not u0[1].values.any()
+    paths = [_path(cfg, r) for r in range(3)]
+    three = evolve_batch(cfg, u0, paths)
+    for row in range(3):
+        _assert_same_run(three.trajectory(row),
+                         evolve_batch(cfg, u0[row], [paths[row]]).trajectory(0), row)
+
+
+def _per_row_functionals(field: Field, t: float, sigma: float, frame: str) -> FunctionalRecord:
+    """The former one-field-at-a-time compute_functionals, kept as the
+    reference the batched evaluator must reproduce bit for bit."""
+    grid = field.grid
+    dvol = grid.cell_volume
+    vals = field.values
+    rho = vals.real**2 + vals.imag**2
+    mass = float(rho.sum()) * dvol
+    virial = float((grid.radius_squared() * rho).sum()) * dvol
+    potential = float((rho ** (sigma + 1.0)).sum()) * dvol
+    hat = np.fft.fftn(vals)
+    grads = [np.fft.ifftn(1j * k * hat) for k in grid.freqs()]
+    grad_sq = 0.0
+    flux = 0.0
+    for x_j, gv in zip(grid.coords(), grads):
+        grad_sq += float((gv.real**2 + gv.imag**2).sum()) * dvol
+        flux += float((x_j * (vals * gv.conj()).imag).sum()) * dvol
+    hamiltonian = 0.5 * grad_sq + potential / (2.0 * sigma + 2.0)
+    if frame == "physical":
+        w = 1.0 + t
+        j_sq = 0.0
+        for x_j, gv in zip(grid.coords(), grads):
+            jv = x_j * vals - 2.0j * w * gv
+            j_sq += float((jv.real**2 + jv.imag**2).sum()) * dvol
+        pc_energy = j_sq + 4.0 / (sigma + 1.0) * w * w * potential
+        pc_decomp = virial - 4.0 * w * flux + 8.0 * w * w * hamiltonian
+        e1 = e2 = math.nan
+    else:
+        power = sigma * grid.dim - 2.0
+        e1 = 4.0 * grad_sq + 4.0 / (sigma + 1.0) * (1.0 - t) ** power * potential
+        e2 = (1.0 - t) ** (-power) * e1
+        pc_energy = pc_decomp = math.nan
+    return FunctionalRecord(t, mass, hamiltonian, grad_sq, potential, virial, flux,
+                            pc_energy, pc_decomp, e1, e2)
+
+
+@pytest.mark.parametrize("frame", ["physical", "transformed"])
+@pytest.mark.parametrize("sigma", [1.0, 0.75])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_functional_columns_match_per_row_records(dim, sigma, frame):
+    grid = GridSpec(dim, 64 if dim == 1 else 32, 24.0)
+    vals = np.stack([_initial(grid, r).values * np.exp(0.3j * r * grid.coords()[-1])
+                     for r in range(3)])
+    t = 0.35
+    cols = functional_columns(grid, vals, t, sigma, frame)
+    for p in range(3):
+        field = Field(grid, vals[p])
+        want = _per_row_functionals(field, t, sigma, frame).as_dict()
+        got = compute_functionals(field, t, sigma, frame).as_dict()
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+        del want["t"]
+        assert sorted(cols) == sorted(want)
+        row = np.array([cols[name][p] for name in want])
+        assert row.tobytes() == np.array(list(want.values())).tobytes(), p
 
 
 def test_batch_rejects_mismatched_inputs():
@@ -229,7 +305,10 @@ def test_ensemble_error_names_failing_path(monkeypatch, workers):
         return NoisePath(spec, path.t_inf, path.dt, huge)
 
     monkeypatch.setattr(ensemble, "sample_path", sampler)
-    with pytest.raises(EnsembleError, match="path 5 failed: non-finite field"):
+    # the field after step 4 is finite (~1e200) but its potential overflows,
+    # so the recorded functionals fail one step before the field would
+    with pytest.raises(EnsembleError,
+                       match=r"path 5 failed: non-finite functionals after step 4 of 20 "):
         run_ensemble(config)
 
 

@@ -224,6 +224,7 @@ def test_one_bad_value_runs_or_exits_1_naming_its_key(case):
         ("tail-decay", {"noise.g_kind": "zero"}, "noise.g_kind"),
         ("tail-decay", {"noise.g_kind": "indicator", "noise.g_t1": "1.5"}, "noise.g_t1"),
         ("tail-decay", {"noise.g_kind": "constant", "noise.g_constant": "0"}, "noise.g_constant"),
+        ("tail-decay", {"ensemble.size": "4"}, "ensemble.size"),
         ("growth-fit", {"growth.tau_grid": "0.05, 0.1, 0.15"}, "growth.tau_grid"),
         ("growth-fit", {"growth.bound_slack": "nan"}, "growth.bound_slack"),
         ("regimes", {"regimes.alpha": "nan"}, "regimes.alpha"),
@@ -235,6 +236,14 @@ def test_probed_configs_exit_1_naming_the_key(name, changes, key):
     code, err = _run_cli(name, _render(values))
     assert code == 1, err
     assert key in err
+
+
+def test_tail_decay_points_ensemble_size_to_tail_paths():
+    # even the default value is refused once it is set explicitly
+    values = _parse(TINY["tail-decay"])
+    values["ensemble.size"] = "1"
+    code, err = _run_cli("tail-decay", _render(values))
+    assert code == 1 and "ensemble.size" in err and "tail.paths" in err, err
 
 
 # ---------------------------------------------------------------------------
