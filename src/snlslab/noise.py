@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, row_sums
 
 __all__ = [
     "NoiseSpec",
@@ -302,40 +302,47 @@ def path_from_manifest(text: str) -> NoisePath:
 # S(-t_k) phi g(t_k) dB_k, accumulated directly in Fourier space.
 
 
-def _phi_hat(phi: Field) -> np.ndarray:
-    return phi.spectrum()
+def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterator[np.ndarray]:
+    """Running sums of exp(-i t_k |k|^2) g(t_k) dB_k over the steps ks,
+    taken in the order given, for all paths at once.
+
+    Yields the (paths, *grid) accumulator before the first step and after
+    each step: one buffer, updated in place, so read it before advancing.
+    A step skips only when every path weights it by zero; a zero-weight
+    row then adds exact zeros, which leave its sum unchanged.
+    """
+    k2 = grid.k_squared()
+    dt = paths[0].dt
+    weights = np.empty((paths[0].steps, len(paths)))
+    for j, path in enumerate(paths):
+        np.multiply(path.g_at_left(), path.increments, out=weights[:, j])
+    live = weights.any(axis=1).tolist()
+    weights = weights.reshape(weights.shape + (1,) * grid.dim)
+    acc = np.zeros((len(paths),) + grid.shape, dtype=np.complex128)
+    yield acc
+    for k in ks:
+        if live[k]:
+            acc += np.exp(-1j * (k * dt) * k2) * weights[k]
+        yield acc
 
 
-def _conv_accumulator(path: NoisePath, phi: Field, m: int, suffix: bool) -> np.ndarray:
-    """Fourier-space sum of exp(-i t_k |k|^2) phi_hat g_k dB_k over
-    k < m (prefix) or k >= m (suffix)."""
-    k2 = phi.grid.k_squared()
-    hat = _phi_hat(phi)
-    g = path.g_at_left()
-    weights = g * path.increments
-    idx = range(m, path.steps) if suffix else range(m)
-    acc = np.zeros(phi.grid.shape, dtype=np.complex128)
-    for k in idx:
-        w = weights[k]
-        if w != 0.0:
-            acc += np.exp(-1j * (k * path.dt) * k2) * w
-    return acc * hat
+def _propagated_sum(path: NoisePath, phi: Field, ks: range, t: float, sign: complex) -> Field:
+    """sign * S(t) of phi times the scan of ks: z(t) or z_tail(t)."""
+    grid = phi.grid
+    for acc in _noise_scan([path], grid, ks):
+        pass  # keep the last sum
+    vals = sign * grid.ifft(np.exp(1j * t * grid.k_squared()) * (acc[0] * phi.spectrum()))
+    return Field(grid, vals)
 
 
 def stochastic_convolution(path: NoisePath, phi: Field, t: float) -> Field:
     """z(t) at an on-partition time t (left-point Ito sum)."""
-    m = path.index_of(t)
-    acc = _conv_accumulator(path, phi, m, suffix=False)
-    vals = 1j * np.fft.ifftn(np.exp(1j * t * phi.grid.k_squared()) * acc)
-    return Field(phi.grid, vals)
+    return _propagated_sum(path, phi, range(path.index_of(t)), t, 1j)
 
 
 def tail_convolution(path: NoisePath, phi: Field, t: float) -> Field:
     """Far-tail z_tail(t): the increments not yet seen at time t."""
-    m = path.index_of(t)
-    acc = _conv_accumulator(path, phi, m, suffix=True)
-    vals = -1j * np.fft.ifftn(np.exp(1j * t * phi.grid.k_squared()) * acc)
-    return Field(phi.grid, vals)
+    return _propagated_sum(path, phi, range(path.index_of(t), path.steps), t, -1j)
 
 
 def convolution_series(path: NoisePath, phi: Field, through: float | None = None) -> list[Field]:
@@ -346,18 +353,41 @@ def convolution_series(path: NoisePath, phi: Field, through: float | None = None
     stop = path.steps if through is None else path.index_of(through)
     grid = phi.grid
     k2 = grid.k_squared()
-    hat = _phi_hat(phi)
-    g = path.g_at_left()
-    acc = np.zeros(grid.shape, dtype=np.complex128)
+    hat = phi.spectrum()
+    scan = _noise_scan([path], grid, range(stop))
+    next(scan)  # z(0) is the empty sum
     out = [Field.zeros(grid)]
-    for m in range(1, stop + 1):
-        k = m - 1
-        w = g[k] * path.increments[k]
-        if w != 0.0:
-            acc += np.exp(-1j * (k * path.dt) * k2) * w
+    for m, acc in enumerate(scan, start=1):
         t = m * path.dt
-        out.append(Field(grid, 1j * np.fft.ifftn(np.exp(1j * t * k2) * (acc * hat))))
+        out.append(Field(grid, 1j * grid.ifft(np.exp(1j * t * k2) * (acc[0] * hat))))
     return out
+
+
+def _tail_sups(paths: Sequence[NoisePath], phi: Field, p_space: float) -> np.ndarray:
+    """tail_sup_norms of every path, one row each; the paths share a partition."""
+    from .norms import sobolev_norm
+
+    grid = phi.grid
+    k2 = grid.k_squared()
+    hat = phi.spectrum()
+    dt, steps = paths[0].dt, paths[0].steps
+    weight = 1.0 + k2
+    # norms[m] holds every path's tail seen from t_m; p = 2 stores the
+    # Parseval sums and takes the roots once, after the scan
+    norms = np.empty((steps + 1, len(paths)))
+    scan = _noise_scan(paths, grid, range(steps - 1, -1, -1))
+    for acc, m in zip(scan, range(steps, -1, -1)):
+        z_hat = acc * hat
+        if p_space == 2.0:
+            norms[m] = row_sums((z_hat.real**2 + z_hat.imag**2) * weight)
+        else:
+            vals = -1j * grid.ifft(np.exp(1j * (m * dt) * k2) * z_hat)
+            norms[m] = [sobolev_norm(Field(grid, v), p_space, 1) for v in vals]
+    if p_space == 2.0:
+        np.sqrt(np.multiply(norms, grid.cell_volume / grid.num_cells, out=norms), out=norms)
+    from_right = norms[::-1]
+    np.maximum.accumulate(from_right, axis=0, out=from_right)
+    return norms.T
 
 
 def tail_sup_norms(path: NoisePath, phi: Field, p_space: float = 2.0) -> np.ndarray:
@@ -367,28 +397,7 @@ def tail_sup_norms(path: NoisePath, phi: Field, p_space: float = 2.0) -> np.ndar
     For p = 2 the norm is read off the Fourier accumulator (the free
     propagator is unimodular); other p evaluate the tail field per point.
     """
-    from .norms import sobolev_norm
-
-    grid = phi.grid
-    k2 = grid.k_squared()
-    hat = _phi_hat(phi)
-    g = path.g_at_left()
-    scale = grid.cell_volume / grid.num_cells
-    weight = 1.0 + k2
-    norms = np.zeros(path.steps + 1)
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    # build the suffix from the right; norms[m] is the tail seen from t_m
-    for m in range(path.steps - 1, -1, -1):
-        w = g[m] * path.increments[m]
-        if w != 0.0:
-            acc += np.exp(-1j * (m * path.dt) * k2) * w
-        z_hat = acc * hat
-        if p_space == 2.0:
-            norms[m] = math.sqrt(float(((z_hat.real**2 + z_hat.imag**2) * weight).sum()) * scale)
-        else:
-            vals = -1j * np.fft.ifftn(np.exp(1j * (m * path.dt) * k2) * z_hat)
-            norms[m] = sobolev_norm(Field(grid, vals), p_space, 1)
-    return np.maximum.accumulate(norms[::-1])[::-1]
+    return _tail_sups([path], phi, p_space)[0]
 
 
 def check_fit_window(t_inf: float, window: tuple[float, float] | None = None) -> tuple[float, float]:
@@ -425,6 +434,8 @@ def tail_decay_fit(
     slopes plus the ensemble median and interquartile range, and the
     closed-form bound on the truncated envelope energy.
     """
+    from .ensemble import _batches
+
     if not paths:
         raise ValueError("need at least one path")
     spec = paths[0].spec
@@ -439,14 +450,15 @@ def tail_decay_fit(
     n_pts = max(2, int(round(math.log(hi / lo) / math.log(math.sqrt(2.0)))) + 1)
     t_grid = lo * (hi / lo) ** (np.arange(n_pts) / (n_pts - 1))
     log_t = np.log(np.sqrt(1.0 + t_grid**2))
+    idx = np.rint(t_grid / dt).astype(int)
     slopes = np.empty(len(paths))
-    for i, path in enumerate(paths):
-        sup = tail_sup_norms(path, phi, p_space)
-        idx = np.rint(t_grid / dt).astype(int)
-        vals = sup[idx]
+    # one scan per chunk of at most ensemble.BATCH_FIELD_BYTES of accumulator rows
+    for start, stop in _batches(len(paths), 16 * phi.grid.num_cells, 1):
+        vals = _tail_sups(paths[start:stop], phi, p_space)[:, idx]
         if np.any(vals <= 0.0):
             raise ValueError("tail sup-norm vanished inside the fit window")
-        slopes[i] = np.polyfit(log_t, np.log(vals), 1)[0]
+        for i, row in enumerate(vals, start):
+            slopes[i] = np.polyfit(log_t, np.log(row), 1)[0]
     q25, q75 = np.percentile(slopes, [25.0, 75.0])
     from .norms import lp_norm
 

@@ -1,11 +1,14 @@
 """Driving noise: profiles, envelopes, paths, convolutions, tail decay."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from snlslab import ensemble, noise
 from snlslab.grids import Field, make_grid
 from snlslab.noise import (
+    NoisePath,
     NoiseSpec,
     coarsen_path,
     convolution_series,
@@ -24,6 +27,7 @@ from snlslab.noise import (
 )
 from snlslab.norms import lp_norm, sobolev_norm
 from snlslab.operators import propagate
+from snlslab.selftest import run_selftest
 
 
 def spec_power(alpha=3.0, seed=0, amp=1.0):
@@ -259,3 +263,165 @@ def test_tail_decay_fit_window_validation():
         tail_decay_fit(paths, phi, fit_window=(0.5, 4.0))
     with pytest.raises(ValueError, match="zero envelope"):
         tail_decay_fit([sample_path(NoiseSpec(g_kind="zero"), 8.0, 0.1)], phi)
+
+
+# -- pinned outputs of the Fourier noise scan -------------------------------
+#
+# SHA-256 digests of the raw float64/complex128 bytes, recorded with the
+# per-path accumulation loops the path-batched scan replaced. Any change in
+# accumulation order, zero-weight skipping or FFT route shows up here.
+
+GRIDS = {"1d": (1, 64, 16.0), "2d": (2, 16, 12.0)}
+ENVELOPES = {
+    "power_law": dict(g_kind="power_law", g_alpha=3.0),
+    # zero weights outside [0.5, 1.5): whole runs of skipped steps
+    "indicator": dict(g_kind="indicator", g_t0=0.5, g_t1=1.5),
+}
+
+TAIL_SUP_PINNED = {
+    ("1d", "power_law", 2.0):
+        "f3e78c1e4d2c15610089e4643f2f8ad0513fa58b3ed130ebf63faec485bd4ccc",
+    ("1d", "power_law", 4.0):
+        "df9331a560fc6626d583d76584d1191df5067a78b85aa72cf4ec680fe5247135",
+    ("1d", "indicator", 2.0):
+        "87d51a3f029b9272642c10b2b0738ac2914ee112686a65d67f3c9d47c013f028",
+    ("1d", "indicator", 4.0):
+        "247b3944de6606e6fe30b0ba945b80835b880dfa35a348c251af85252e455dd9",
+    ("2d", "power_law", 2.0):
+        "36a3f5fb629021c8232bbf212fadd381e2f60c89dbc45669fb8682985b7cff98",
+    ("2d", "power_law", 4.0):
+        "d00815ad592bb19d2cd9c150ed523524b2262de59bc8262f5b5f10c138e98e63",
+    ("2d", "indicator", 2.0):
+        "a77a0ae826eaba644db5c1072a10e6276cbb15cc0c7d990c17329a287487a2eb",
+    ("2d", "indicator", 4.0):
+        "8b7b079042906d21f65770c0d50be6215c173da47487fafba4ece33253d686e5",
+}
+
+CONVOLUTION_PINNED = {
+    ("1d", "power_law"):
+        "7e9a2c26846c8fbe97131de830f4628f276be296c934cb12519982c05053dc6c",
+    ("2d", "indicator"):
+        "aba526a40843a89de930548ebfd37bd87fd99e900811c99b9ff10715eca463cb",
+}
+
+SLOPES_PINNED = {
+    2.0:
+        "815de1051b5a5f1b420ded7fb89ab5b1cf770a1a26f839d8ea1852abc445c96b",
+    4.0:
+        "a250754243d4420a53879236693b645765cd5a38d7ea0aa3b8001a2392348312",
+}
+
+ITO_ISOMETRY_PINNED = "a7b53dfbe74893ed9f3220b35fa0fc66ca92bbfc6f578642414a2ac2c26b577d"
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _scan_case(grid_key, envelope, seed=11, t_inf=2.0, dt=0.02):
+    grid = make_grid(*GRIDS[grid_key])
+    spec = NoiseSpec(seed=seed, **ENVELOPES[envelope])
+    return make_phi(spec, grid), sample_path(spec, t_inf, dt)
+
+
+@pytest.mark.parametrize("grid_key, envelope, p_space", sorted(TAIL_SUP_PINNED))
+def test_tail_sup_norms_pinned(grid_key, envelope, p_space):
+    phi, path = _scan_case(grid_key, envelope)
+    sup = tail_sup_norms(path, phi, p_space)
+    assert _digest(sup) == TAIL_SUP_PINNED[grid_key, envelope, p_space]
+
+
+@pytest.mark.parametrize("grid_key, envelope", sorted(CONVOLUTION_PINNED))
+def test_convolution_values_pinned(grid_key, envelope):
+    phi, path = _scan_case(grid_key, envelope, t_inf=1.0, dt=0.05)
+    fields = convolution_series(path, phi)
+    for t in (0.0, 0.6, 1.0):  # empty prefix, interior, whole path
+        fields.append(stochastic_convolution(path, phi, t))
+        fields.append(tail_convolution(path, phi, t))
+    assert _digest(*(f.values for f in fields)) == CONVOLUTION_PINNED[grid_key, envelope]
+
+
+def _fit_case(p_space):
+    if p_space == 2.0:
+        grid, n_paths, t_inf, dt = make_grid(1, 64, 16.0), 8, 16.0, 0.02
+    else:
+        grid, n_paths, t_inf, dt = make_grid(2, 16, 12.0), 3, 8.0, 0.05
+    phi = make_phi(spec_power(alpha=3.0), grid)
+    paths = [sample_path(spec_power(alpha=3.0, seed=path_seed(3, i)), t_inf, dt)
+             for i in range(n_paths)]
+    return paths, phi
+
+
+@pytest.mark.parametrize("p_space", sorted(SLOPES_PINNED))
+def test_tail_decay_fit_slopes_pinned(p_space):
+    paths, phi = _fit_case(p_space)
+    fit = tail_decay_fit(paths, phi, p_space=p_space)
+    assert _digest(fit.slopes) == SLOPES_PINNED[p_space]
+
+
+def test_selftest_ito_isometry_pinned():
+    check = {c.name: c for c in run_selftest().checks}["ito_isometry"]
+    assert _digest(np.float64(check.measured)) == ITO_ISOMETRY_PINNED
+
+
+# -- the path-batched scan against its batches of one -------------------------
+
+
+@pytest.mark.parametrize("grid_key", sorted(GRIDS))
+@pytest.mark.parametrize("p_space", [2.0, 4.0])
+def test_tail_scan_rows_equal_batches_of_one(grid_key, p_space):
+    grid = make_grid(*GRIDS[grid_key])
+    phi = make_phi(spec_power(), grid)
+    paths = [sample_path(spec_power(seed=path_seed(17, i)), 1.0, 0.02) for i in range(5)]
+    rows = noise._tail_sups(paths, phi, p_space)
+    assert rows.shape == (5, paths[0].steps + 1)
+    for row, path in zip(rows, paths):
+        assert row.tobytes() == tail_sup_norms(path, phi, p_space).tobytes()
+
+
+@pytest.mark.parametrize("grid_key", sorted(GRIDS))
+def test_scan_skips_zero_weights_row_by_row(grid_key):
+    """Rows whose increments vanish on some steps, while other rows' do
+    not, must match their batches of one at every step of the scan."""
+    grid = make_grid(*GRIDS[grid_key])
+    phi = make_phi(spec_power(), grid)
+    paths = []
+    for i, (lo, hi) in enumerate([(0, 0), (5, 20), (30, 50)]):
+        path = sample_path(spec_power(seed=path_seed(23, i)), 1.0, 0.02)
+        inc = path.increments.copy()
+        inc[lo:hi] = 0.0
+        inc[40:45] = 0.0  # a stretch every row skips
+        paths.append(NoisePath(path.spec, path.t_inf, path.dt, inc))
+    for ks in (range(50), range(49, -1, -1), range(12, 50)):
+        batch = [acc.copy() for acc in noise._noise_scan(paths, grid, ks)]
+        for p, path in enumerate(paths):
+            single = [acc.tobytes() for acc in noise._noise_scan([path], grid, ks)]
+            assert [acc[p].tobytes() for acc in batch] == single
+    rows = noise._tail_sups(paths, phi, 2.0)
+    for row, path in zip(rows, paths):
+        assert row.tobytes() == tail_sup_norms(path, phi).tobytes()
+
+
+def test_tail_fit_independent_of_batch_cap(monkeypatch):
+    paths, phi = _fit_case(2.0)
+    chunks = []
+    real = noise._tail_sups
+
+    def recording(batch, phi, p_space):
+        chunks.append(len(batch))
+        return real(batch, phi, p_space)
+
+    monkeypatch.setattr(noise, "_tail_sups", recording)
+    fits = []
+    for cap in (ensemble.BATCH_FIELD_BYTES, 3 * 16 * 64, 1):
+        monkeypatch.setattr(ensemble, "BATCH_FIELD_BYTES", cap)
+        fits.append(tail_decay_fit(paths, phi))
+    assert chunks == [8, 3, 3, 2] + [1] * 8
+    whole = fits[0]
+    assert _digest(whole.slopes) == SLOPES_PINNED[2.0]
+    for fit in fits[1:]:
+        for name in ("t_grid", "slopes", "median", "iqr", "truncation_bound"):
+            assert np.asarray(getattr(fit, name)).tobytes() == np.asarray(getattr(whole, name)).tobytes()
