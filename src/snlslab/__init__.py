@@ -24,7 +24,7 @@ from .operators import (
     pseudo_conformal_inverse,
     regrid,
 )
-from .norms import MixedNormSpec, lp_norm, mixed_norm, sigma_norm, sobolev_norm
+from .norms import lp_norm, sigma_norm, sobolev_norm
 from .noise import (
     NoisePath,
     NoiseSpec,
@@ -48,8 +48,6 @@ from .dynamics import (
     Trajectory,
     evolve,
     evolve_batch,
-    evolve_random,
-    evolve_transformed,
     step_deterministic,
 )
 from .functionals import (
@@ -62,17 +60,13 @@ from .functionals import (
 )
 from .analysis import (
     GrowthFitResult,
-    MonitorPair,
     RegimeReport,
     ScatteringReport,
-    StrichartzReport,
     classify_regime,
-    default_monitor_pairs,
     growth_fit,
     is_admissible,
     scattering_cauchy,
     strauss_exponent,
-    strichartz_monitor,
 )
 from .config import (
     ConfigError,
@@ -107,9 +101,7 @@ __all__ = [
     "pseudo_conformal_inverse",
     "regrid",
     # norms
-    "MixedNormSpec",
     "lp_norm",
-    "mixed_norm",
     "sigma_norm",
     "sobolev_norm",
     # noise
@@ -134,8 +126,6 @@ __all__ = [
     "Trajectory",
     "evolve",
     "evolve_batch",
-    "evolve_random",
-    "evolve_transformed",
     "step_deterministic",
     # functionals
     "FunctionalRecord",
@@ -146,17 +136,13 @@ __all__ = [
     "potential_integral",
     # analysis
     "GrowthFitResult",
-    "MonitorPair",
     "RegimeReport",
     "ScatteringReport",
-    "StrichartzReport",
     "classify_regime",
-    "default_monitor_pairs",
     "growth_fit",
     "is_admissible",
     "scattering_cauchy",
     "strauss_exponent",
-    "strichartz_monitor",
     # config / harness
     "ConfigError",
     "ExperimentConfig",

@@ -1,11 +1,10 @@
-"""Regime classification, scattering diagnostics, growth fits, space-time monitors.
+"""Regime classification, scattering diagnostics, growth fits.
 
-The classifier is pure arithmetic on (dimension, nonlinearity order,
-noise-decay exponent). Everything else consumes simulated trajectories:
+The classifier and the admissibility test are pure arithmetic on
+(dimension, exponents). Everything else consumes simulated trajectories:
 scattering diagnostics undo the free flow at checkpoints and measure
-Cauchy differences, growth fits regress ensemble means of running
-suprema on a geometric horizon grid, and the space-time monitor
-accumulates mixed norms over a configurable pair list.
+Cauchy differences, and growth fits regress ensemble means of running
+suprema on a geometric horizon grid.
 
 Conventions used throughout:
 
@@ -46,11 +45,6 @@ __all__ = [
     "GrowthFitResult",
     "check_geometric",
     "growth_fit",
-    "MonitorPair",
-    "default_monitor_pairs",
-    "PairSeries",
-    "StrichartzReport",
-    "strichartz_monitor",
 ]
 
 ALPHA_WEIGHTED = 2.5
@@ -226,27 +220,18 @@ def classify_regime(dim: int, two_sigma: float, alpha: float) -> RegimeReport:
         regime_class = "long_range"
         required = None
     else:
-        for check, label in (
-            (sigma_check, "sigma_scattering"),
-            (l2_check, "short_range_L2"),
-            (h1_check, "h1_scattering"),
-        ):
+        # the first statement that fully applies, else the first whose window holds
+        chosen = None
+        for check in checks:
             if check.applies:
-                regime_class = label
-                required = check.required_alpha
+                chosen = check
                 break
-        else:
-            for check, label in (
-                (sigma_check, "sigma_scattering"),
-                (l2_check, "short_range_L2"),
-                (h1_check, "h1_scattering"),
-            ):
-                if check.window_ok:
-                    regime_class = label
-                    required = check.required_alpha
-                    break
-            else:  # pragma: no cover - windows tile (2/n, sup)
-                raise AssertionError("classification windows failed to tile")
+            if chosen is None and check.window_ok:
+                chosen = check
+        if chosen is None:  # pragma: no cover - windows tile (2/n, sup)
+            raise AssertionError("classification windows failed to tile")
+        regime_class = chosen.name
+        required = chosen.required_alpha
 
     return RegimeReport(
         dim=dim,
@@ -443,157 +428,4 @@ def growth_fit(
         mean_running_sup=means,
         slope=float(slope),
         intercept=float(intercept),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Space-time norm monitor
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonitorPair:
-    """One mixed-norm channel: L^q in time of W^{order,p} in space."""
-
-    space_exponent: float
-    time_exponent: float
-    derivative_order: int = 1
-    admissible_required: bool = True
-    label: str = ""
-
-
-def default_monitor_pairs(dim: int) -> tuple[MonitorPair, ...]:
-    """Representative pair list for the given dimension.
-
-    The sup-in-time L^2-gradient channel and the symmetric diagonal
-    pair exist in every dimension; the dual-endpoint pair needs
-    n >= 3. The interaction channel (time exponent n+1, space exponent
-    2(n+1)/(n-1), derivative order 0) is not an admissible pair and is
-    carried exempt from the admissibility gate; it is undefined for
-    n = 1 and therefore omitted there.
-    """
-    if int(dim) != dim or dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim}")
-    dim = int(dim)
-    pairs = [
-        MonitorPair(2.0, math.inf, 1, True, "sup_L2"),
-        MonitorPair(2.0 + 4.0 / dim, 2.0 + 4.0 / dim, 1, True, "diagonal"),
-    ]
-    if dim >= 3:
-        pairs.append(MonitorPair(2.0 * dim / (dim - 2), 2.0, 1, True, "endpoint"))
-    if dim >= 2:
-        pairs.append(
-            MonitorPair(
-                2.0 * (dim + 1) / (dim - 1),
-                dim + 1.0,
-                0,
-                False,
-                "interaction",
-            )
-        )
-    return tuple(pairs)
-
-
-@dataclass(frozen=True)
-class PairSeries:
-    """Cumulative mixed norm of one channel as a function of horizon."""
-
-    pair: MonitorPair
-    times: np.ndarray
-    values: np.ndarray
-    plateau: bool
-
-
-@dataclass(frozen=True)
-class StrichartzReport:
-    """Cumulative space-time norms over the configured channels.
-
-    ``s1_proxy`` is the max of the final cumulative norms over the
-    derivative-order-1 channels — a finite-pair stand-in (hence a
-    lower bound) for the sup over all admissible pairs.
-    """
-
-    channels: tuple[PairSeries, ...]
-    s1_proxy: float
-
-    def channel(self, label: str) -> PairSeries:
-        for ch in self.channels:
-            if ch.pair.label == label:
-                return ch
-        raise KeyError(f"no channel labeled {label!r}")
-
-
-def _cumulative_mixed(
-    times: np.ndarray, spatial: np.ndarray, q: float
-) -> np.ndarray:
-    """Cumulative mixed norms over snapshot prefixes.
-
-    Follows the same quadrature as the one-shot mixed norm: snapshots
-    are left endpoints of contiguous cells and each prefix's final
-    cell reuses the preceding spacing.
-    """
-    if math.isinf(q):
-        return np.maximum.accumulate(spatial)
-    out = np.full(len(times), np.nan)
-    widths = np.diff(times)
-    powers = spatial**q
-    # partial[m] = sum_{j<m} widths[j] * powers[j]
-    partial = np.concatenate([[0.0], np.cumsum(widths * powers[:-1])])
-    for m in range(1, len(times)):
-        out[m] = (partial[m] + widths[m - 1] * powers[m]) ** (1.0 / q)
-    return out
-
-
-def strichartz_monitor(
-    trajectory,
-    pairs: Sequence[MonitorPair] | None = None,
-) -> StrichartzReport:
-    """Track cumulative mixed space-time norms along a trajectory.
-
-    Norms are evaluated on the stored snapshot grid. Each channel gets
-    a plateau verdict: the relative increase of the cumulative norm
-    over the last dyadic window (from horizon T/2 to T) is below 2%.
-    Dispersive evolutions plateau; a constant-in-time field grows like
-    T^{1/q} and does not.
-    """
-    grid_dim = trajectory.config.grid.dim
-    if pairs is None:
-        pairs = default_monitor_pairs(grid_dim)
-    times = np.asarray([t for t, _ in trajectory.snapshots], dtype=float)
-    fields = [f for _, f in trajectory.snapshots]
-    if len(times) < 2:
-        raise ValueError("need at least 2 snapshots to accumulate time norms")
-
-    channels = []
-    finals = []
-    for pair in pairs:
-        if pair.admissible_required and not is_admissible(
-            pair.space_exponent, pair.time_exponent, grid_dim
-        ):
-            raise ValueError(
-                f"pair (p={pair.space_exponent}, q={pair.time_exponent}) is "
-                f"not admissible in dimension {grid_dim}"
-            )
-        spatial = np.array(
-            [
-                sobolev_norm(f, pair.space_exponent, pair.derivative_order)
-                for f in fields
-            ]
-        )
-        values = _cumulative_mixed(times, spatial, pair.time_exponent)
-        half_idx = int(np.searchsorted(times, times[-1] / 2.0))
-        half_idx = min(max(half_idx, 1), len(times) - 1)
-        final = values[-1]
-        half = values[half_idx]
-        if half > 0.0:
-            plateau = bool((final - half) / half < 0.02)
-        else:
-            # Identically zero history plateaus; norm born after T/2 does not.
-            plateau = bool(final == 0.0)
-        channels.append(PairSeries(pair, times, values, plateau))
-        if pair.derivative_order == 1:
-            finals.append(final)
-    return StrichartzReport(
-        channels=tuple(channels),
-        s1_proxy=float(max(finals)) if finals else math.nan,
     )

@@ -37,7 +37,8 @@ import numpy as np
 from .analysis import check_geometric, check_scatter_args, classify_regime
 from .dynamics import SimConfig
 from .grids import Field, GridSpec
-from .noise import NoiseSpec, check_fit_window, g_sq_tail_bound, make_phi, partition_steps
+from .noise import (NoiseSpec, check_fit_window, g_sq_tail_bound, make_phi, partition_steps,
+                    path_seed)
 from .norms import _check_exponent
 
 __all__ = [
@@ -226,7 +227,6 @@ class ExperimentConfig:
     tail: TailSpec | None = None
     regimes: RegimeQuery | None = None
     selftest_points: int = 64
-    strict: bool = False
     warnings: tuple[str, ...] = ()
     resolved: tuple[tuple[str, str], ...] = field(default=(), repr=False)
 
@@ -594,7 +594,6 @@ def load_config(
         tail=tail,
         regimes=regimes,
         selftest_points=selftest_points,
-        strict=strict,
         warnings=tuple(warnings),
         resolved=tuple(resolved),
     )
@@ -602,8 +601,6 @@ def load_config(
 
 def with_path_seed(config: ExperimentConfig, index: int) -> SimConfig:
     """Per-path simulation config: the base noise spec reseeded for one path."""
-    from .noise import path_seed
-
     if config.sim is None or config.noise is None:
         raise ConfigError(f"kind {config.kind!r} does not run seeded paths")
     reseeded = replace(config.noise, seed=path_seed(config.base_seed, index))

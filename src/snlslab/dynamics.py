@@ -58,8 +58,6 @@ __all__ = [
     "PathError",
     "step_deterministic",
     "evolve",
-    "evolve_random",
-    "evolve_transformed",
     "evolve_batch",
 ]
 
@@ -284,32 +282,14 @@ def evolve(config: SimConfig, u0: Field, *, path: NoisePath | None = None,
 
     `path` injects a prepared Brownian path (snls only; by default the
     path is sampled from config.noise). `shift` supplies the frozen
-    shift series for the shifted/transformed equations.
+    shift series for the shifted/transformed equations; None means an
+    all-zero shift, under which random_shifted reduces exactly to the
+    deterministic run.
     """
     if config.equation == "snls" and shift is None:
         # a zero-length run has no increments to draw
         path = _resolve_path(config, path) if config.steps else None
     return _evolve_one(config, u0, path, shift)
-
-
-def evolve_random(config: SimConfig, u0: Field,
-                  shift: Sequence[Field] | None = None) -> Trajectory:
-    """Integrate the shifted equation for a prescribed shift series.
-
-    shift[k] is the frozen shift at t_k; None means an all-zero shift,
-    in which case the run reduces exactly to the deterministic one.
-    """
-    if config.equation != "random_shifted":
-        raise ValueError(f"config.equation must be 'random_shifted', got {config.equation!r}")
-    return _evolve_one(config, u0, None, shift)
-
-
-def evolve_transformed(config: SimConfig, u0: Field,
-                       shift: Sequence[Field] | None = None) -> Trajectory:
-    """Integrate the lens-transformed equation on [0, t_end], t_end < 1."""
-    if config.equation != "transformed":
-        raise ValueError(f"config.equation must be 'transformed', got {config.equation!r}")
-    return _evolve_one(config, u0, None, shift)
 
 
 def _evolve_one(config: SimConfig, u0: Field, path: NoisePath | None,
@@ -432,7 +412,7 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
     if noise_on:
         phi = make_phi(paths[0].spec, grid)
         phi_hat = phi.spectrum()
-        prop_phi = np.fft.ifftn(lin * phi_hat)
+        prop_phi = grid.ifft(lin * phi_hat)
         g_left = paths[0].g_at_left()
         incr = np.stack([path.increments for path in paths])
         kicks = (1j * (g_left * incr)).T.reshape((steps, size) + (1,) * n)
@@ -444,7 +424,7 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
         if track_energy:
             grads_phi = [g.values for g in gradient(phi)]
             xgrad_phi = sum(x_j * gp for x_j, gp in zip(grid.coords(), grads_phi))
-            lap_phi = np.fft.ifftn(-grid.k_squared() * phi_hat)
+            lap_phi = grid.ifft(-grid.k_squared() * phi_hat)
             cw_x2phi = grid.radius_squared() * cw_phi
             cw_xgrad = np.conj(xgrad_phi)
             cw_lap = np.conj(lap_phi)

@@ -15,7 +15,7 @@ error message rather than yielding a partial, silently biased result.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .config import ExperimentConfig, make_initial, with_path_seed
 from .dynamics import PathError, evolve_batch
 from .dynamics import evolve  # noqa: F401  perfbench/tracing.py wraps ensemble.evolve
 from .functionals import ito_mass_budget
-from .noise import NoisePath, sample_path
+from .noise import NoisePath, path_seed, sample_path
 
 #: field bytes one batch of paths may hold. On a 2-core Xeon at N=256,
 #: 32-path batches (128 KiB) took ~27 us per path-step and 64 to 256
@@ -237,10 +237,6 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
 
 def _sample_one_path(args) -> NoisePath:
     spec, index, t_inf, dt = args
-    from dataclasses import replace
-
-    from .noise import path_seed
-
     return sample_path(replace(spec, seed=path_seed(spec.seed, index)), t_inf, dt)
 
 

@@ -230,7 +230,7 @@ class Field:
 
     def spectrum(self) -> np.ndarray:
         """Unnormalized forward DFT of the samples."""
-        return np.fft.fftn(self.values)
+        return self.grid.fft(self.values)
 
     def __add__(self, other: "Field") -> "Field":
         self._check_same_grid(other)

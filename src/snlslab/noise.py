@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .grids import Field, GridSpec, row_sums
+from .norms import lp_norm, sobolev_norm
 
 __all__ = [
     "NoiseSpec",
@@ -365,8 +366,6 @@ def convolution_series(path: NoisePath, phi: Field, through: float | None = None
 
 def _tail_sups(paths: Sequence[NoisePath], phi: Field, p_space: float) -> np.ndarray:
     """tail_sup_norms of every path, one row each; the paths share a partition."""
-    from .norms import sobolev_norm
-
     grid = phi.grid
     k2 = grid.k_squared()
     hat = phi.spectrum()
@@ -460,8 +459,6 @@ def tail_decay_fit(
         for i, row in enumerate(vals, start):
             slopes[i] = np.polyfit(log_t, np.log(row), 1)[0]
     q25, q75 = np.percentile(slopes, [25.0, 75.0])
-    from .norms import lp_norm
-
     bound = lp_norm(phi, 2.0) ** 2 * g_sq_tail_bound(spec, t_inf)
     return TailFitResult(
         t_grid=t_grid,

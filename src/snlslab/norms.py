@@ -1,4 +1,4 @@
-"""Lebesgue, Sobolev, weighted and mixed space-time norms.
+"""Lebesgue, Sobolev and weighted spatial norms.
 
 Spatial integrals use uniform quadrature with weight dx^dim, which is
 spectrally accurate for smooth periodic data. The W^{1,2} norm goes
@@ -8,14 +8,12 @@ Lp norms of the field and its spectral gradient components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .grids import Field, gradient
 
-__all__ = ["MixedNormSpec", "lp_norm", "sobolev_norm", "sigma_norm", "mixed_norm"]
+__all__ = ["lp_norm", "sobolev_norm", "sigma_norm"]
 
 
 def _check_exponent(p: float, name: str = "p") -> float:
@@ -70,47 +68,3 @@ def sigma_norm(field: Field) -> float:
     """
     weighted = Field(field.grid, np.sqrt(field.grid.radius_squared()) * field.values)
     return sobolev_norm(field, 2.0, 1) + lp_norm(weighted, 2.0)
-
-
-@dataclass(frozen=True)
-class MixedNormSpec:
-    """L^q in time of a spatial norm: W^{derivative_order,p} with q, p >= 1."""
-
-    time_exponent: float
-    space_exponent: float
-    derivative_order: int = 0
-
-    def __post_init__(self) -> None:
-        _check_exponent(self.time_exponent, "time_exponent")
-        _check_exponent(self.space_exponent, "space_exponent")
-        if self.derivative_order not in (0, 1):
-            raise ValueError(f"derivative_order must be 0 or 1, got {self.derivative_order}")
-
-    def spatial(self, field: Field) -> float:
-        return sobolev_norm(field, self.space_exponent, self.derivative_order)
-
-
-def mixed_norm(times: Sequence[float], fields: Sequence[Field], spec: MixedNormSpec) -> float:
-    """Mixed space-time norm over a snapshot series.
-
-    Snapshots are left endpoints of contiguous cells; the final cell
-    reuses the preceding spacing. With q = inf the result is the max of
-    the spatial norms. A single snapshot is valid only for q = inf.
-    """
-    times = [float(t) for t in times]
-    if len(times) != len(fields):
-        raise ValueError("times and fields must have equal length")
-    if not times:
-        raise ValueError("empty snapshot series")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("snapshot times must be strictly increasing")
-    spatial = [spec.spatial(f) for f in fields]
-    q = float(spec.time_exponent)
-    if math.isinf(q):
-        return float(max(spatial))
-    if len(times) == 1:
-        raise ValueError("a single snapshot has no inferable time step for finite q")
-    widths = [b - a for a, b in zip(times, times[1:])]
-    widths.append(widths[-1])
-    total = sum(w * s**q for w, s in zip(widths, spatial))
-    return float(total ** (1.0 / q))

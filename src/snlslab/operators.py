@@ -40,7 +40,7 @@ def propagate(field: Field, t: float) -> Field:
         raise ValueError(f"propagation time must be finite, got {t}")
     hat = field.spectrum()
     hat = hat * np.exp(1j * t * field.grid.k_squared())
-    return Field(field.grid, np.fft.ifftn(hat))
+    return Field(field.grid, field.grid.ifft(hat))
 
 
 def apply_J(field: Field, t: float) -> tuple[Field, ...]:
@@ -50,7 +50,7 @@ def apply_J(field: Field, t: float) -> tuple[Field, ...]:
     grid = field.grid
     out = []
     for x, k in zip(grid.coords(), grid.freqs()):
-        deriv = np.fft.ifftn(1j * k * hat)
+        deriv = grid.ifft(1j * k * hat)
         out.append(Field(grid, x * field.values - 2j * t * deriv))
     return tuple(out)
 

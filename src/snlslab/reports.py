@@ -326,18 +326,14 @@ def emit_report(
     result,
     out_dir: str | Path,
     config: ExperimentConfig | None = None,
-    formats: tuple[str, ...] = ("csv", "json-manifest", "table"),
 ) -> dict[str, Path]:
     """Write the artifacts for one result; returns {artifact name: path}.
 
-    ``formats`` selects among 'csv', 'json-manifest', and 'table'. The
-    manifest always records the files written in the same call with
-    their SHA-256 digests, the code version, and — when a config is
-    supplied — the config hash and base seed.
+    The CSV series, ``summary.txt`` and ``manifest.json`` are written.
+    The manifest records the other files with their SHA-256 digests,
+    the code version, and — when a config is supplied — the config hash
+    and base seed.
     """
-    for fmt in formats:
-        if fmt not in ("csv", "json-manifest", "table"):
-            raise ValueError(f"unknown report format {fmt!r}")
     for klass, serializer in _SERIALIZERS:
         if isinstance(result, klass):
             csvs, extra, table = serializer(result)
@@ -348,31 +344,24 @@ def emit_report(
     out = Path(out_dir)
     written: dict[str, Path] = {}
     digests: dict[str, str] = {}
-    if "csv" in formats:
-        for name, text in csvs.items():
-            path = out / name
-            _write_text(path, text)
-            written[name] = path
-            digests[name] = hashlib.sha256(text.encode()).hexdigest()
-    if "table" in formats:
-        path = out / "summary.txt"
-        _write_text(path, table)
-        written["summary.txt"] = path
-        digests["summary.txt"] = hashlib.sha256(table.encode()).hexdigest()
-    if "json-manifest" in formats:
-        manifest = {
-            "result_type": type(result).__name__,
-            "code_version": __version__,
-            "files": digests,
-            "detail": extra,
-        }
-        if config is not None:
-            manifest["experiment_kind"] = config.kind
-            manifest["config_hash"] = config.config_hash
-            manifest["base_seed"] = str(config.base_seed)
-            manifest["config_echo"] = config.echo().splitlines()
-        text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n"
-        path = out / "manifest.json"
+    for name, text in {**csvs, "summary.txt": table}.items():
+        path = out / name
         _write_text(path, text)
-        written["manifest.json"] = path
+        written[name] = path
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    manifest = {
+        "result_type": type(result).__name__,
+        "code_version": __version__,
+        "files": digests,
+        "detail": extra,
+    }
+    if config is not None:
+        manifest["experiment_kind"] = config.kind
+        manifest["config_hash"] = config.config_hash
+        manifest["base_seed"] = str(config.base_seed)
+        manifest["config_echo"] = config.echo().splitlines()
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n"
+    path = out / "manifest.json"
+    _write_text(path, text)
+    written["manifest.json"] = path
     return written

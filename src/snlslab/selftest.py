@@ -57,7 +57,6 @@ class SelftestCheck:
     tolerance: float
     measured: float
     passed: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -69,21 +68,6 @@ class SelftestReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def format_table(self) -> str:
-        rows = [("check", "tolerance", "measured", "verdict")]
-        for c in self.checks:
-            rows.append(
-                (c.name, f"{c.tolerance:.3g}", f"{c.measured:.6g}", "pass" if c.passed else "FAIL")
-            )
-        widths = [max(len(r[i]) for r in rows) for i in range(4)]
-        out = []
-        for r in rows:
-            out.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
-        for w in self.warnings:
-            out.append(f"warning: {w}")
-        out.append("overall: " + ("pass" if self.passed else "FAIL"))
-        return "\n".join(out) + "\n"
 
 
 def _tol(name: str, points: int) -> float:
@@ -112,7 +96,7 @@ def run_selftest(points: int = 64, fault: str | None = None) -> SelftestReport:
             "relaxed tolerance tier in effect"
         )
 
-    def record(name: str, measured: float, note: str = "") -> None:
+    def record(name: str, measured: float) -> None:
         tol = _tol(name, points)
         checks.append(
             SelftestCheck(
@@ -120,7 +104,6 @@ def run_selftest(points: int = 64, fault: str | None = None) -> SelftestReport:
                 tolerance=tol,
                 measured=float(measured),
                 passed=bool(measured <= tol),
-                note=note,
             )
         )
 
@@ -138,7 +121,6 @@ def run_selftest(points: int = 64, fault: str | None = None) -> SelftestReport:
     record(
         "gaussian_propagator",
         _rel_l2(evolved.values, oracle),
-        "closed-form complex-width Gaussian",
     )
 
     # 2. Unitarity of the free flow on a random band-limited field.
@@ -213,7 +195,6 @@ def run_selftest(points: int = 64, fault: str | None = None) -> SelftestReport:
     record(
         "ito_isometry",
         abs(acc / n_paths - phi_sq * t_inf) / (phi_sq * t_inf),
-        f"{n_paths} paths",
     )
 
     # 8. Mass conservation over a short nonlinear run.

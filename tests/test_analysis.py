@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 
 from snlslab.analysis import (
-    MonitorPair,
     classify_regime,
-    default_monitor_pairs,
     growth_fit,
     is_admissible,
     scattering_cauchy,
     strauss_exponent,
-    strichartz_monitor,
 )
 from snlslab.dynamics import SimConfig, evolve
 from snlslab.grids import Field, make_grid
-from snlslab.norms import lp_norm, sobolev_norm
+from snlslab.norms import lp_norm
 
 
 def gaussian(grid, amp=1.0):
@@ -135,19 +132,6 @@ def test_admissible_pairs(p, q, n, ok):
     assert is_admissible(p, q, n) is ok
 
 
-def test_default_monitor_pairs_shapes():
-    one = default_monitor_pairs(1)
-    labels = [pair.label for pair in one]
-    assert len(one) == 2  # sup and diagonal; no endpoint or interaction pair
-    two = default_monitor_pairs(2)
-    assert len(two) == 3
-    three = default_monitor_pairs(3)
-    assert len(three) == 4
-    for pair in three:
-        if pair.admissible_required:
-            assert is_admissible(pair.space_exponent, pair.time_exponent, 3)
-
-
 # -- scattering Cauchy diagnostic ----------------------------------------------
 
 
@@ -212,30 +196,3 @@ def test_growth_fit_validation():
         growth_fit([traj, traj], [1.0, 2.0, 3.0], min_paths=2)
     with pytest.raises(ValueError, match="horizon"):
         growth_fit([traj, traj], [4.0, 8.0, 16.0], min_paths=2)
-
-
-# -- mixed-norm monitors ----------------------------------------------------------
-
-
-def test_strichartz_monitor_plateaus_for_dispersing_field():
-    grid = make_grid(1, 256, 60.0)
-    cfg = SimConfig(grid, sigma=1.5, dt=1e-2, t_end=8.0, snapshot_stride=10)
-    traj = evolve(cfg, gaussian(grid))
-    rep = strichartz_monitor(traj)
-    diag = rep.channel("diagonal")
-    assert diag.plateau, "L^6_t L^6_x of a dispersing field must saturate"
-    assert rep.s1_proxy > 0.0
-    # the sup channel is a running maximum of W^{1,2} norms: it never
-    # decreases and dominates the final state's own norm
-    sup = rep.channel("sup_L2")
-    assert np.all(np.diff(sup.values) >= -1e-12)
-    assert sup.values[-1] >= sobolev_norm(traj.final, 2.0, 1) - 1e-9
-
-
-def test_strichartz_monitor_rejects_inadmissible_pair():
-    grid = make_grid(1, 64, 20.0)
-    cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.5)
-    traj = evolve(cfg, gaussian(grid))
-    bad = MonitorPair(space_exponent=4.0, time_exponent=7.9, label="off-line")
-    with pytest.raises(ValueError, match="admissible"):
-        strichartz_monitor(traj, (bad,))

@@ -7,8 +7,6 @@ import pytest
 from snlslab.dynamics import (
     SimConfig,
     evolve,
-    evolve_random,
-    evolve_transformed,
     step_deterministic,
 )
 from snlslab.grids import Field, make_grid
@@ -158,10 +156,10 @@ def test_zero_shift_reduces_to_deterministic():
     u0 = gaussian(grid)
     det = evolve(SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.3), u0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.3, equation="random_shifted")
-    shifted = evolve_random(cfg, u0, shift=None)
+    shifted = evolve(cfg, u0, shift=None)
     assert lp_norm(shifted.final - det.final, 2.0) < 1e-13
     zeros = [Field.zeros(grid) for _ in range(cfg.steps + 1)]
-    shifted2 = evolve_random(cfg, u0, shift=zeros)
+    shifted2 = evolve(cfg, u0, shift=zeros)
     assert lp_norm(shifted2.final - det.final, 2.0) < 1e-13
 
 
@@ -169,7 +167,7 @@ def test_shift_length_validation():
     grid = make_grid(1, 64, 20.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.3, equation="random_shifted")
     with pytest.raises(ValueError):
-        evolve_random(cfg, gaussian(grid), shift=[Field.zeros(grid)] * 3)
+        evolve(cfg, gaussian(grid), shift=[Field.zeros(grid)] * 3)
 
 
 def test_equation_argument_mismatches_are_rejected():
@@ -177,8 +175,6 @@ def test_equation_argument_mismatches_are_rejected():
     det = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.1)
     with pytest.raises(ValueError):
         evolve(det, gaussian(grid), path=sample_path(NoiseSpec(seed=0), 0.1, 1e-2))
-    with pytest.raises(ValueError):
-        evolve_transformed(det, gaussian(grid))
 
 
 def test_transformed_run_conserves_mass():

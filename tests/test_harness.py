@@ -413,13 +413,8 @@ def test_identical_runs_emit_identical_bytes(tmp_path):
         assert w1[name].read_bytes() == w2[name].read_bytes(), name
 
 
-def test_emit_report_format_selection(tmp_path):
-    traj, config = _small_noisy_trajectory()
-    written = emit_report(traj, tmp_path, config, formats=("csv",))
-    assert "series.csv" in written
-    assert "manifest.json" not in written and "summary.txt" not in written
-    with pytest.raises(ValueError, match="unknown report format"):
-        emit_report(traj, tmp_path, config, formats=("yaml",))
+def test_emit_report_rejects_unknown_result(tmp_path):
+    _, config = _small_noisy_trajectory()
     with pytest.raises(TypeError, match="no report serializer"):
         emit_report(object(), tmp_path, config)
 
@@ -501,7 +496,6 @@ def test_selftest_passes_on_the_reference_grid():
         "ito_isometry",
         "mass_conservation",
     }
-    assert "overall: pass" in report.format_table()
 
 
 def test_selftest_relaxes_tolerances_below_the_resolved_regime():
@@ -519,7 +513,6 @@ def test_selftest_fault_injection_is_caught():
     assert not report.passed
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["gaussian_propagator"]
-    assert "FAIL" in report.format_table()
 
 
 def test_selftest_rejects_bad_arguments():

@@ -1,11 +1,11 @@
-"""Spatial and mixed space-time norms against closed forms."""
+"""Lebesgue, Sobolev and weighted norms against closed forms."""
 import math
 
 import numpy as np
 import pytest
 
 from snlslab.grids import Field, make_grid
-from snlslab.norms import MixedNormSpec, lp_norm, mixed_norm, sigma_norm, sobolev_norm
+from snlslab.norms import lp_norm, sigma_norm, sobolev_norm
 
 
 def gaussian(grid, w=1.0):
@@ -72,47 +72,3 @@ def test_sigma_norm_gaussian():
     h1 = math.sqrt(math.sqrt(math.pi) * 1.5)
     weighted = math.sqrt(math.sqrt(math.pi) / 2.0)
     assert sigma_norm(gaussian(grid)) == pytest.approx(h1 + weighted, rel=1e-12)
-
-
-def test_mixed_norm_left_endpoint_rule():
-    # two cells of width 0.5; constant spatial norms 2 then 3:
-    # ( 0.5 * 2^q + 0.5 * 3^q )^{1/q} with the last cell reusing width 0.5
-    grid = make_grid(1, 32, 4.0)
-    f2 = Field.from_function(grid, lambda x: 2.0 / 2.0 * np.ones_like(x))
-    f3 = Field.from_function(grid, lambda x: 3.0 / 2.0 * np.ones_like(x))
-    # constants c have ||c||_2 = c * sqrt(L) = 2c -> spatial norms 2 and 3
-    spec = MixedNormSpec(time_exponent=4.0, space_exponent=2.0)
-    got = mixed_norm([0.0, 0.5], [f2, f3], spec)
-    assert got == pytest.approx((0.5 * 2.0**4 + 0.5 * 3.0**4) ** 0.25, rel=1e-12)
-
-
-def test_mixed_norm_sup_in_time():
-    grid = make_grid(1, 32, 4.0)
-    small = Field.from_function(grid, lambda x: np.ones_like(x))
-    big = Field.from_function(grid, lambda x: 5.0 * np.ones_like(x))
-    spec = MixedNormSpec(time_exponent=math.inf, space_exponent=2.0)
-    assert mixed_norm([0.0, 1.0], [big, small], spec) == pytest.approx(10.0)
-    # a single snapshot is fine for the sup norm ...
-    assert mixed_norm([0.0], [big], spec) == pytest.approx(10.0)
-    # ... but meaningless for a finite time exponent
-    with pytest.raises(ValueError):
-        mixed_norm([0.0], [big], MixedNormSpec(2.0, 2.0))
-
-
-def test_mixed_norm_input_validation():
-    grid = make_grid(1, 32, 4.0)
-    f = Field.zeros(grid)
-    spec = MixedNormSpec(2.0, 2.0)
-    with pytest.raises(ValueError):
-        mixed_norm([], [], spec)
-    with pytest.raises(ValueError):
-        mixed_norm([0.0, 0.0], [f, f], spec)
-    with pytest.raises(ValueError):
-        mixed_norm([0.0, 1.0], [f], spec)
-
-
-def test_mixed_norm_spec_validation():
-    with pytest.raises(ValueError):
-        MixedNormSpec(0.5, 2.0)
-    with pytest.raises(ValueError):
-        MixedNormSpec(2.0, 2.0, derivative_order=3)
