@@ -37,6 +37,20 @@ def test_grid_frequencies_are_fft_order():
     np.testing.assert_allclose(grid.k_squared(), k**2)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_fft_is_bit_identical_to_numpy_fftn(dim):
+    grid = make_grid(dim, 8, 4.0)
+    rng = np.random.default_rng(dim)
+    # one field and a (paths, *grid) batch: the transform runs over the last dim axes
+    for shape in (grid.shape, (3,) + grid.shape):
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        axes = tuple(range(-dim, 0))
+        assert np.array_equal(grid.fft(values), np.fft.fftn(values, axes=axes))
+        assert np.array_equal(grid.ifft(values), np.fft.ifftn(values, axes=axes))
+    field = Field(grid, values[0])
+    assert np.array_equal(field.spectrum(), np.fft.fftn(values[0]))
+
+
 @pytest.mark.parametrize(
     "dim,points,length",
     [
