@@ -10,7 +10,9 @@ Four equation kinds share one engine:
 
 One step is: half nonlinear phase — full linear propagator — half
 nonlinear phase. The nonlinear substep is an exact phase rotation
-(|u| is invariant under it); for shifted equations the shift is frozen
+(|u| is invariant under it), applied as (cos θ + i sin θ)·u from real
+cos and sin; tests/test_dynamics.py::test_phase_rotation_matches_complex_exp
+pins it byte for byte to e^{iθ}u. For shifted equations the shift is frozen
 at the substep's endpoint value, and for the transformed equation the
 time-dependent coefficient is sampled at the substep midpoints
 (t + dt/4, t + 3dt/4). Noise enters after the split step as
@@ -216,13 +218,28 @@ class BatchRun:
 
 
 def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
-                    shift: np.ndarray | None) -> np.ndarray:
-    """Exact nonlinear substep w ← e^{iτ|w|^{2σ}} w with w = vals + shift
-    (shift frozen), returning the unshifted field."""
+                    shift: np.ndarray | None, rho: np.ndarray | None = None) -> np.ndarray:
+    """Exact nonlinear substep w ← e^{iθ} w with θ = τ|w|^{2σ} and
+    w = vals + shift (shift frozen), returning the unshifted field.
+
+    e^{iθ} is built as cos θ + i sin θ from the real θ ≥ +0, which skips
+    the complex exp and gives the same bytes as np.exp(1j * θ) * w on
+    numpy 2.4.6; tests/test_dynamics.py::test_phase_rotation_matches_complex_exp
+    pins that. rho, if given, is |w|² already formed by the caller; it is
+    only read.
+    """
     w = vals if shift is None else vals + shift
-    rho = w.real**2 + w.imag**2
-    amp = rho if sigma == 1.0 else rho**sigma
-    out = np.exp(1j * tau * amp) * w
+    if rho is None:
+        rho = w.real**2 + w.imag**2
+    if sigma == 1.0:
+        theta = tau * rho
+    else:
+        theta = rho**sigma
+        theta *= tau
+    out = np.empty_like(w)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    out *= w
     if shift is not None:
         out -= shift
     return out
@@ -231,12 +248,15 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
 def _strang_step(vals: np.ndarray, sigma: float, grid: GridSpec, lin: np.ndarray,
                  tau_left: float, tau_right: float,
                  s_left: np.ndarray | None = None,
-                 s_right: np.ndarray | None = None) -> np.ndarray:
+                 s_right: np.ndarray | None = None,
+                 rho: np.ndarray | None = None) -> np.ndarray:
     """Half phase — full linear propagator — half phase, on every row of
-    a (paths, *grid) array; lin is the propagator's Fourier multiplier."""
-    vals = _phase_rotation(vals, sigma, tau_left, s_left)
-    vals = grid.ifft(grid.fft(vals) * lin)
-    return _phase_rotation(vals, sigma, tau_right, s_right)
+    a (paths, *grid) array; lin is the propagator's Fourier multiplier
+    and rho, if given, |vals|² for the unshifted left half phase."""
+    vals = _phase_rotation(vals, sigma, tau_left, s_left, rho)
+    spec = grid.fft(vals)
+    spec *= lin
+    return _phase_rotation(grid.ifft(spec), sigma, tau_right, s_right)
 
 
 def step_deterministic(field: Field, dt: float, sigma: float) -> Field:
@@ -445,7 +465,7 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
 
     checked = [name for name in names if name not in FRAME_UNSET[frame]]
 
-    def record_series(k: int, vals: np.ndarray) -> None:
+    def record_series(k: int, vals: np.ndarray, rho: np.ndarray | None) -> None:
         if full:
             cols = functional_columns(grid, vals, k * dt, sigma, frame)
             for name in names:
@@ -453,7 +473,7 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
             finite = np.logical_and.reduce([np.isfinite(cols[name]) for name in checked])
             _require_finite(finite, "functionals", k, steps, dt)
         else:
-            series["mass"][k] = row_sums(vals.real**2 + vals.imag**2)
+            series["mass"][k] = row_sums(rho)
 
     def record_snapshot(t_now: float, vals: np.ndarray) -> None:
         mon_times.append(t_now)
@@ -464,15 +484,19 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
 
     vals = u0
     tau = 0.5 * dt
+    # |u|² of the step's left endpoint, shared by the light mass record, the
+    # energy Ito sums and the unshifted left half phase; a shifted run with
+    # full recording reads it nowhere
+    rho_read = shift is None or not full
     for k in range(steps):
-        record_series(k, vals)
+        rho = vals.real**2 + vals.imag**2 if rho_read else None
+        record_series(k, vals, rho)
         if k % config.snapshot_stride == 0:
             record_snapshot(k * dt, vals)
         if noise_on:
             prod = vals * cw_phi
             dots[k] = row_sums(prod)
             if track_energy:
-                rho = vals.real**2 + vals.imag**2
                 rho_sig = rho if sigma == 1.0 else rho**sigma
                 energy_dots[0, k] = row_sums(vals * cw_x2phi)
                 energy_dots[1, k] = row_sums(vals * cw_xgrad)
@@ -495,12 +519,13 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
             tau * c2[k] if c2 is not None else tau,
             shift[k] if shift is not None else None,
             shift[k + 1] if shift is not None else None,
+            rho if shift is None else None,
         )
         if noise_on:
-            vals = vals + kicks[k] * prop_phi
+            vals += kicks[k] * prop_phi  # vals is the rotation's fresh output
         _require_finite(np.isfinite(row_sums(vals)), "field", k + 1, steps, dt)
 
-    record_series(steps, vals)
+    record_series(steps, vals, None if full else vals.real**2 + vals.imag**2)
     record_snapshot(steps * dt, vals)  # the loop never records the final index
 
     times = config.times()

@@ -142,6 +142,28 @@ def test_batch_rows_equal_batches_of_one(kind, dim):
     assert _digest(three.trajectory(0)) == PINNED[(kind, dim)]
 
 
+@pytest.mark.parametrize("kind", ["deterministic", "snls_light", "snls_full",
+                                  "random_shifted", "transformed"])
+def test_runs_leave_their_inputs_untouched(kind):
+    # the kernel rotates, kicks and multiplies by the propagator in place
+    # and shares |u|² across a step; none of it may reach the caller's arrays
+    cfg = _config(kind, 1)
+    u0 = [_initial(cfg.grid, r) for r in range(2)]
+    paths = [_path(cfg, r) for r in range(2)] if kind.startswith("snls") else None
+    shifts = ([_shift(cfg.grid, cfg.steps, r) for r in range(2)]
+              if kind in ("random_shifted", "transformed") else None)
+    inputs = [f.values for f in u0]
+    inputs += [p.increments for p in paths or ()]
+    inputs += [f.values for series in shifts or () for f in series]
+    before = [a.copy() for a in inputs]
+
+    evolve(cfg, u0[0], path=paths and paths[0], shift=shifts and shifts[0])
+    evolve_batch(cfg, u0, paths, shifts=shifts)
+    evolve_batch(cfg, u0[1], paths, shifts=shifts)
+    for now, then in zip(inputs, before):
+        assert now.tobytes() == then.tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sigma_ito_sum_with_zero_density_rows(dim):
     # row 1 starts from zero, so rho > 0 fails at step 0 and the sigma != 1

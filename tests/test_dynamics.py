@@ -6,6 +6,7 @@ import pytest
 
 from snlslab.dynamics import (
     SimConfig,
+    _phase_rotation,
     evolve,
     step_deterministic,
 )
@@ -69,6 +70,58 @@ def test_zero_field_stays_zero():
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.5)
     traj = evolve(cfg, Field.zeros(grid))
     assert lp_norm(traj.final, 2.0) == 0.0
+
+
+# -- the phase rotation's numerics --------------------------------------------
+
+ROTATION_CHANGED = (
+    "on this platform cos θ + i sin θ is not byte-identical to np.exp(1j * θ), so the "
+    "cos/sin phase rotation is a declared numerics change here: the pinned digests will "
+    "differ too, and they are re-recorded only as such a declared change, never quietly"
+)
+
+
+def _rotation_as_exp(vals, sigma, tau, shift):
+    """The nonlinear substep in its complex-exp form, e^{iτ|w|^{2σ}} w − shift."""
+    w = vals if shift is None else vals + shift
+    rho = w.real**2 + w.imag**2
+    amp = rho if sigma == 1.0 else rho**sigma
+    out = np.exp(1j * tau * amp) * w
+    if shift is not None:
+        out -= shift
+    return out
+
+
+def _assert_rotation_bytes(vals, sigma, tau, shift):
+    mine = _phase_rotation(vals, sigma, tau, shift)
+    bad = mine.view(np.uint64) != _rotation_as_exp(vals, sigma, tau, shift).view(np.uint64)
+    assert not bad.any(), (f"{ROTATION_CHANGED} (sigma={sigma}, tau={tau!r}, "
+                           f"first differing entries {np.argwhere(bad)[:3].tolist()})")
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("sigma", [1.0, 0.75])
+def test_phase_rotation_matches_complex_exp(sigma, shifted):
+    rng = np.random.default_rng(2024)
+    n = 256
+    shift = rng.normal(size=n) + 1j * rng.normal(size=n) if shifted else None
+    # a (paths, N) batch whose θ = τ|w|^{2σ} lands on the sweep up to the
+    # rounding of |w|^{2σ}: +0, subnormals, kπ/2, 1e6 and a log-uniform sample
+    theta = np.concatenate([
+        [0.0, 5e-324, 1e-310, 1e6],
+        np.arange(401) * (np.pi / 2),
+        np.exp(rng.uniform(math.log(1e-8), math.log(3e6), 64 * n)),
+    ])
+    theta = np.concatenate([theta, np.zeros(-theta.size % n)])
+    for tau in (0.005, 1.0):
+        w = (theta / tau) ** (0.5 / sigma) * np.exp(2j * np.pi * rng.random(theta.size))
+        w = w.reshape(-1, n)
+        _assert_rotation_bytes(w if shift is None else w - shift, sigma, tau, shift)
+    # τ itself on the sweep, kπ/2 for 0 < |k| <= 400, with |w|² = 1 exactly
+    # (so θ = τ exactly when there is no shift)
+    unit = np.resize(np.array([1.0, 1j, -1.0, -1j]), (2, n))
+    for tau in [5e-324, 1e-310, 1e6] + [k * np.pi / 2 for k in range(-400, 401) if k]:
+        _assert_rotation_bytes(unit if shift is None else unit - shift, sigma, tau, shift)
 
 
 # -- conservation and convergence ---------------------------------------------
