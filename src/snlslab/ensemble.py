@@ -21,15 +21,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, make_initial, with_path_seed
-from .dynamics import PathError, evolve_batch
+from .dynamics import BATCH_FIELD_BYTES, PathError, evolve_batch
 from .dynamics import evolve  # noqa: F401  perfbench/tracing.py wraps ensemble.evolve
 from .functionals import ito_mass_budget
 from .noise import NoisePath, path_seed, sample_path
-
-#: field bytes one batch of paths may hold. On a 2-core Xeon at N=256,
-#: 32-path batches (128 KiB) took ~27 us per path-step and 64 to 256
-#: paths 32-40 us, so larger ensembles are split.
-BATCH_FIELD_BYTES = 1 << 17
 
 __all__ = [
     "EnsembleError",

@@ -102,27 +102,34 @@ def potential_integral(field: Field, sigma: float) -> float:
 def functional_columns(
     grid: GridSpec,
     vals: np.ndarray,
-    t: float,
+    t: float | np.ndarray,
     sigma: float,
     frame: str = "physical",
+    rho: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """Every monitored functional of each row of a (paths, *grid) array
-    at time `t`: one (paths,) array per FunctionalRecord column but t.
+    """Every monitored functional of each row of a (rows, *grid) array
+    at time `t` (one time for every row, or one per row): one (rows,)
+    array per FunctionalRecord column but t.
 
     The quadratic-weight energy is computed twice — directly from the
     (x − 2iw∇) operator and through the V, G, H decomposition — so the
     two routes cross-check each other in every recorded row. Every grid
     sum runs over one C-contiguous row, so a row's values do not depend
-    on its batch.
+    on its batch. rho, if given, is |vals|² already formed by the
+    caller; it is only read.
     """
     if frame not in _FRAMES:
         raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if frame == "transformed" and not 0.0 <= t < 1.0:
-        raise ValueError(f"transformed-frame time must lie in [0, 1), got {t}")
+    t = np.broadcast_to(np.asarray(t, dtype=float), (len(vals),))
+    if frame == "transformed":
+        outside = ~((0.0 <= t) & (t < 1.0))
+        if outside.any():
+            raise ValueError(f"transformed-frame time must lie in [0, 1), got {t[outside][0]}")
     dvol = grid.cell_volume
-    rho = vals.real**2 + vals.imag**2
+    if rho is None:
+        rho = vals.real**2 + vals.imag**2
 
     mass = row_sums(rho) * dvol
     virial = row_sums(grid.radius_squared() * rho) * dvol
@@ -147,17 +154,20 @@ def functional_columns(
     }
     if frame == "physical":
         w = 1.0 + t
+        two_iw = (2.0j * w).reshape((-1,) + (1,) * grid.dim)
         j_sq = 0.0
         for x_j, gv in zip(grid.coords(), grads):
-            jv = x_j * vals - 2.0j * w * gv
+            jv = x_j * vals - two_iw * gv
             j_sq += row_sums(jv.real**2 + jv.imag**2) * dvol
         cols["pc_energy"] = j_sq + 4.0 / (sigma + 1.0) * w * w * potential
         cols["pc_energy_decomp"] = virial - 4.0 * w * flux + 8.0 * w * w * hamiltonian
     else:
         power = sigma * grid.dim - 2.0
-        e1 = 4.0 * grad_sq + 4.0 / (sigma + 1.0) * (1.0 - t) ** power * potential
+        # libm pow on Python floats: numpy's vectorised power may round differently
+        rest = [1.0 - t_r for t_r in t.tolist()]
+        e1 = 4.0 * grad_sq + 4.0 / (sigma + 1.0) * np.array([r**power for r in rest]) * potential
         cols["e1_tilde"] = e1
-        cols["e2_tilde"] = (1.0 - t) ** (-power) * e1
+        cols["e2_tilde"] = np.array([r ** (-power) for r in rest]) * e1
     for name in FRAME_UNSET[frame]:
         cols[name] = np.full(len(vals), math.nan)
     return cols

@@ -1,7 +1,8 @@
 """The path-batched Strang kernel against the per-path runs it replaced.
 
 Row p of a batch must be bit-identical to the batch of one made of row
-p's inputs, for every equation kind on a 1-d and a 2-d grid. The
+p's inputs, for every equation kind on a 1-d and a 2-d grid, and a run
+must not depend on how many steps its recorder holds per chunk. The
 digests pin what the former one-path-at-a-time integrator produced for
 one small case per kind, and the ensemble digests pin the emitted CSVs,
 so a change of the numbers shows here.
@@ -16,9 +17,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import snlslab.dynamics as dynamics
 import snlslab.ensemble as ensemble
 from snlslab.config import InitialSpec, load_config, make_initial
-from snlslab.dynamics import SimConfig, evolve, evolve_batch
+from snlslab.dynamics import PathError, SimConfig, evolve, evolve_batch
 from snlslab.ensemble import EnsembleError, run_ensemble
 from snlslab.functionals import FunctionalRecord, compute_functionals, functional_columns
 from snlslab.grids import Field, GridSpec
@@ -233,6 +235,91 @@ def test_functional_columns_match_per_row_records(dim, sigma, frame):
         assert sorted(cols) == sorted(want)
         row = np.array([cols[name][p] for name in want])
         assert row.tobytes() == np.array(list(want.values())).tobytes(), p
+
+
+@pytest.mark.parametrize("frame", ["physical", "transformed"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_functional_columns_take_one_time_per_row(dim, frame):
+    grid = GridSpec(dim, 64 if dim == 1 else 32, 24.0)
+    vals = np.stack([_initial(grid, r).values for r in range(3)])
+    times = [0.0, 0.35, 0.9]
+    cols = functional_columns(grid, vals, np.array(times), 0.75, frame)
+    for p, t in enumerate(times):
+        alone = functional_columns(grid, vals[p:p + 1], t, 0.75, frame)
+        for name, col in cols.items():
+            assert col[p:p + 1].tobytes() == alone[name].tobytes(), (name, p)
+    rho = vals.real**2 + vals.imag**2
+    given = functional_columns(grid, vals, np.array(times), 0.75, frame, rho=rho)
+    assert {k: v.tobytes() for k, v in given.items()} == {k: v.tobytes() for k, v in cols.items()}
+
+
+def test_transformed_time_check_covers_every_row():
+    grid = GridSpec(1, 64, 24.0)
+    vals = np.stack([_initial(grid, r).values for r in range(3)])
+    functional_columns(grid, vals, np.array([0.0, 0.5, 0.99]), 1.0, "physical")
+    for bad in (1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\), got"):
+            functional_columns(grid, vals, np.array([0.0, bad, 0.5]), 1.0, "transformed")
+
+
+def _run_with_chunk(monkeypatch, chunk, kind, dim, u0, paths=None, shifts=None):
+    """evolve_batch with the recorder holding `chunk` steps (None: the default cap)."""
+    cfg = _config(kind, dim)
+    if chunk is not None:
+        rows = np.stack([f.values for f in u0])
+        monkeypatch.setattr(dynamics, "BATCH_FIELD_BYTES", chunk * rows.nbytes)
+    try:
+        return evolve_batch(cfg, u0, paths, shifts=shifts)
+    finally:
+        monkeypatch.undo()
+
+
+#: one step per chunk (the step-by-step order), an odd chunk that does not
+#: divide the 21 partition points, and the default cap
+CHUNKS = (1, 5, None)
+
+
+@pytest.mark.parametrize("kind,dim", CASES)
+def test_recording_independent_of_chunk(kind, dim, monkeypatch):
+    cfg = _config(kind, dim)
+    assert cfg.steps + 1 == 21
+    u0 = [_initial(cfg.grid, r) for r in range(3)]
+    if kind == "snls_full_s075":  # a zero row takes the masked sigma != 1 Ito sum
+        u0[1] = make_initial(InitialSpec(kind="zero"), cfg.grid)
+    paths = [_path(cfg, r) for r in range(3)] if kind.startswith("snls") else None
+    shifts = ([_shift(cfg.grid, cfg.steps, r) for r in range(3)]
+              if kind in ("random_shifted", "transformed") else None)
+    runs = [_run_with_chunk(monkeypatch, chunk, kind, dim, u0, paths, shifts)
+            for chunk in CHUNKS]
+    for run in runs[1:]:
+        for row in range(3):
+            _assert_same_run(run.trajectory(row), runs[0].trajectory(row), row)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("chunk", [1, 2, 3, None])
+@pytest.mark.parametrize("kick", [1e100, 1e200])
+def test_overflow_inside_a_chunk_fails_at_its_step(kick, chunk, monkeypatch):
+    # a kick at step 3 makes row 1's potential overflow at step 4. At 1e200
+    # its field overflows at step 5 too, and that failing check flushes the
+    # pending chunk; at 1e100 the field stays finite, so only the chunk's own
+    # flush finds step 4, mid-chunk for 3-step chunks (steps 3-5)
+    cfg = _config("snls_full", 1)
+    paths = [_path(cfg, r) for r in range(2)]
+    huge = paths[1].increments.copy()
+    huge[3] = kick
+    paths[1] = NoisePath(paths[1].spec, paths[1].t_inf, paths[1].dt, huge)
+    u0 = [_initial(cfg.grid, r) for r in range(2)]
+    with pytest.raises(PathError, match=r"non-finite functionals after step 4 of 20 "
+                                        r"\(t=0.04\) in path 1 of the batch") as err:
+        _run_with_chunk(monkeypatch, chunk, "snls_full", 1, u0, paths)
+    assert err.value.path == 1
+    light = replace(cfg, record="light")
+    if kick == 1e200:
+        with pytest.raises(PathError, match=r"non-finite field after step 5 of 20 "):
+            evolve_batch(light, u0, paths)
+    else:
+        assert np.isfinite(evolve_batch(light, u0, paths).final).all()
 
 
 def test_batch_rejects_mismatched_inputs():
