@@ -22,7 +22,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -100,28 +100,8 @@ class RegimeReport:
     checks: tuple[TheoremCheck, ...]
 
     def as_dict(self) -> dict:
-        doc = {
-            "dim": self.dim,
-            "two_sigma": self.two_sigma,
-            "alpha": self.alpha,
-            "strauss": self.strauss,
-            "mass_criticality": self.mass_criticality,
-            "energy_subcritical_sup": self.energy_subcritical_sup,
-            "regime_class": self.regime_class,
-            "required_alpha": self.required_alpha,
-            "small_data_flag": self.small_data_flag,
-            "checks": [
-                {
-                    "name": c.name,
-                    "window_ok": c.window_ok,
-                    "decay_ok": c.decay_ok,
-                    "required_alpha": c.required_alpha,
-                    "applies": c.applies,
-                    "small_data_required": c.small_data_required,
-                }
-                for c in self.checks
-            ],
-        }
+        doc = asdict(self)
+        doc["checks"] = list(doc["checks"])
         return doc
 
 

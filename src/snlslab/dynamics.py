@@ -330,12 +330,7 @@ def evolve(config: SimConfig, u0: Field, *, path: NoisePath | None = None,
     if config.equation == "snls" and shift is None:
         # a zero-length run has no increments to draw
         path = _resolve_path(config, path) if config.steps else None
-    return _evolve_one(config, u0, path, shift)
-
-
-def _evolve_one(config: SimConfig, u0: Field, path: NoisePath | None,
-                shift: Sequence[Field] | None) -> Trajectory:
-    """A batch of one that also keeps its snapshot fields."""
+    # a batch of one that also keeps its snapshot fields
     run, snapshots = _integrate(
         config,
         *_batch_inputs(config, u0, None if path is None else [path],

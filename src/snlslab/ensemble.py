@@ -4,10 +4,11 @@ Each path gets its own noise seed derived from the base seed and the
 path index alone, so results never depend on scheduling, and an
 ensemble can be extended by running further indices. Workers compute
 batches of paths in parallel (processes, since the work is
-numpy-bound), each batch stepped as one (paths, *grid) array; the
-reduction is a single-threaded fold over results in path-index order,
-which makes outputs bitwise identical for any worker count and batch
-composition, including the inline workers=1 route.
+numpy-bound), each batch stepped as one (paths, *grid) array. The fold
+concatenates each batch's (paths, steps+1) series blocks in path order
+and reduces them single-threaded, which makes outputs bitwise identical
+for any worker count and batch composition, including the inline
+workers=1 route.
 
 A failing path aborts the whole ensemble with its path index in the
 error message rather than yielding a partial, silently biased result.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +30,6 @@ from .noise import NoisePath, path_seed, sample_path
 
 __all__ = [
     "EnsembleError",
-    "PathResult",
     "EnsembleResult",
     "run_ensemble",
     "pool_map",
@@ -71,22 +72,6 @@ def pool_map(fn: Callable, items: Sequence, workers: int) -> list:
             except Exception as exc:
                 raise EnsembleError(f"path {i} failed: {exc}") from exc
         return out
-
-
-@dataclass(frozen=True)
-class PathResult:
-    """Per-path payload kept by ensembles: series and budget arrays only.
-
-    Batched runs keep no snapshot fields; ensemble statistics need the
-    functional series, not fields.
-    """
-
-    index: int
-    seed: int
-    times: np.ndarray
-    series: dict[str, np.ndarray]
-    budget: dict[str, np.ndarray]
-    warnings: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -145,7 +130,10 @@ def _batches(size: int, field_bytes: int, workers: int) -> list[tuple[int, int]]
     return [(start, min(start + per, size)) for start in range(0, size, per)]
 
 
-def _run_batch(args: tuple[ExperimentConfig, int, int]) -> list[PathResult]:
+def _run_batch(args: tuple[ExperimentConfig, int, int]
+               ) -> tuple[dict[str, np.ndarray], list[float], tuple[tuple[str, ...], ...]]:
+    """Run paths [start, stop) as one batch; return its (rows, steps+1)
+    series blocks, its per-path mass residuals and its per-path warnings."""
     config, start, stop = args
     try:
         sims = [with_path_seed(config, i) for i in range(start, stop)]
@@ -155,25 +143,12 @@ def _run_batch(args: tuple[ExperimentConfig, int, int]) -> list[PathResult]:
                                              for sim in sims])
         else:  # a zero-length run has no increments to draw
             run = evolve_batch(sims[0], [u0] * len(sims))
+        residuals = [ito_mass_budget(run.trajectory(p)).residual for p in range(run.size)]
     except PathError as exc:
         raise EnsembleError(f"path {start + exc.path} failed: {exc}") from exc
     except Exception as exc:  # not tied to one row: the batch's first path fails first
         raise EnsembleError(f"path {start} failed: {exc}") from exc
-
-    out = []
-    for p, sim in enumerate(sims):
-        traj = run.trajectory(p)
-        series = {k: np.asarray(v, dtype=float) for k, v in traj.series.items()}
-        series["_mass_residual"] = np.array([ito_mass_budget(traj).residual])
-        out.append(PathResult(
-            index=start + p,
-            seed=sim.noise.seed,
-            times=np.asarray(traj.times, dtype=float),
-            series=series,
-            budget={key: traj.budget[key] for key in ("mass_martingale", "mass_drift")},
-            warnings=traj.warnings,
-        ))
-    return out
+    return run.series, residuals, run.warnings
 
 
 def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
@@ -187,19 +162,10 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
         raise ValueError(f"kind {config.kind!r} does not define an ensemble of runs")
     jobs = [(config, start, stop) for start, stop in
             _batches(config.ensemble_size, 16 * config.grid.num_cells, config.workers)]
-    results = [r for batch in pool_map(_run_batch, jobs, config.workers) for r in batch]
+    series, residuals, warnings = zip(*pool_map(_run_batch, jobs, config.workers))
 
-    times = results[0].times
-    for r in results[1:]:
-        if len(r.times) != len(times) or not np.array_equal(r.times, times):
-            raise EnsembleError(
-                f"path {r.index} produced a different time grid; "
-                "ensemble aggregation needs a shared partition"
-            )
-    names = tuple(k for k in results[0].series if not k.startswith("_"))
-    per_path = {
-        name: np.stack([r.series[name] for r in results]) for name in names
-    }
+    names = tuple(series[0])
+    per_path = {name: np.concatenate([batch[name] for batch in series]) for name in names}
     aggregates: dict[str, dict[str, np.ndarray]] = {}
     for name in names:
         block = per_path[name]
@@ -213,20 +179,17 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
         }
     mass = per_path["mass"]
     mass_change = mass[:, -1] - mass[:, 0]
-    mass_residuals = np.array([float(r.series["_mass_residual"][0]) for r in results])
-    warnings = tuple(
-        (r.index, w) for r in results for w in r.warnings
-    )
     return EnsembleResult(
         config=config,
-        seeds=tuple(r.seed for r in results),
-        times=times,
+        seeds=tuple(path_seed(config.base_seed, i) for i in range(config.ensemble_size)),
+        times=config.sim.times(),
         functional_names=names,
         per_path=per_path,
         aggregates=aggregates,
         mass_change=mass_change,
-        mass_residuals=mass_residuals,
-        path_warnings=warnings,
+        mass_residuals=np.concatenate(residuals),
+        path_warnings=tuple((i, w) for i, ws in enumerate(chain.from_iterable(warnings))
+                            for w in ws),
     )
 
 

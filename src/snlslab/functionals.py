@@ -22,7 +22,7 @@ discrete martingale sums, up to a residual that shrinks ~linearly in dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -78,19 +78,7 @@ class FunctionalRecord:
     e2_tilde: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "t": self.t,
-            "mass": self.mass,
-            "hamiltonian": self.hamiltonian,
-            "gradient_sq": self.gradient_sq,
-            "potential": self.potential,
-            "virial": self.virial,
-            "virial_flux": self.virial_flux,
-            "pc_energy": self.pc_energy,
-            "pc_energy_decomp": self.pc_energy_decomp,
-            "e1_tilde": self.e1_tilde,
-            "e2_tilde": self.e2_tilde,
-        }
+        return asdict(self)
 
 
 def potential_integral(field: Field, sigma: float) -> float:

@@ -13,7 +13,6 @@ scheduling.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -34,8 +33,6 @@ __all__ = [
     "partition_steps",
     "sample_path",
     "coarsen_path",
-    "path_manifest",
-    "path_from_manifest",
     "stochastic_convolution",
     "tail_convolution",
     "convolution_series",
@@ -189,8 +186,8 @@ class NoisePath:
 
     increments[k] is dB over [k dt, (k+1) dt); there are round(t_inf/dt)
     of them. coarsen_factor records the integer ratio between dt and the
-    step the path was originally seeded at, so a manifest can rebuild a
-    coarsened path bit-exactly (sample fine, then group-sum).
+    step the path was originally seeded at, so coarsen_path can regroup
+    from the fine path (sample fine, then group-sum).
     """
 
     spec: NoiseSpec
@@ -247,7 +244,7 @@ def coarsen_path(path: NoisePath, factor: int) -> NoisePath:
 
     Sums are always regrouped from the originally seeded fine path, so
     coarsening twice is bit-identical to coarsening once by the product
-    of the factors — which is what a rebuilt manifest does.
+    of the factors.
     """
     factor = int(factor)
     if factor < 1 or path.steps % factor != 0:
@@ -260,38 +257,6 @@ def coarsen_path(path: NoisePath, factor: int) -> NoisePath:
     summed = path.increments.reshape(-1, factor).sum(axis=1)
     return NoisePath(path.spec, path.t_inf, path.dt * factor, summed,
                      coarsen_factor=path.coarsen_factor * factor)
-
-
-def path_manifest(path: NoisePath) -> str:
-    """JSON text from which the path regenerates bit-exactly."""
-    spec = path.spec
-    doc = {
-        "phi_kind": spec.phi_kind,
-        "phi_width": spec.phi_width,
-        "phi_center": spec.phi_center,
-        "phi_amplitude": spec.phi_amplitude,
-        "g_kind": spec.g_kind,
-        "g_alpha": spec.g_alpha,
-        "g_t0": spec.g_t0,
-        "g_t1": spec.g_t1,
-        "g_constant": spec.g_constant,
-        "seed": spec.seed,
-        "t_inf": path.t_inf,
-        "dt": path.dt,
-        "coarsen_factor": path.coarsen_factor,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def path_from_manifest(text: str) -> NoisePath:
-    """Rebuild a path from its manifest (inverse of path_manifest)."""
-    doc = json.loads(text)
-    factor = int(doc.pop("coarsen_factor"))
-    t_inf = float(doc.pop("t_inf"))
-    dt = float(doc.pop("dt"))
-    spec = NoiseSpec(**doc)
-    fine = sample_path(spec, t_inf, dt / factor)
-    return coarsen_path(fine, factor)
 
 
 # -- stochastic convolution ----------------------------------------------

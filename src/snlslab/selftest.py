@@ -19,7 +19,7 @@ can actually catch a broken propagator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,14 +182,7 @@ def run_selftest(points: int = 64, fault: str | None = None) -> SelftestReport:
     t_inf, dt_z, n_paths = 1.0, 1e-2, 128
     acc = 0.0
     for i in range(n_paths):
-        spec_i = NoiseSpec(
-            phi_kind="gaussian",
-            phi_width=1.0,
-            phi_amplitude=1.0,
-            g_kind="constant",
-            g_constant=1.0,
-            seed=7000 + i,
-        )
+        spec_i = replace(spec0, seed=7000 + i)
         z = stochastic_convolution(sample_path(spec_i, t_inf, dt_z), phi, t_inf)
         acc += lp_norm(z, 2.0) ** 2
     record(

@@ -19,10 +19,11 @@ import pytest
 
 import snlslab.dynamics as dynamics
 import snlslab.ensemble as ensemble
-from snlslab.config import InitialSpec, load_config, make_initial
+from snlslab.config import InitialSpec, load_config, make_initial, with_path_seed
 from snlslab.dynamics import PathError, SimConfig, evolve, evolve_batch
 from snlslab.ensemble import EnsembleError, run_ensemble
-from snlslab.functionals import FunctionalRecord, compute_functionals, functional_columns
+from snlslab.functionals import (FunctionalRecord, compute_functionals, functional_columns,
+                                 ito_mass_budget)
 from snlslab.grids import Field, GridSpec
 from snlslab.noise import NoisePath, NoiseSpec, sample_path
 from snlslab.reports import emit_report
@@ -385,6 +386,33 @@ def test_ensemble_output_independent_of_batch_cap(tmp_path, monkeypatch):
     assert whole_files == single_files
     for name, digest in ENSEMBLE_PINNED.items():
         assert hashlib.sha256(whole_files[name]).hexdigest() == digest
+
+
+def test_ensemble_path_equals_its_own_run(monkeypatch):
+    # 32 points trip the spectral-tail monitor on every path; one path also
+    # raises a second warning, so the per-path numbering is exercised
+    config = load_config(text=ENSEMBLE_TEXT,
+                         overrides={"grid.points": 32, "noise.phi_amplitude": 6.0})
+    monkeypatch.setattr(ensemble, "BATCH_FIELD_BYTES", 3 * 16 * 32)
+    assert ensemble._batches(8, 16 * 32, 1) == [(0, 3), (3, 6), (6, 8)]
+    result = run_ensemble(config)
+    u0 = make_initial(config.initial, config.grid)
+
+    warnings = []
+    for i in range(config.ensemble_size):
+        sim = with_path_seed(config, i)
+        alone = evolve(sim, u0)
+        assert result.seeds[i] == sim.noise.seed
+        assert result.times.tobytes() == alone.times.tobytes()
+        assert set(result.per_path) == set(alone.series)
+        for name, block in result.per_path.items():
+            assert block[i].tobytes() == alone.series[name].tobytes(), (i, name)
+        residual = np.float64(ito_mass_budget(alone).residual)
+        assert result.mass_residuals[i].tobytes() == residual.tobytes()
+        warnings += [(i, w) for w in alone.warnings]
+    assert result.path_warnings == tuple(warnings)
+    counts = [sum(j == i for j, _ in warnings) for i in range(config.ensemble_size)]
+    assert min(counts) >= 1 and max(counts) > min(counts)
 
 
 def test_batches_respect_cap_and_workers(monkeypatch):

@@ -68,14 +68,17 @@ def _render(values: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
-def _run_cli(kind: str, text: str) -> tuple[int, str]:
-    """Run one subcommand on a config text; returns (exit code, stderr)."""
+def _run_cli(kind: str, text: str, out: Path | None = None) -> tuple[int, str]:
+    """Run one subcommand on a config text; returns (exit code, stderr).
+
+    Artifacts go to out, or to a temporary directory that is removed.
+    """
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(text)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main([kind, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+            code = cli.main([kind, "--config", str(cfg), "--out", str(out or Path(tmp) / "out")])
     return code, err.getvalue()
 
 
@@ -168,14 +171,63 @@ def test_echo_and_hash_are_pinned(name):
 
 
 # ---------------------------------------------------------------------------
-# bad values fail at load time, naming the key
+# every TINY config runs and emits pinned bytes
 # ---------------------------------------------------------------------------
+
+#: SHA-256 of every file each TINY config emits; a change to any serializer
+#: or to any number shows here
+TINY_ARTIFACTS = {
+    "simulate": {
+        "manifest.json": "89ec0de69fc51297f52eb920369ec391be108f12e9d766df00f3519a07e0548a",
+        "series.csv": "db4466580cbf1a7fc5b4d554b90f708f08db3e62a113d8bf7e719aa45d1bc12d",
+        "summary.txt": "60af76808e82df14a0a00b3d80393cf2b5bbc4c6b1c75b20f66f6bc495e56f7e",
+    },
+    "ensemble": {
+        "aggregates.csv": "43a3907532caebce113f9cd55f77bb508197543463eff3eac5f91c79da285e86",
+        "manifest.json": "7b94c3e80e2662321e6f3a4a7020b5104bf886dffa9922e891d40e8918d478a3",
+        "per_path.csv": "58cf72c5d8749f07eed6ae565934f30615c14d77e2228505eaf3c4439b743ba6",
+        "summary.txt": "7cfbb92aea71e50401bf7b393b8e5be76fc72594c5e945af8c1cc486e2547d5d",
+    },
+    "tail-decay": {
+        "grid.csv": "74a87e284a20f92ecb8c606cc1a73ff1ae18532f15a58f8bcfe6cba938c34c79",
+        "manifest.json": "8067424278c58355104294ee4f7f8f3fb1c2183bf7c270b288cfa4511e9ec2ea",
+        "slopes.csv": "95d7318e0beb568f53980d709b5356acc077f141bb36f460f3aee4693982d644",
+        "summary.txt": "c1714b74f3dd21a0146578554325b4b0a19dc40e2273d654870b6e4e7932407c",
+    },
+    "scatter-test": {
+        "differences.csv": "d42ce3ffc77e1d5f1a5ce7351ded42a16065159050b74e1210fb2e4fe052eabe",
+        "manifest.json": "100d269cf9c9e30a4fe22f9d0fdefbb1cb374576e00d777f9ca400da148b11c8",
+        "summary.txt": "c4aab702934afdb84a61cef993ca8278e1dd0ed4407ed0ac48495eaae1569032",
+    },
+    "growth-fit": {
+        "growth.csv": "2bd2d47e467bb7511b506be6550bf1a54a2e29740ed3e10441848ef9bcda76f1",
+        "manifest.json": "b42be0b3eae2bbacd0f2730e7b27637a848cf9d8480154255adfb7f5ca08473e",
+        "summary.txt": "e8834fcf0b7853e7877e1f6a46db632933cf2ac00bdcb3e7ccc584aa5cca7cc4",
+    },
+    "regimes": {
+        "checks.csv": "5c053c36413ebb54b1026ba00965c580bbbfa90aa7fe82faf929b3e3e17b2731",
+        "manifest.json": "ba25d082b74c82ca04015d0abf0db18efd87987b69d7806e1c75a98717431f6a",
+        "summary.txt": "62a1ff9352824eba41491cfb39fe6729b5b3c759cc63c63d21a5937f11061e5d",
+    },
+    "selftest": {
+        "manifest.json": "0a373e4707bd430d142cabbefb1a6ea232feecff19ac6ed42b53188f30b5f936",
+        "selftest.csv": "6633347f68fd1a68974def42a2b35572bf30e98947e93920cad0170715743ea0",
+        "summary.txt": "8fce0af4601ecbbb3980c37b6fca0f66e0f7ec36c3f8ed7e97b6b3f82783e712",
+    },
+}
 
 
 @pytest.mark.parametrize("name", list(KINDS))
-def test_tiny_configs_run(name):
-    code, err = _run_cli(name, TINY[name])
+def test_tiny_configs_run(name, tmp_path):
+    code, err = _run_cli(name, TINY[name], out=tmp_path)
     assert code == 0, err
+    emitted = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert emitted == TINY_ARTIFACTS[name]
+
+
+# ---------------------------------------------------------------------------
+# bad values fail at load time, naming the key
+# ---------------------------------------------------------------------------
 
 
 #: one bad value per key: negative, zero, non-finite, unknown string;

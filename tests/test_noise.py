@@ -15,8 +15,6 @@ from snlslab.noise import (
     g_sq_tail_bound,
     g_value,
     make_phi,
-    path_from_manifest,
-    path_manifest,
     path_seed,
     sample_path,
     splitmix64,
@@ -149,14 +147,6 @@ def test_coarsen_path_group_sums():
     np.testing.assert_array_equal(two_step.increments, coarse.increments)
     with pytest.raises(ValueError):
         coarsen_path(fine, 3)  # 1000 steps not divisible by 3
-
-
-def test_path_manifest_roundtrip_bit_exact():
-    fine = sample_path(spec_power(seed=77), 2.0, 0.005)
-    coarse = coarsen_path(fine, 4)
-    rebuilt = path_from_manifest(path_manifest(coarse))
-    assert rebuilt.dt == coarse.dt
-    assert np.array_equal(rebuilt.increments, coarse.increments)
 
 
 # -- stochastic convolution -------------------------------------------------
