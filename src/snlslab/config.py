@@ -26,7 +26,6 @@ divergent tail integral is always refused.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -236,6 +235,8 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.echo().encode()).hexdigest()
 
 

@@ -4,18 +4,19 @@ Each path gets its own noise seed derived from the base seed and the
 path index alone, so results never depend on scheduling, and an
 ensemble can be extended by running further indices. Workers compute
 batches of paths in parallel (processes, since the work is
-numpy-bound), each batch stepped as one (paths, *grid) array. The fold
-concatenates each batch's (paths, steps+1) series blocks in path order
-and reduces them single-threaded, which makes outputs bitwise identical
-for any worker count and batch composition, including the inline
-workers=1 route.
+numpy-bound), each batch stepped as one (paths, *grid) array. The
+process pool is imported and sized only when workers > 1, so a
+single-worker run never loads multiprocessing. The fold concatenates
+each batch's (paths, steps+1) series blocks in path order and reduces
+them single-threaded, which makes outputs bitwise identical for any
+worker count and batch composition, including the inline workers=1
+route.
 
 A failing path aborts the whole ensemble with its path index in the
 error message rather than yielding a partial, silently biased result.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, Sequence
@@ -44,10 +45,13 @@ class EnsembleError(RuntimeError):
 def pool_map(fn: Callable, items: Sequence, workers: int) -> list:
     """Map fn over items with a bounded process pool, order-preserving.
 
-    workers=1 runs inline (no pool, no pickling). Any exception aborts
-    with the failing item's index; an EnsembleError from fn already
-    names its path and passes through. Results are collected in
-    submission order, so downstream folds are deterministic.
+    workers=1 runs inline (no pool, no pickling). Only workers > 1
+    imports the pool, and sizes it to min(workers, len(items)): the
+    pool starts all its processes on the first submit, so spare ones
+    would only sit idle. Any exception aborts with the failing item's
+    index; an EnsembleError from fn already names its path and passes
+    through. Results are collected in submission order, so downstream
+    folds are deterministic.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -61,7 +65,9 @@ def pool_map(fn: Callable, items: Sequence, workers: int) -> list:
             except Exception as exc:
                 raise EnsembleError(f"path {i} failed: {exc}") from exc
         return out
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=max(1, min(workers, len(items)))) as pool:
         futures = [pool.submit(fn, item) for item in items]
         out = []
         for i, fut in enumerate(futures):

@@ -46,6 +46,7 @@ _PHI_KINDS = ("gaussian", "gaussian_times_poly", "zero")
 _G_KINDS = ("power_law", "indicator", "constant", "zero")
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_SCAN_BLOCK_BYTES = 1 << 17  # (paths,) float rows the tail scan holds per block
 
 
 def splitmix64(x: int) -> int:
@@ -268,28 +269,47 @@ def coarsen_path(path: NoisePath, factor: int) -> NoisePath:
 # S(-t_k) phi g(t_k) dB_k, accumulated directly in Fourier space.
 
 
+def _envelope(spec: NoiseSpec) -> tuple:
+    """The fields g(t) depends on: the paths of one study differ only in seed."""
+    return spec.g_kind, spec.g_alpha, spec.g_t0, spec.g_t1, spec.g_constant
+
+
+def _scan_rows(paths: Sequence[NoisePath]) -> int:
+    """Steps per block of _SCAN_BLOCK_BYTES of (paths,) float rows."""
+    return max(1, _SCAN_BLOCK_BYTES // (8 * len(paths)))
+
+
 def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterator[np.ndarray]:
     """Running sums of exp(-i t_k |k|^2) g(t_k) dB_k over the steps ks,
     taken in the order given, for all paths at once.
 
     Yields the (paths, *grid) accumulator before the first step and after
     each step: one buffer, updated in place, so read it before advancing.
-    A step skips only when every path weights it by zero; a zero-weight
-    row then adds exact zeros, which leave its sum unchanged.
+    The weights g(t_k) dB_k are built for one block of _scan_rows
+    consecutive steps at a time, with g evaluated once per envelope,
+    never as a (steps, paths) table. A step skips only when every path
+    weights it by zero; a zero-weight row then adds exact zeros, which
+    leave its sum unchanged.
     """
     k2 = grid.k_squared()
     dt = paths[0].dt
-    weights = np.empty((paths[0].steps, len(paths)))
-    for j, path in enumerate(paths):
-        np.multiply(path.g_at_left(), path.increments, out=weights[:, j])
-    live = weights.any(axis=1).tolist()
-    weights = weights.reshape(weights.shape + (1,) * grid.dim)
+    rows = _scan_rows(paths)
+    specs = {_envelope(path.spec): path.spec for path in paths}
     acc = np.zeros((len(paths),) + grid.shape, dtype=np.complex128)
     yield acc
-    for k in ks:
-        if live[k]:
-            acc += np.exp(-1j * (k * dt) * k2) * weights[k]
-        yield acc
+    for lo in range(0, len(ks), rows):
+        block = ks[lo:lo + rows]
+        kk = np.arange(block.start, block.stop, block.step)
+        g = {key: _g_values(spec, dt * kk) for key, spec in specs.items()}
+        weights = np.empty((len(kk), len(paths)))
+        for j, path in enumerate(paths):
+            np.multiply(g[_envelope(path.spec)], path.increments[kk], out=weights[:, j])
+        live = weights.any(axis=1).tolist()
+        weights = weights.reshape(weights.shape + (1,) * grid.dim)
+        for k, w, on in zip(block, weights, live):
+            if on:
+                acc += np.exp(-1j * (k * dt) * k2) * w
+            yield acc
 
 
 def _propagated_sum(path: NoisePath, phi: Field, ks: range, t: float, sign: complex) -> Field:
@@ -329,29 +349,45 @@ def convolution_series(path: NoisePath, phi: Field, through: float | None = None
     return out
 
 
-def _tail_sups(paths: Sequence[NoisePath], phi: Field, p_space: float) -> np.ndarray:
-    """tail_sup_norms of every path, one row each; the paths share a partition."""
+def _tail_sups(paths: Sequence[NoisePath], phi: Field, p_space: float,
+               idx: Sequence[int] | None = None) -> np.ndarray:
+    """tail_sup_norms of every path at the partition indices idx (default
+    all), one row each; the paths share a partition.
+
+    The scan keeps one running sup per path, folded in blocks of
+    _scan_rows steps, and records it at idx only. For p = 2 it folds the
+    Parseval sums and takes the roots of the recorded ones: the root is
+    monotone, so it commutes with the max.
+    """
     grid = phi.grid
     k2 = grid.k_squared()
     hat = phi.spectrum()
     dt, steps = paths[0].dt, paths[0].steps
     weight = 1.0 + k2
-    # norms[m] holds every path's tail seen from t_m; p = 2 stores the
-    # Parseval sums and takes the roots once, after the scan
-    norms = np.empty((steps + 1, len(paths)))
+    back = steps - (np.arange(steps + 1) if idx is None else np.asarray(idx))  # scan position
+    sups = np.empty((len(back), len(paths)))
+    rows = _scan_rows(paths)
+    block = np.empty((rows, len(paths)))
+    sup = np.full(len(paths), -np.inf)
     scan = _noise_scan(paths, grid, range(steps - 1, -1, -1))
-    for acc, m in zip(scan, range(steps, -1, -1)):
+    for j, (acc, m) in enumerate(zip(scan, range(steps, -1, -1))):
         z_hat = acc * hat
         if p_space == 2.0:
-            norms[m] = row_sums((z_hat.real**2 + z_hat.imag**2) * weight)
+            block[j % rows] = row_sums((z_hat.real**2 + z_hat.imag**2) * weight)
         else:
             vals = -1j * grid.ifft(np.exp(1j * (m * dt) * k2) * z_hat)
-            norms[m] = [sobolev_norm(Field(grid, v), p_space, 1) for v in vals]
+            block[j % rows] = [sobolev_norm(Field(grid, v), p_space, 1) for v in vals]
+        if j % rows == rows - 1 or m == 0:
+            lo = j - j % rows
+            run = block[:j - lo + 1]
+            np.maximum.accumulate(run, axis=0, out=run)
+            np.maximum(run, sup, out=run)
+            sup = run[-1].copy()
+            hit = (back >= lo) & (back <= j)
+            sups[hit] = run[back[hit] - lo]
     if p_space == 2.0:
-        np.sqrt(np.multiply(norms, grid.cell_volume / grid.num_cells, out=norms), out=norms)
-    from_right = norms[::-1]
-    np.maximum.accumulate(from_right, axis=0, out=from_right)
-    return norms.T
+        np.sqrt(np.multiply(sups, grid.cell_volume / grid.num_cells, out=sups), out=sups)
+    return sups.T
 
 
 def tail_sup_norms(path: NoisePath, phi: Field, p_space: float = 2.0) -> np.ndarray:
@@ -418,7 +454,7 @@ def tail_decay_fit(
     slopes = np.empty(len(paths))
     # one scan per chunk of at most ensemble.BATCH_FIELD_BYTES of accumulator rows
     for start, stop in _batches(len(paths), 16 * phi.grid.num_cells, 1):
-        vals = _tail_sups(paths[start:stop], phi, p_space)[:, idx]
+        vals = _tail_sups(paths[start:stop], phi, p_space, idx)
         if np.any(vals <= 0.0):
             raise ValueError("tail sup-norm vanished inside the fit window")
         for i, row in enumerate(vals, start):

@@ -16,9 +16,7 @@ File writes that fail surface a ReportIOError naming the path.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
-import json
 import math
 from pathlib import Path
 
@@ -340,6 +338,8 @@ def emit_report(
             break
     else:
         raise TypeError(f"no report serializer for {type(result).__name__}")
+    import hashlib
+    import json
 
     out = Path(out_dir)
     written: dict[str, Path] = {}

@@ -471,6 +471,31 @@ def test_pool_map_validates_workers():
         pool_map(math.sqrt, [1.0], 0)
 
 
+def test_pool_map_starts_no_more_processes_than_items(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:  # runs each task at submit; starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, item):
+            future = concurrent.futures.Future()
+            future.set_result(fn(item))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert pool_map(math.sqrt, [9.0, 4.0], 8) == [3.0, 2.0]
+    assert sizes == [2]
+
+
 def test_run_ensemble_requires_an_ensemble_kind():
     config = load_config(text=SIM_TEXT)
     with pytest.raises(ValueError, match="ensemble"):

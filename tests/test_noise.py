@@ -395,14 +395,33 @@ def test_scan_skips_zero_weights_row_by_row(grid_key):
         assert row.tobytes() == tail_sup_norms(path, phi).tobytes()
 
 
+@pytest.mark.parametrize("p_space", [2.0, 4.0])
+def test_tail_scan_blocks_and_indices_keep_bytes(monkeypatch, p_space):
+    """Paths with two envelopes in one scan match their batches of one,
+    and folding the running sup in blocks of a few steps, or recording it
+    at a few indices only, changes no byte."""
+    grid = make_grid(*GRIDS["1d"])
+    phi = make_phi(spec_power(), grid)
+    paths = [sample_path(spec_power(alpha=2.0 + i % 2, seed=path_seed(29, i)), 1.0, 0.02)
+             for i in range(5)]
+    whole = noise._tail_sups(paths, phi, p_space)
+    for row, path in zip(whole, paths):
+        assert row.tobytes() == tail_sup_norms(path, phi, p_space).tobytes()
+    idx = [3, 17, 17, 40, 50, 0]
+    for block_bytes in (8, 8 * 5 * 7, 8 * 5 * 50):  # 1, 7 and 50 steps per block
+        monkeypatch.setattr(noise, "_SCAN_BLOCK_BYTES", block_bytes)
+        assert noise._tail_sups(paths, phi, p_space).tobytes() == whole.tobytes()
+        assert noise._tail_sups(paths, phi, p_space, idx).tobytes() == whole[:, idx].tobytes()
+
+
 def test_tail_fit_independent_of_batch_cap(monkeypatch):
     paths, phi = _fit_case(2.0)
     chunks = []
     real = noise._tail_sups
 
-    def recording(batch, phi, p_space):
+    def recording(batch, phi, p_space, idx):
         chunks.append(len(batch))
-        return real(batch, phi, p_space)
+        return real(batch, phi, p_space, idx)
 
     monkeypatch.setattr(noise, "_tail_sups", recording)
     fits = []
