@@ -10,10 +10,7 @@ from .grids import (
     GridSpec,
     boundary_mass_fraction,
     gradient,
-    make_grid,
-    read_snapshot,
     spectral_tail_fraction,
-    write_snapshot,
 )
 from .operators import (
     apply_J,
@@ -22,7 +19,6 @@ from .operators import (
     propagate,
     pseudo_conformal_forward,
     pseudo_conformal_inverse,
-    regrid,
 )
 from .norms import lp_norm, sigma_norm, sobolev_norm
 from .noise import (
@@ -88,10 +84,7 @@ __all__ = [
     "GridSpec",
     "boundary_mass_fraction",
     "gradient",
-    "make_grid",
-    "read_snapshot",
     "spectral_tail_fraction",
-    "write_snapshot",
     # operators
     "apply_J",
     "dilate",
@@ -99,7 +92,6 @@ __all__ = [
     "propagate",
     "pseudo_conformal_forward",
     "pseudo_conformal_inverse",
-    "regrid",
     # norms
     "lp_norm",
     "sigma_norm",

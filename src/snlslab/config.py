@@ -219,7 +219,6 @@ class ExperimentConfig:
     noise: NoiseSpec | None = None
     ensemble_size: int = 1
     workers: int = 1
-    base_seed: int = 0
     out_dir: str = "runs"
     scatter: ScatterSpec | None = None
     growth: GrowthSpec | None = None
@@ -228,6 +227,11 @@ class ExperimentConfig:
     selftest_points: int = 64
     warnings: tuple[str, ...] = ()
     resolved: tuple[tuple[str, str], ...] = field(default=(), repr=False)
+
+    @property
+    def base_seed(self) -> int:
+        """Seed the per-path seeds derive from: noise.seed, or 0 without noise."""
+        return self.noise.seed if self.noise is not None else 0
 
     def echo(self) -> str:
         """Canonical key = value text of the effective configuration."""
@@ -462,7 +466,13 @@ def load_config(
 
     grid = _build(GridSpec, "grid", get) if "grid" in sections else None
     equation = get("sim.equation") if "sim" in sections else None
-    if "ensemble" in sections and equation == "deterministic":
+    if equation == "random_shifted":
+        raise ConfigError(
+            "sim.equation: random_shifted needs its shift series z, which a config "
+            "cannot give (without one it is the deterministic run); library callers "
+            "pass it as evolve(..., shift=...)"
+        )
+    if "ensemble" in sections and equation not in (None, "snls"):
         raise ConfigError(
             f"sim.equation: kind {name!r} runs noise ensembles; set sim.equation = snls"
         )
@@ -588,7 +598,6 @@ def load_config(
         noise=noise,
         ensemble_size=ensemble_size,
         workers=workers,
-        base_seed=noise.seed if noise is not None else 0,
         out_dir=str(get("output.dir")),
         scatter=scatter,
         growth=growth,

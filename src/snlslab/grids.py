@@ -7,9 +7,7 @@ DFT integer layout.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -17,7 +15,6 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "Field",
-    "make_grid",
     "gradient",
     "gradients",
     "row_sums",
@@ -25,14 +22,7 @@ __all__ = [
     "boundary_mass_fractions",
     "spectral_tail_fraction",
     "spectral_tail_fractions",
-    "write_snapshot",
-    "read_snapshot",
 ]
-
-# little-endian: format version, dim, points (int64) then box_length (float64)
-_HEADER = struct.Struct("<qqqd")
-_FORMAT_VERSION = 1
-
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -192,11 +182,6 @@ class GridSpec:
         return self._cached("_outer_frequencies", build)
 
 
-def make_grid(dim: int, points: int, box_length: float) -> GridSpec:
-    """Validated GridSpec constructor."""
-    return GridSpec(dim, points, box_length)
-
-
 @dataclass(frozen=True, eq=False)
 class Field:
     """Complex128 samples on a grid; the sample array is immutable.
@@ -308,27 +293,3 @@ def spectral_tail_fraction(field: Field) -> float:
     """
     return float(spectral_tail_fractions(field.grid, field.values[None])[0])
 
-
-def write_snapshot(field: Field, path: str | Path) -> None:
-    """Write a field as (version, dim, points, box_length) header plus
-    C-order interleaved (re, im) float64 pairs, all little-endian."""
-    grid = field.grid
-    header = _HEADER.pack(_FORMAT_VERSION, grid.dim, grid.points, grid.box_length)
-    payload = np.ascontiguousarray(field.values).astype("<c16").tobytes()
-    Path(path).write_bytes(header + payload)
-
-
-def read_snapshot(path: str | Path) -> Field:
-    """Inverse of write_snapshot; round-trips bit-exactly."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"snapshot too short for header: {len(raw)} bytes")
-    version, dim, points, box_length = _HEADER.unpack_from(raw)
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported snapshot format version {version}")
-    grid = GridSpec(int(dim), int(points), float(box_length))
-    expected = _HEADER.size + 16 * grid.num_cells
-    if len(raw) != expected:
-        raise ValueError(f"snapshot size mismatch: expected {expected} bytes, got {len(raw)}")
-    values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(grid.shape)
-    return Field(grid, values)

@@ -212,10 +212,6 @@ class NoisePath:
     def steps(self) -> int:
         return len(self.increments)
 
-    def times(self) -> np.ndarray:
-        """Partition points t_0=0 .. t_steps = t_inf."""
-        return self.dt * np.arange(self.steps + 1)
-
     def left_times(self) -> np.ndarray:
         return self.dt * np.arange(self.steps)
 

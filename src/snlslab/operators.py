@@ -29,7 +29,6 @@ __all__ = [
     "modulate",
     "pseudo_conformal_forward",
     "pseudo_conformal_inverse",
-    "regrid",
 ]
 
 
@@ -121,27 +120,3 @@ def pseudo_conformal_inverse(field: Field, t: float) -> tuple[Field, float]:
     out = modulate(dilate(field, 1.0 / beta), -1.0 / beta)
     return out, s
 
-
-def regrid(field: Field, new_grid: GridSpec) -> Field:
-    """Evaluate the field's trigonometric interpolant on another grid.
-
-    Same box with more points reduces to zero-padding the spectrum; for a
-    different box length the periodic extension of the interpolant is
-    evaluated at the new coordinates, which is meaningful when the new
-    points stay inside the region where the field is supported.
-    """
-    if new_grid.dim != field.grid.dim:
-        raise ValueError("regrid cannot change the dimension")
-    if new_grid == field.grid:
-        return field
-    src = field.grid
-    # interpolant u(x) = (1/N^dim) sum_k u_hat_k exp(i k.(x - x_first));
-    # exp(-i k_m x_first) = (-1)^m per axis since x_first = -L/2
-    values = field.spectrum() / src.num_cells
-    k = src.axis_freqs()
-    modes = np.rint(np.fft.fftfreq(src.points) * src.points).astype(np.int64)
-    parity = np.where(modes % 2 == 0, 1.0, -1.0)
-    eval_matrix = np.exp(1j * np.outer(new_grid.axis_coords(), k)) * parity
-    for axis in range(src.dim):
-        values = np.moveaxis(np.tensordot(eval_matrix, values, axes=(1, axis)), 0, axis)
-    return Field(new_grid, values)

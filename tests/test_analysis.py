@@ -12,7 +12,7 @@ from snlslab.analysis import (
     strauss_exponent,
 )
 from snlslab.dynamics import SimConfig, evolve
-from snlslab.grids import Field, make_grid
+from snlslab.grids import Field, GridSpec
 from snlslab.norms import lp_norm
 
 
@@ -137,7 +137,7 @@ def test_admissible_pairs(p, q, n, ok):
 
 def test_linear_flow_is_exactly_cauchy():
     """Free evolution: pulled-back states are constant, differences ~ 0."""
-    grid = make_grid(1, 256, 40.0)
+    grid = GridSpec(1, 256, 40.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=4.0, snapshot_stride=25)
     # amplitude so small the nonlinearity is negligible at these horizons
     traj = evolve(cfg, gaussian(grid, amp=1e-6))
@@ -147,7 +147,7 @@ def test_linear_flow_is_exactly_cauchy():
 
 
 def test_scattering_cauchy_contracts_for_short_range_power():
-    grid = make_grid(1, 256, 40.0)
+    grid = GridSpec(1, 256, 40.0)
     cfg = SimConfig(grid, sigma=1.5, dt=1e-2, t_end=8.0, snapshot_stride=50)
     traj = evolve(cfg, gaussian(grid))
     rep = scattering_cauchy(traj, "L2", (1.0, 2.0, 4.0, 8.0))
@@ -157,7 +157,7 @@ def test_scattering_cauchy_contracts_for_short_range_power():
 
 
 def test_scattering_cauchy_validation():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=1.0)
     traj = evolve(cfg, gaussian(grid))
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from snlslab import cli
 from snlslab.config import _SCHEMA, KINDS, ConfigError, load_config
+from snlslab.dynamics import EQUATION_KINDS
 from snlslab.noise import partition_steps
 
 _SIM_HEAD = """\
@@ -290,6 +292,27 @@ def test_probed_configs_exit_1_naming_the_key(name, changes, key):
     assert key in err
 
 
+def _with_equation(name: str, equation: str) -> str:
+    """TINY[name] with sim.equation set; noise keys are kept only for snls,
+    so no other equation is refused for a stray noise key."""
+    values = {k: v for k, v in _parse(TINY[name]).items()
+              if equation == "snls" or not k.startswith("noise.")}
+    values["sim.equation"] = equation
+    return _render(values)
+
+
+@pytest.mark.parametrize(
+    "name, equation",
+    [(name, equation) for name in ("ensemble", "growth-fit")
+     for equation in ("deterministic", "transformed", "random_shifted")]
+    + [("simulate", "random_shifted"), ("scatter-test", "random_shifted")],
+)
+def test_equation_the_kind_cannot_run_exits_1_naming_sim_equation(name, equation):
+    code, err = _run_cli(name, _with_equation(name, equation))
+    assert code == 1, err
+    assert err.startswith("error: sim.equation:"), err
+
+
 def test_tail_decay_points_ensemble_size_to_tail_paths():
     # even the default value is refused once it is set explicitly
     values = _parse(TINY["tail-decay"])
@@ -322,3 +345,26 @@ def test_partition_steps_accepts_exact_partitions(horizon, dt, steps):
 def test_partition_steps_rejects_with_value_error(horizon, dt, fragment):
     with pytest.raises(ValueError, match=fragment):
         partition_steps(horizon, dt)
+
+
+# ---------------------------------------------------------------------------
+# the README's config reference follows the schema
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _loads_with_equation(equation: str) -> bool:
+    try:
+        load_config(text=_with_equation("simulate", equation))
+    except ConfigError:
+        return False
+    return True
+
+
+def test_readme_names_every_schema_key_and_the_loadable_equations():
+    text = README.read_text()
+    assert [key for key in _SCHEMA if f"`{key}`" not in text] == []
+    listed = re.search(r"`sim\.equation` \(([^)]*)\)", text).group(1)
+    loadable = {equation for equation in EQUATION_KINDS if _loads_with_equation(equation)}
+    assert set(re.findall(r"`(\w+)`", listed)) == loadable

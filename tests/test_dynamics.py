@@ -10,8 +10,8 @@ from snlslab.dynamics import (
     evolve,
     step_deterministic,
 )
-from snlslab.grids import Field, make_grid
-from snlslab.noise import NoiseSpec, sample_path
+from snlslab.grids import Field, GridSpec
+from snlslab.noise import NoiseSpec, coarsen_path, convolution_series, make_phi, sample_path
 from snlslab.norms import lp_norm
 
 
@@ -23,7 +23,7 @@ def gaussian(grid, amp=1.0):
 
 
 def test_sim_config_validation():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     with pytest.raises(ValueError):
         SimConfig(grid, sigma=-1.0, dt=1e-2, t_end=1.0)
     with pytest.raises(ValueError):
@@ -37,7 +37,7 @@ def test_sim_config_validation():
 
 
 def test_transformed_horizon_guard():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     # sigma*dim = 1 < 2: the t=1 blow-up is live, refuse horizons near it
     with pytest.raises(ValueError, match="blow-up"):
         SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.99, equation="transformed")
@@ -53,7 +53,7 @@ def test_transformed_horizon_guard():
 @pytest.mark.parametrize("sigma,mode,amp", [(1.0, 4, 0.8), (2.0, 2, 1.1)])
 def test_plane_wave_is_exact_for_splitting(sigma, mode, amp):
     """A e^{ikx} picks up exactly the phase e^{i(k^2 + |A|^{2 sigma}) t}."""
-    grid = make_grid(1, 64, 16.0)
+    grid = GridSpec(1, 64, 16.0)
     k0 = 2.0 * math.pi * mode / 16.0
     u = Field.from_function(grid, lambda x: amp * np.exp(1j * k0 * x))
     dt, steps = 1e-2, 100
@@ -66,7 +66,7 @@ def test_plane_wave_is_exact_for_splitting(sigma, mode, amp):
 
 
 def test_zero_field_stays_zero():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.5)
     traj = evolve(cfg, Field.zeros(grid))
     assert lp_norm(traj.final, 2.0) == 0.0
@@ -128,7 +128,7 @@ def test_phase_rotation_matches_complex_exp(sigma, shifted):
 
 
 def test_deterministic_mass_conservation_to_machine_precision():
-    grid = make_grid(1, 128, 24.0)
+    grid = GridSpec(1, 128, 24.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=2.0)
     traj = evolve(cfg, gaussian(grid))
     m = traj.series["mass"]
@@ -137,7 +137,7 @@ def test_deterministic_mass_conservation_to_machine_precision():
 
 
 def test_strang_splitting_is_second_order():
-    grid = make_grid(1, 128, 24.0)
+    grid = GridSpec(1, 128, 24.0)
     u0 = gaussian(grid)
     ref = evolve(SimConfig(grid, sigma=1.0, dt=1e-4, t_end=0.5), u0).final
     errs = []
@@ -153,7 +153,7 @@ def test_strang_splitting_is_second_order():
 
 
 def test_snapshot_times_follow_stride():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.25, snapshot_stride=5)
     traj = evolve(cfg, gaussian(grid))
     stored = [t for t, _ in traj.snapshots]
@@ -164,7 +164,7 @@ def test_snapshot_times_follow_stride():
 
 
 def test_light_record_drops_functional_series():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.2, record="light")
     traj = evolve(cfg, gaussian(grid))
     assert "mass" in traj.series
@@ -172,7 +172,7 @@ def test_light_record_drops_functional_series():
 
 
 def test_noisy_run_is_bitwise_reproducible():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     noise = NoiseSpec(seed=33, phi_amplitude=0.5)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.3, equation="snls", noise=noise)
     u0 = gaussian(grid)
@@ -183,7 +183,7 @@ def test_noisy_run_is_bitwise_reproducible():
 
 
 def test_injected_path_matches_sampled_path():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     noise = NoiseSpec(seed=14, phi_amplitude=0.4)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.3, equation="snls", noise=noise)
     u0 = gaussian(grid)
@@ -193,7 +193,7 @@ def test_injected_path_matches_sampled_path():
 
 
 def test_noise_changes_the_solution():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     u0 = gaussian(grid)
     quiet = evolve(SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.3), u0)
     noisy = evolve(
@@ -205,7 +205,7 @@ def test_noise_changes_the_solution():
 
 
 def test_zero_shift_reduces_to_deterministic():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     u0 = gaussian(grid)
     det = evolve(SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.3), u0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.3, equation="random_shifted")
@@ -217,21 +217,45 @@ def test_zero_shift_reduces_to_deterministic():
 
 
 def test_shift_length_validation():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.3, equation="random_shifted")
     with pytest.raises(ValueError):
         evolve(cfg, gaussian(grid), shift=[Field.zeros(grid)] * 3)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.75])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_shifted_run_plus_convolution_converges_to_snls(seed, sigma):
+    """u = v + z: the shifted equation driven by z, plus z(T), tracks the
+    snls run on the same Brownian path, with a gap first order in dt
+    (the kick and the right half phase act in opposite orders)."""
+    grid = GridSpec(1, 256, 32.0)
+    u0 = gaussian(grid)
+    spec = NoiseSpec(phi_amplitude=0.5, g_kind="power_law", g_alpha=1.0, seed=seed)
+    phi = make_phi(spec, grid)
+    fine = sample_path(spec, 1.0, 1.0 / 1024)
+    gaps = []
+    for factor in (8, 4, 2, 1):
+        path = coarsen_path(fine, factor)
+        u = evolve(SimConfig(grid, sigma, path.dt, 1.0, "snls", spec, record="light"),
+                   u0, path=path).final
+        z = convolution_series(path, phi)
+        v = evolve(SimConfig(grid, sigma, path.dt, 1.0, "random_shifted", record="light"),
+                   u0, shift=z).final
+        gaps.append(lp_norm(u - (v + z[-1]), 2.0))
+    ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert all(1.9 <= r <= 2.1 for r in ratios), (gaps, ratios)
+
+
 def test_equation_argument_mismatches_are_rejected():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     det = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.1)
     with pytest.raises(ValueError):
         evolve(det, gaussian(grid), path=sample_path(NoiseSpec(seed=0), 0.1, 1e-2))
 
 
 def test_transformed_run_conserves_mass():
-    grid = make_grid(1, 128, 24.0)
+    grid = GridSpec(1, 128, 24.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-3, t_end=0.5, equation="transformed")
     traj = evolve(cfg, gaussian(grid))
     m = traj.series["mass"]
@@ -239,7 +263,7 @@ def test_transformed_run_conserves_mass():
 
 
 def test_initial_data_touching_boundary_is_refused():
-    grid = make_grid(1, 64, 6.0)
+    grid = GridSpec(1, 64, 6.0)
     wide = Field.from_function(grid, lambda x: np.exp(-(x**2) / 8))
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.1)
     with pytest.raises(ValueError, match="boundary"):
@@ -247,7 +271,7 @@ def test_initial_data_touching_boundary_is_refused():
 
 
 def test_nonfinite_samples_rejected_at_construction():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     vals = gaussian(grid).values.copy()
     vals[32] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
@@ -256,7 +280,7 @@ def test_nonfinite_samples_rejected_at_construction():
 
 def test_boundary_breach_produces_warning():
     # a travelling packet: group velocity 2 k0 carries it into the wall
-    grid = make_grid(1, 128, 16.0)
+    grid = GridSpec(1, 128, 16.0)
     u0 = Field.from_function(grid, lambda x: np.exp(-(x**2)) * np.exp(3j * x))
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=2.0)
     traj = evolve(cfg, u0)

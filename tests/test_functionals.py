@@ -11,7 +11,7 @@ from snlslab.functionals import (
     ito_mass_budget,
     potential_integral,
 )
-from snlslab.grids import Field, make_grid
+from snlslab.grids import Field, GridSpec
 from snlslab.noise import NoiseSpec
 from snlslab.operators import pseudo_conformal_forward
 
@@ -26,7 +26,7 @@ def gaussian(grid, amp=1.0):
 
 
 def test_potential_integral_gaussian():
-    grid = make_grid(1, 256, 30.0)
+    grid = GridSpec(1, 256, 30.0)
     # int e^{-2 x^2} = sqrt(pi/2)
     assert potential_integral(gaussian(grid), 1.0) == pytest.approx(
         math.sqrt(math.pi / 2.0), rel=1e-12
@@ -34,7 +34,7 @@ def test_potential_integral_gaussian():
 
 
 def test_functional_record_gaussian_closed_forms():
-    grid = make_grid(1, 256, 30.0)
+    grid = GridSpec(1, 256, 30.0)
     rec = compute_functionals(gaussian(grid), t=0.0, sigma=1.0)
     l4 = math.sqrt(math.pi / 2.0)
     assert rec.mass == pytest.approx(SQRT_PI, rel=1e-12)
@@ -51,7 +51,7 @@ def test_functional_record_gaussian_closed_forms():
 
 def test_quadratic_energy_two_routes_agree():
     """Direct operator route equals the V - 4wG + 8w^2 H decomposition."""
-    grid = make_grid(1, 256, 30.0)
+    grid = GridSpec(1, 256, 30.0)
     # a complex field with nonzero flux: modulated, displaced Gaussian
     u = Field.from_function(
         grid, lambda x: np.exp(-((x - 1.0) ** 2) / 2) * np.exp(0.7j * x)
@@ -64,7 +64,7 @@ def test_quadratic_energy_two_routes_agree():
 
 @pytest.mark.parametrize("sigma,t", [(1.0, 0.0), (1.0, 0.5), (2.0, 0.25)])
 def test_transformed_frame_energies(sigma, t):
-    grid = make_grid(1, 256, 30.0)
+    grid = GridSpec(1, 256, 30.0)
     rec = compute_functionals(gaussian(grid), t=t, sigma=sigma, frame="transformed")
     power = sigma * grid.dim - 2.0
     pot = potential_integral(gaussian(grid), sigma)
@@ -75,7 +75,7 @@ def test_transformed_frame_energies(sigma, t):
 
 
 def test_transformed_frame_time_domain():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     with pytest.raises(ValueError):
         compute_functionals(gaussian(grid), t=1.0, sigma=1.0, frame="transformed")
     with pytest.raises(ValueError):
@@ -84,7 +84,7 @@ def test_transformed_frame_time_domain():
 
 def test_lens_transform_maps_energy_between_frames():
     """E1~ of the transformed field at t equals E of the field at s=t/(1-t)."""
-    grid = make_grid(1, 512, 48.0)
+    grid = GridSpec(1, 512, 48.0)
     u = gaussian(grid)
     for s in (0.0, 0.5, 1.0):
         t = s / (1.0 + s)
@@ -99,7 +99,7 @@ def test_lens_transform_maps_energy_between_frames():
 
 
 def test_noise_free_budgets_close_to_machine_precision():
-    grid = make_grid(1, 128, 24.0)
+    grid = GridSpec(1, 128, 24.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-3, t_end=1.0)
     traj = evolve(cfg, gaussian(grid))
     mb = ito_mass_budget(traj)
@@ -111,7 +111,7 @@ def test_noise_free_budgets_close_to_machine_precision():
 
 def test_noise_free_energy_follows_the_flow_law():
     """dE/ds = 4(2-n sigma)/(sigma+1) (1+s) ||u||^{2s+2} integrates to E(T)-E(0)."""
-    grid = make_grid(1, 256, 48.0)
+    grid = GridSpec(1, 256, 48.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-3, t_end=1.0)
     traj = evolve(cfg, gaussian(grid))
     eb = ito_energy_budget(traj)
@@ -121,7 +121,7 @@ def test_noise_free_energy_follows_the_flow_law():
 
 def test_critical_power_freezes_the_quadratic_energy():
     # n sigma = 2: the flow coefficient vanishes and E is a constant
-    grid = make_grid(1, 512, 64.0)
+    grid = GridSpec(1, 512, 64.0)
     cfg = SimConfig(grid, sigma=2.0, dt=1e-3, t_end=1.0)
     traj = evolve(cfg, gaussian(grid))
     e = traj.series["pc_energy"]
@@ -130,7 +130,7 @@ def test_critical_power_freezes_the_quadratic_energy():
 
 
 def test_noisy_mass_budget_residual_is_quadrature_small():
-    grid = make_grid(1, 128, 24.0)
+    grid = GridSpec(1, 128, 24.0)
     noise = NoiseSpec(seed=3, phi_amplitude=math.pi ** -0.25)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-3, t_end=1.0, equation="snls", noise=noise)
     traj = evolve(cfg, gaussian(grid))
@@ -144,7 +144,7 @@ def test_noisy_mass_budget_residual_is_quadrature_small():
 
 
 def test_budget_requires_matching_recording():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.2, equation="transformed")
     traj = evolve(cfg, gaussian(grid))
     with pytest.raises(ValueError, match="budget"):
@@ -152,7 +152,7 @@ def test_budget_requires_matching_recording():
 
 
 def test_light_record_has_mass_budget_but_no_energy_budget():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     noise = NoiseSpec(seed=5)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.2, equation="snls",
                     noise=noise, record="light")
@@ -163,6 +163,6 @@ def test_light_record_has_mass_budget_but_no_energy_budget():
 
 
 def test_compute_functionals_validation():
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     with pytest.raises(ValueError):
         compute_functionals(gaussian(grid), t=0.0, sigma=0.0)

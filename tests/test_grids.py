@@ -1,4 +1,4 @@
-"""Grid geometry, field containers, resolution monitors, snapshot I/O."""
+"""Grid geometry, field containers, resolution monitors."""
 import math
 
 import numpy as np
@@ -9,16 +9,13 @@ from snlslab.grids import (
     GridSpec,
     boundary_mass_fraction,
     gradient,
-    make_grid,
-    read_snapshot,
     spectral_tail_fraction,
-    write_snapshot,
 )
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_grid_geometry(dim):
-    grid = make_grid(dim, 64, 16.0)
+    grid = GridSpec(dim, 64, 16.0)
     assert grid.shape == (64,) * dim
     assert grid.dx == pytest.approx(0.25)
     assert grid.cell_volume == pytest.approx(0.25**dim)
@@ -31,7 +28,7 @@ def test_grid_geometry(dim):
 
 
 def test_grid_frequencies_are_fft_order():
-    grid = make_grid(1, 8, 2.0 * math.pi)
+    grid = GridSpec(1, 8, 2.0 * math.pi)
     k = grid.axis_freqs()
     np.testing.assert_allclose(k, [0, 1, 2, 3, -4, -3, -2, -1])
     np.testing.assert_allclose(grid.k_squared(), k**2)
@@ -39,7 +36,7 @@ def test_grid_frequencies_are_fft_order():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_grid_fft_is_bit_identical_to_numpy_fftn(dim):
-    grid = make_grid(dim, 8, 4.0)
+    grid = GridSpec(dim, 8, 4.0)
     rng = np.random.default_rng(dim)
     # one field and a (paths, *grid) batch: the transform runs over the last dim axes
     for shape in (grid.shape, (3,) + grid.shape):
@@ -68,13 +65,13 @@ def test_grid_validation(dim, points, length):
 
 
 def test_radius_squared_matches_coords():
-    grid = make_grid(2, 16, 8.0)
+    grid = GridSpec(2, 16, 8.0)
     xs = grid.coords()
     np.testing.assert_allclose(grid.radius_squared(), xs[0] ** 2 + xs[1] ** 2)
 
 
 def test_field_from_function_and_arithmetic():
-    grid = make_grid(1, 32, 10.0)
+    grid = GridSpec(1, 32, 10.0)
     f = Field.from_function(grid, lambda x: np.exp(-(x**2)))
     g = Field.from_function(grid, lambda x: 0.5 * np.exp(-(x**2)))
     h = f - g * 2.0
@@ -85,21 +82,21 @@ def test_field_from_function_and_arithmetic():
 
 
 def test_field_rejects_wrong_shape():
-    grid = make_grid(1, 32, 10.0)
+    grid = GridSpec(1, 32, 10.0)
     with pytest.raises(ValueError):
         Field(grid, np.zeros(16, dtype=np.complex128))
 
 
 def test_field_cross_grid_arithmetic_rejected():
-    a = Field.zeros(make_grid(1, 32, 10.0))
-    b = Field.zeros(make_grid(1, 32, 12.0))
+    a = Field.zeros(GridSpec(1, 32, 10.0))
+    b = Field.zeros(GridSpec(1, 32, 12.0))
     with pytest.raises(ValueError):
         _ = a + b
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_gradient_of_plane_wave_is_spectral(dim):
-    grid = make_grid(dim, 32, 2.0 * math.pi)
+    grid = GridSpec(dim, 32, 2.0 * math.pi)
     k0 = 3.0
     f = Field.from_function(
         grid, lambda *xs: np.exp(1j * k0 * xs[0]) * np.ones_like(xs[0])
@@ -110,13 +107,13 @@ def test_gradient_of_plane_wave_is_spectral(dim):
 
 
 def test_gradient_returns_one_field_per_axis():
-    grid = make_grid(3, 8, 4.0)
+    grid = GridSpec(3, 8, 4.0)
     parts = gradient(Field.zeros(grid))
     assert len(parts) == 3
 
 
 def test_boundary_mass_fraction_flags_escaped_field():
-    grid = make_grid(1, 256, 40.0)
+    grid = GridSpec(1, 256, 40.0)
     centered = Field.from_function(grid, lambda x: np.exp(-(x**2)))
     shifted = Field.from_function(grid, lambda x: np.exp(-((x - 15.0) ** 2)))
     assert boundary_mass_fraction(centered) < 1e-30
@@ -125,35 +122,10 @@ def test_boundary_mass_fraction_flags_escaped_field():
 
 
 def test_spectral_tail_fraction_flags_rough_field():
-    grid = make_grid(1, 128, 20.0)
+    grid = GridSpec(1, 128, 20.0)
     smooth = Field.from_function(grid, lambda x: np.exp(-(x**2)))
     rough_vals = np.random.default_rng(7).normal(size=128) + 0j
     rough = Field(grid, rough_vals)
     assert spectral_tail_fraction(smooth) < 1e-12
     assert spectral_tail_fraction(rough) > 0.1
 
-
-@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16)])
-def test_snapshot_roundtrip_is_bit_exact(tmp_path, dim, points):
-    grid = make_grid(dim, points, 12.5)
-    rng = np.random.default_rng(42)
-    vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    f = Field(grid, vals)
-    p = tmp_path / "field.snap"
-    write_snapshot(f, p)
-    g = read_snapshot(p)
-    assert g.grid == grid
-    assert np.array_equal(g.values, f.values)
-
-
-def test_snapshot_rejects_corruption(tmp_path):
-    grid = make_grid(1, 8, 4.0)
-    p = tmp_path / "field.snap"
-    write_snapshot(Field.zeros(grid), p)
-    raw = p.read_bytes()
-    p.write_bytes(raw[:-8])  # truncated payload
-    with pytest.raises(ValueError, match="size mismatch"):
-        read_snapshot(p)
-    p.write_bytes(b"\x00")
-    with pytest.raises(ValueError, match="short"):
-        read_snapshot(p)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from snlslab import ensemble, noise
-from snlslab.grids import Field, make_grid
+from snlslab.grids import Field, GridSpec
 from snlslab.noise import (
     NoisePath,
     NoiseSpec,
@@ -50,20 +50,20 @@ def test_path_seeds_are_deterministic_and_distinct():
 
 def test_phi_gaussian_amplitude_normalization():
     # amplitude pi^{-1/4} gives ||phi||_2 = 1 (width 1, one dimension)
-    grid = make_grid(1, 256, 30.0)
+    grid = GridSpec(1, 256, 30.0)
     phi = make_phi(NoiseSpec(phi_amplitude=math.pi ** -0.25), grid)
     assert lp_norm(phi, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_phi_center_offsets_the_bump():
-    grid = make_grid(1, 128, 20.0)
+    grid = GridSpec(1, 128, 20.0)
     phi = make_phi(NoiseSpec(phi_center=2.0), grid)
     x = grid.coords()[0]
     assert abs(x[np.argmax(np.abs(phi.values))] - 2.0) < grid.dx
 
 
 def test_phi_polynomial_window_vanishes_at_origin():
-    grid = make_grid(1, 128, 20.0)
+    grid = GridSpec(1, 128, 20.0)
     phi = make_phi(NoiseSpec(phi_kind="gaussian_times_poly"), grid)
     x = grid.coords()[0]
     origin = np.argmin(np.abs(x))
@@ -154,7 +154,7 @@ def test_coarsen_path_group_sums():
 
 def test_convolution_matches_direct_sum():
     """Accumulator route against the textbook sum of propagated kicks."""
-    grid = make_grid(1, 32, 16.0)
+    grid = GridSpec(1, 32, 16.0)
     spec = spec_power(alpha=2.0, seed=21)
     phi = make_phi(spec, grid)
     path = sample_path(spec, 1.0, 0.05)
@@ -171,7 +171,7 @@ def test_convolution_matches_direct_sum():
 
 def test_prefix_plus_suffix_equals_full_convolution():
     # z(t) - z_tail(t) must equal the full-horizon sum propagated back to t
-    grid = make_grid(1, 64, 16.0)
+    grid = GridSpec(1, 64, 16.0)
     spec = spec_power(seed=5)
     phi = make_phi(spec, grid)
     path = sample_path(spec, 4.0, 0.02)
@@ -184,7 +184,7 @@ def test_prefix_plus_suffix_equals_full_convolution():
 
 
 def test_convolution_series_agrees_with_pointwise():
-    grid = make_grid(1, 32, 16.0)
+    grid = GridSpec(1, 32, 16.0)
     spec = spec_power(seed=2)
     phi = make_phi(spec, grid)
     path = sample_path(spec, 0.5, 0.05)
@@ -197,7 +197,7 @@ def test_convolution_series_agrees_with_pointwise():
 
 def test_ito_isometry():
     # E ||z(t)||_2^2 = ||phi||_2^2 int_0^t g^2  (g = 1 here)
-    grid = make_grid(1, 64, 20.0)
+    grid = GridSpec(1, 64, 20.0)
     spec = NoiseSpec(g_kind="constant", phi_amplitude=math.pi ** -0.25)
     phi = make_phi(spec, grid)
     t = 1.0
@@ -214,7 +214,7 @@ def test_ito_isometry():
 
 
 def test_tail_sup_norms_nonincreasing_and_terminal_zero():
-    grid = make_grid(1, 64, 16.0)
+    grid = GridSpec(1, 64, 16.0)
     spec = spec_power(seed=8)
     phi = make_phi(spec, grid)
     path = sample_path(spec, 2.0, 0.02)
@@ -228,7 +228,7 @@ def test_tail_sup_norms_nonincreasing_and_terminal_zero():
 
 
 def test_tail_decay_fit_recovers_negative_slope():
-    grid = make_grid(1, 64, 16.0)
+    grid = GridSpec(1, 64, 16.0)
     spec = spec_power(alpha=3.0)
     phi = make_phi(spec, grid)
     paths = [
@@ -246,7 +246,7 @@ def test_tail_decay_fit_recovers_negative_slope():
 
 def test_tail_decay_fit_window_validation():
     spec = spec_power()
-    grid = make_grid(1, 32, 8.0)
+    grid = GridSpec(1, 32, 8.0)
     phi = make_phi(spec, grid)
     paths = [sample_path(spec, 8.0, 0.1)]
     with pytest.raises(ValueError, match="window"):
@@ -312,7 +312,7 @@ def _digest(*arrays):
 
 
 def _scan_case(grid_key, envelope, seed=11, t_inf=2.0, dt=0.02):
-    grid = make_grid(*GRIDS[grid_key])
+    grid = GridSpec(*GRIDS[grid_key])
     spec = NoiseSpec(seed=seed, **ENVELOPES[envelope])
     return make_phi(spec, grid), sample_path(spec, t_inf, dt)
 
@@ -336,9 +336,9 @@ def test_convolution_values_pinned(grid_key, envelope):
 
 def _fit_case(p_space):
     if p_space == 2.0:
-        grid, n_paths, t_inf, dt = make_grid(1, 64, 16.0), 8, 16.0, 0.02
+        grid, n_paths, t_inf, dt = GridSpec(1, 64, 16.0), 8, 16.0, 0.02
     else:
-        grid, n_paths, t_inf, dt = make_grid(2, 16, 12.0), 3, 8.0, 0.05
+        grid, n_paths, t_inf, dt = GridSpec(2, 16, 12.0), 3, 8.0, 0.05
     phi = make_phi(spec_power(alpha=3.0), grid)
     paths = [sample_path(spec_power(alpha=3.0, seed=path_seed(3, i)), t_inf, dt)
              for i in range(n_paths)]
@@ -363,7 +363,7 @@ def test_selftest_ito_isometry_pinned():
 @pytest.mark.parametrize("grid_key", sorted(GRIDS))
 @pytest.mark.parametrize("p_space", [2.0, 4.0])
 def test_tail_scan_rows_equal_batches_of_one(grid_key, p_space):
-    grid = make_grid(*GRIDS[grid_key])
+    grid = GridSpec(*GRIDS[grid_key])
     phi = make_phi(spec_power(), grid)
     paths = [sample_path(spec_power(seed=path_seed(17, i)), 1.0, 0.02) for i in range(5)]
     rows = noise._tail_sups(paths, phi, p_space)
@@ -376,7 +376,7 @@ def test_tail_scan_rows_equal_batches_of_one(grid_key, p_space):
 def test_scan_skips_zero_weights_row_by_row(grid_key):
     """Rows whose increments vanish on some steps, while other rows' do
     not, must match their batches of one at every step of the scan."""
-    grid = make_grid(*GRIDS[grid_key])
+    grid = GridSpec(*GRIDS[grid_key])
     phi = make_phi(spec_power(), grid)
     paths = []
     for i, (lo, hi) in enumerate([(0, 0), (5, 20), (30, 50)]):
@@ -400,7 +400,7 @@ def test_tail_scan_blocks_and_indices_keep_bytes(monkeypatch, p_space):
     """Paths with two envelopes in one scan match their batches of one,
     and folding the running sup in blocks of a few steps, or recording it
     at a few indices only, changes no byte."""
-    grid = make_grid(*GRIDS["1d"])
+    grid = GridSpec(*GRIDS["1d"])
     phi = make_phi(spec_power(), grid)
     paths = [sample_path(spec_power(alpha=2.0 + i % 2, seed=path_seed(29, i)), 1.0, 0.02)
              for i in range(5)]

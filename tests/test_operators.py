@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from snlslab.grids import Field, make_grid
+from snlslab.grids import Field, GridSpec
 from snlslab.norms import lp_norm
 from snlslab.operators import (
     apply_J,
@@ -14,7 +14,6 @@ from snlslab.operators import (
     propagate,
     pseudo_conformal_forward,
     pseudo_conformal_inverse,
-    regrid,
 )
 
 
@@ -38,7 +37,7 @@ def free_gaussian(grid, t, w0=1.0):
     ],
 )
 def test_propagator_matches_free_gaussian(dim, points, t, tol):
-    grid = make_grid(dim, points, 40.0 if dim == 1 else 30.0)
+    grid = GridSpec(dim, points, 40.0 if dim == 1 else 30.0)
     u = propagate(gaussian(grid), t)
     ref = free_gaussian(grid, t)
     err = lp_norm(u - ref, 2) / lp_norm(ref, 2)
@@ -46,7 +45,7 @@ def test_propagator_matches_free_gaussian(dim, points, t, tol):
 
 
 def test_propagator_is_unitary_and_group():
-    grid = make_grid(1, 128, 20.0)
+    grid = GridSpec(1, 128, 20.0)
     rng = np.random.default_rng(101)
     u = Field(grid, rng.normal(size=128) + 1j * rng.normal(size=128))
     m0 = lp_norm(u, 2)
@@ -60,7 +59,7 @@ def test_propagator_is_unitary_and_group():
 
 
 def test_propagate_rejects_nonfinite_time():
-    grid = make_grid(1, 32, 10.0)
+    grid = GridSpec(1, 32, 10.0)
     with pytest.raises(ValueError):
         propagate(Field.zeros(grid), math.inf)
 
@@ -68,7 +67,7 @@ def test_propagate_rejects_nonfinite_time():
 @pytest.mark.parametrize("t", [0.0, 0.4, -0.25])
 def test_weighted_derivative_conjugation_identity(t):
     # (x - 2it grad) u  ==  S(t) [ x * S(-t) u ]
-    grid = make_grid(1, 256, 30.0)
+    grid = GridSpec(1, 256, 30.0)
     u = gaussian(grid, w0=1.3)
     lhs = apply_J(u, t)[0]
     pulled = propagate(u, -t)
@@ -79,7 +78,7 @@ def test_weighted_derivative_conjugation_identity(t):
 
 def test_weighted_derivative_via_modulation():
     # J(t) = M_{-1/t} (-2it grad) M_{1/t} with M_theta = exp(i theta |x|^2/4)
-    grid = make_grid(1, 512, 30.0)
+    grid = GridSpec(1, 512, 30.0)
     t = 2.0  # 1/t small enough for the modulation guard
     u = gaussian(grid)
     inner = modulate(u, 1.0 / t)
@@ -93,7 +92,7 @@ def test_weighted_derivative_via_modulation():
 
 @pytest.mark.parametrize("beta", [2.0, 0.5, 3.0])
 def test_dilation_is_isometric_relabelling(beta):
-    grid = make_grid(1, 128, 24.0)
+    grid = GridSpec(1, 128, 24.0)
     u = gaussian(grid)
     v = dilate(u, beta)
     assert v.grid.box_length == pytest.approx(24.0 / beta)
@@ -105,7 +104,7 @@ def test_dilation_is_isometric_relabelling(beta):
 
 def test_dilation_commutes_with_rescaled_flow():
     # D_beta S(beta^2 t) = S(t) D_beta
-    grid = make_grid(1, 256, 30.0)
+    grid = GridSpec(1, 256, 30.0)
     u = gaussian(grid, w0=1.1)
     beta, t = 2.0, 0.13
     left = dilate(propagate(u, beta**2 * t), beta)
@@ -114,19 +113,19 @@ def test_dilation_commutes_with_rescaled_flow():
 
 
 def test_modulation_guard():
-    grid = make_grid(1, 64, 20.0)  # dx = 0.3125, (L/2) dx = 3.125
+    grid = GridSpec(1, 64, 20.0)  # dx = 0.3125, (L/2) dx = 3.125
     assert modulation_guard_ok(grid, 1.0)
     assert not modulation_guard_ok(grid, 1.1)
     with pytest.raises(ValueError, match="aliases"):
         modulate(Field.zeros(grid), 1.1)
     # refining the grid restores the same modulation
-    fine = make_grid(1, 256, 20.0)
+    fine = GridSpec(1, 256, 20.0)
     assert modulation_guard_ok(fine, 1.1)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
 def test_lens_transform_roundtrip(s):
-    grid = make_grid(1, 256, 24.0)
+    grid = GridSpec(1, 256, 24.0)
     u = gaussian(grid)
     v, t = pseudo_conformal_forward(u, s)
     assert t == pytest.approx(s / (1.0 + s))
@@ -140,33 +139,10 @@ def test_lens_transform_roundtrip(s):
 
 
 def test_lens_transform_domain_checks():
-    grid = make_grid(1, 64, 12.0)
+    grid = GridSpec(1, 64, 12.0)
     u = Field.zeros(grid)
     with pytest.raises(ValueError):
         pseudo_conformal_forward(u, -0.1)
     with pytest.raises(ValueError):
         pseudo_conformal_inverse(u, 1.0)
 
-
-def test_regrid_zero_padding_refines_exactly():
-    coarse = make_grid(1, 64, 20.0)
-    fine = make_grid(1, 256, 20.0)
-    u = gaussian(coarse)
-    refined = regrid(u, fine)
-    ref = gaussian(fine)
-    assert lp_norm(refined - ref, 2) / lp_norm(ref, 2) < 1e-9
-
-
-def test_regrid_to_smaller_box_evaluates_interpolant():
-    big = make_grid(1, 512, 48.0)
-    small = make_grid(1, 256, 24.0)
-    u = gaussian(big)
-    v = regrid(u, small)
-    ref = gaussian(small)
-    assert lp_norm(v - ref, 2) / lp_norm(ref, 2) < 1e-9
-
-
-def test_regrid_rejects_dimension_change():
-    u = Field.zeros(make_grid(1, 32, 10.0))
-    with pytest.raises(ValueError):
-        regrid(u, make_grid(2, 32, 10.0))
