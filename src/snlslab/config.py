@@ -69,8 +69,9 @@ class ExperimentKind:
     config sections it reads besides ``experiment`` and ``output``.
 
     The sections decide what ``load_config`` builds: a kind that reads
-    ``ensemble`` runs noise paths, so it always gets a noise spec, and
-    one that also reads ``sim`` must integrate the snls equation.
+    ``ensemble`` runs noise paths, so it always gets a noise spec and
+    must integrate snls if it reads ``sim``; one that reads ``scatter``
+    pulls back with the physical S(-t), so it refuses ``transformed``.
     """
 
     name: str
@@ -472,6 +473,9 @@ def load_config(
             "cannot give (without one it is the deterministic run); library callers "
             "pass it as evolve(..., shift=...)"
         )
+    if "scatter" in sections and equation == "transformed":
+        raise ConfigError(f"sim.equation: kind {name!r} pulls fields back with the physical "
+                          "S(-t), which does not invert the transformed equation's flow")
     if "ensemble" in sections and equation not in (None, "snls"):
         raise ConfigError(
             f"sim.equation: kind {name!r} runs noise ensembles; set sim.equation = snls"

@@ -19,26 +19,25 @@ time-dependent coefficient is sampled at the substep midpoints
 i·S(dt)[φ]·g(t_k)·ΔB_k, the left-point Ito increment pushed through the
 step's propagator, which reproduces the discrete Duhamel form exactly.
 
-While stepping, the engine keeps each left-endpoint field and its |u|²
-in buffers that hold a chunk of steps (as many as fit in
-BATCH_FIELD_BYTES, at least one); each step writes its new field
-straight into the next free slot. Once per chunk it records the
-functional series and the discrete sums every Ito budget needs (all
-evaluated at left endpoints) for every step and path of the chunk in one
-batched call, so a finished trajectory certifies itself against its
-noise input. The recorded values never feed back into the step, so
-waiting for the chunk changes no number, and the non-finite checks keep
-the order of a step-by-step record: a field that fails its check
-flushes the pending chunk first, and a chunk's functionals are checked
-earliest step first. Snapshot monitors are taken inline.
-
-The engine advances a batch of paths as one (paths, *grid) array;
-a single run is a batch of one. Every grid sum is taken row by row over
-C-contiguous rows, so a path's numbers do not depend on its batch.
+The engine is a step loop over a (paths, *grid) array; a single run is
+a batch of one. The loop builds its per-step inputs once (both
+half-step weights, the shift pair, the noise kick) and hands each
+partition point to a chunk recorder, which keeps the left-endpoint
+fields and their |u|² for a chunk of steps (as many as fit in
+BATCH_FIELD_BYTES, at least one); the loop writes each new field
+straight into the recorder's next free slot. Once per chunk the
+recorder evaluates the functional series and the discrete sums every
+Ito budget needs (all at left endpoints) in one batched call, and after
+the loop it assembles the budgets, so a finished trajectory certifies
+itself against its noise input. Recorded values never feed back into
+the step, so waiting for the chunk changes no number. Every grid sum is
+taken row by row over C-contiguous rows, so a path's numbers do not
+depend on its batch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields, replace
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -413,228 +412,228 @@ def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
 def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
                shift: list[np.ndarray] | None, keep_snapshots: bool = False,
                ) -> tuple[BatchRun, list[tuple[float, Field]]]:
-    """The path-batched kernel: advance the (paths, *grid) array u0 and
-    record series, budget sums and monitors for every row.
-
-    Every reduction runs over one C-contiguous row at a time, so row p
-    is bit-identical to a batch of one. Snapshot fields of row 0 are
-    kept only when asked for.
-    """
-    grid = config.grid
-    size = len(u0)
-    steps = config.steps
-    dt = config.dt
-    sigma = config.sigma
-    dvol = grid.cell_volume
-    n = grid.dim
-    transformed = config.equation == "transformed"
-    frame = "transformed" if transformed else "physical"
-    full = config.record == "full"
-
-    # linear propagator and (for the transformed equation) the nonlinear
-    # coefficient sampled at the two substep midpoints of every step
+    """The path-batched kernel: step the (paths, *grid) array u0 while a
+    _Recorder records every row; row p is bit-identical to a batch of one.
+    Snapshot fields of row 0 are kept only when asked for."""
+    grid, sigma, dt, steps = config.grid, config.sigma, config.dt, config.steps
     lin = np.exp(1j * dt * grid.k_squared())
-    c1 = c2 = None
-    if transformed and sigma * n != 2.0:
-        power = sigma * n - 2.0
-        t_left = np.arange(steps) * dt
-        c1 = (1.0 - (t_left + 0.25 * dt)) ** power
-        c2 = (1.0 - (t_left + 0.75 * dt)) ** power
+    rec = _Recorder(config, u0, paths, shift is not None, keep_snapshots)
+    # per-step inputs: both half-step weights (the transformed coefficient at
+    # t + dt/4, t + 3dt/4), the shift at both substep ends, the noise kick
+    taus = repeat((0.5 * dt, 0.5 * dt))
+    if config.equation == "transformed" and sigma * grid.dim != 2.0:
+        t_left, power = np.arange(steps) * dt, sigma * grid.dim - 2.0
+        taus = zip(0.5 * dt * (1.0 - (t_left + 0.25 * dt)) ** power,
+                   0.5 * dt * (1.0 - (t_left + 0.75 * dt)) ** power)
+    ends = repeat((None, None)) if shift is None else zip(shift, shift[1:])
+    kicks = repeat(None)
+    if paths is not None:
+        prop_phi = grid.ifft(lin * rec.phi_hat)
+        dw = (1j * (rec.g_left * rec.incr)).T.reshape((steps, len(u0)) + (1,) * grid.dim)
+        kicks = map(np.multiply, dw, repeat(prop_phi))
+    vals = rec.slot()
+    vals[...] = u0
+    for k, (tau_l, tau_r), (s_l, s_r), kick in zip(range(steps), taus, ends, kicks):
+        rho = rec.hold(vals, k)
+        vals = _strang_step(vals, sigma, grid, lin, tau_l, tau_r, s_l, s_r,
+                            rho if shift is None else None, rec.slot())
+        if kick is not None:
+            vals += kick  # vals is the rotation's output slot
+        rec.check(vals, k + 1)
+    rec.hold(vals, steps)
+    return rec.finish(vals)
 
-    # noise precomputation: the stepped profile, the per-path kicks and
-    # the budget weights; profile and envelope are shared by every path
-    noise_on = paths is not None
-    track_energy = full and config.equation in ("deterministic", "snls")
-    if noise_on:
-        phi = make_phi(paths[0].spec, grid)
-        phi_hat = phi.spectrum()
-        prop_phi = grid.ifft(lin * phi_hat)
-        g_left = paths[0].g_at_left()
-        incr = np.stack([path.increments for path in paths])
-        kicks = (1j * (g_left * incr)).T.reshape((steps, size) + (1,) * n)
-        cw_phi = phi.values.conj()
-        phi_sq = phi.values.real**2 + phi.values.imag**2
-        norm_phi_sq = float(phi_sq.sum()) * dvol
-        # per-step grid sums, one entry per (step, path) in that order,
-        # combined into budget terms after the loop
-        dots = np.empty(steps * size, dtype=complex)
-        if track_energy:
-            grads_phi = [g.values for g in gradient(phi)]
-            xgrad_phi = sum(x_j * gp for x_j, gp in zip(grid.coords(), grads_phi))
-            lap_phi = grid.ifft(-grid.k_squared() * phi_hat)
-            cw_x2phi = grid.radius_squared() * cw_phi
-            cw_xgrad = np.conj(xgrad_phi)
-            cw_lap = np.conj(lap_phi)
-            a0 = float((grid.radius_squared() * phi_sq).sum()) * dvol
-            a1 = float((phi.values * cw_xgrad).imag.sum()) * dvol
-            a2 = sum(float((gp.real**2 + gp.imag**2).sum()) for gp in grads_phi) * dvol
-            energy_dots = np.empty((4, steps * size), dtype=complex)
-            energy_sums = np.empty((2, steps * size))
 
-    # one entry per (partition point, path) in that order; reshaped at the end
-    names = [f.name for f in dataclass_fields(FunctionalRecord) if f.name != "t"] if full else ["mass"]
-    series = {name: np.empty((steps + 1) * size) for name in names}
+class _Recorder:
+    """Records one _integrate run a chunk of steps at a time, takes its
+    snapshot monitors and assembles its budgets and BatchRun.
 
-    snapshots: list[tuple[float, Field]] = []
-    mon_times: list[float] = []
-    mon_boundary: list[np.ndarray] = []
-    mon_tail: list[np.ndarray] = []
+    ``held`` is (chunk, paths, *grid), chunk = max(1, BATCH_FIELD_BYTES //
+    batch bytes) with the cap read at run time; held[j] is the field at
+    partition point first + j and ``held_rho`` its |u|² (not kept when a
+    shifted run records in full, which reads it nowhere). The series and
+    Ito tables are flat, one entry per (point, path) in that order.
+    Failures keep the order of a step-by-step record: check flushes the
+    held steps before it raises for a field, and flush checks a chunk's
+    functionals earliest step first.
+    """
 
-    checked = [name for name in names if name not in FRAME_UNSET[frame]]
+    def __init__(self, config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
+                 shifted: bool, keep_snapshots: bool) -> None:
+        grid = self.grid = config.grid
+        self.config, self.paths, self.keep_snapshots = config, paths, keep_snapshots
+        size, steps = self.size, self.steps = len(u0), config.steps  # a property: read once
+        dvol = grid.cell_volume
+        self.full = full = config.record == "full"
+        self.frame = "transformed" if config.equation == "transformed" else "physical"
+        self.track_energy = full and config.equation in ("deterministic", "snls")
+        # the noise input the budgets certify; every path shares phi and g
+        if paths is not None:
+            phi = make_phi(paths[0].spec, grid)
+            self.phi_hat = phi.spectrum()
+            self.g_left = paths[0].g_at_left()
+            self.incr = np.stack([path.increments for path in paths])
+            self.cw_phi = phi.values.conj()
+            self.phi_sq = phi.values.real**2 + phi.values.imag**2
+            self.norm_phi_sq = float(self.phi_sq.sum()) * dvol
+            self.dots = np.empty(steps * size, dtype=complex)
+            if self.track_energy:
+                grads_phi = [g.values for g in gradient(phi)]
+                xgrad_phi = sum(x_j * gp for x_j, gp in zip(grid.coords(), grads_phi))
+                lap_phi = grid.ifft(-grid.k_squared() * self.phi_hat)
+                self.cw_energy = (grid.radius_squared() * self.cw_phi, np.conj(xgrad_phi),
+                                  np.conj(lap_phi))
+                self.a = (float((grid.radius_squared() * self.phi_sq).sum()) * dvol,
+                          float((phi.values * self.cw_energy[1]).imag.sum()) * dvol,
+                          sum(float((gp.real**2 + gp.imag**2).sum()) for gp in grads_phi) * dvol)
+                self.energy_dots = np.empty((4, steps * size), dtype=complex)
+                self.energy_sums = np.empty((2, steps * size))
+        names = [f.name for f in dataclass_fields(FunctionalRecord) if f.name != "t"] if full else ["mass"]
+        self.series = {name: np.empty((steps + 1) * size) for name in names}
+        self.checked = [name for name in names if name not in FRAME_UNSET[self.frame]]
+        self.snapshots: list[tuple[float, Field]] = []
+        self.monitors: list[tuple[float, np.ndarray, np.ndarray]] = []
+        # |u|² feeds the light mass record, the energy Ito sums, the left half phase
+        self.chunk = max(1, BATCH_FIELD_BYTES // u0.nbytes)
+        self.rho_read = not shifted or not full
+        self.held = np.empty((self.chunk,) + u0.shape, dtype=complex)
+        self.held_rho = np.empty(self.held.shape) if self.rho_read else None
+        self.first = self.count = 0  # the step in held[0], steps held
 
-    # Left-endpoint fields and their |u|² fill buffers of a chunk of steps:
-    # each step writes its new field straight into the next free slot of
-    # `held`. flush then records the chunk as one (steps·paths, *grid) batch
-    # of contiguous rows. |u|² is shared by the light mass record, the energy
-    # Ito sums and the unshifted left half phase; a shifted run with full
-    # recording reads it nowhere.
-    chunk = max(1, BATCH_FIELD_BYTES // u0.nbytes)
-    rho_read = shift is None or not full
-    held = np.empty((chunk,) + u0.shape, dtype=complex)
-    held_rho = np.empty(held.shape) if rho_read else None
-    first = 0  # the step in held[0]
-    count = 0  # steps held
+    def slot(self) -> np.ndarray:
+        """The buffer the next held field is written to."""
+        return self.held[self.count]
 
-    def hold(vals: np.ndarray) -> np.ndarray | None:
-        """Count vals, the field in held[count], in; return its |u|²."""
-        nonlocal count
-        count += 1
-        if not rho_read:
-            return None
-        return np.add(vals.real**2, vals.imag**2, out=held_rho[count - 1])
+    def hold(self, vals: np.ndarray, k: int) -> np.ndarray | None:
+        """Count vals, the field in slot(), in as partition point k: take
+        its monitors at snapshot points (and the last point), flush a
+        full chunk, and return its |u|² if anything reads it."""
+        self.count += 1
+        rho = None
+        if self.rho_read:
+            rho = np.add(vals.real**2, vals.imag**2, out=self.held_rho[self.count - 1])
+        if k % self.config.snapshot_stride == 0 or k == self.steps:
+            t_now = k * self.config.dt
+            self.monitors.append((t_now, boundary_mass_fractions(self.grid, vals),
+                                  spectral_tail_fractions(self.grid, vals)))
+            if self.keep_snapshots:
+                self.snapshots.append((t_now, Field(self.grid, vals[0])))
+        if self.count == self.chunk:
+            self.flush()
+        return rho
 
-    def flush() -> None:
-        """Record the held steps and empty the buffers."""
-        nonlocal first, count
-        if not count:
+    def check(self, vals: np.ndarray, k: int) -> None:
+        """Raise PathError for a non-finite row of vals, the field after step k."""
+        finite = np.isfinite(row_sums(vals))
+        if not finite.all():
+            self.flush()
+            _require_finite(finite, "field", k, self.steps, self.config.dt)
+
+    def flush(self) -> None:
+        """Record the held steps as one batch of contiguous rows; empty the buffers."""
+        if not self.count:
             return
-        stop = first + count
-        vals = held.reshape((-1,) + grid.shape)[:count * size]
-        rho = held_rho.reshape((-1,) + grid.shape)[:count * size] if rho_read else None
+        grid, size, first, sigma = self.grid, self.size, self.first, self.config.sigma
+        steps, dt = self.steps, self.config.dt
+        stop = first + self.count
+        vals = self.held.reshape((-1,) + grid.shape)[:self.count * size]
+        rho = self.held_rho.reshape((-1,) + grid.shape)[:self.count * size] if self.rho_read else None
         part = slice(first * size, stop * size)
-        if full:
+        if self.full:
             t = np.repeat(np.arange(first, stop) * dt, size)
-            cols = functional_columns(grid, vals, t, sigma, frame, rho=rho)
-            for name in names:
-                series[name][part] = cols[name]
-            finite = np.logical_and.reduce([np.isfinite(cols[name]) for name in checked])
+            cols = functional_columns(grid, vals, t, sigma, self.frame, rho=rho)
+            for name, col in self.series.items():
+                col[part] = cols[name]
+            finite = np.logical_and.reduce([np.isfinite(cols[name]) for name in self.checked])
             for k, row in enumerate(finite.reshape(-1, size), start=first):
                 _require_finite(row, "functionals", k, steps, dt)
         else:
-            series["mass"][part] = row_sums(rho)
+            self.series["mass"][part] = row_sums(rho)
         # the last partition point starts no step, so it has no Ito sums
         rows = (min(stop, steps) - first) * size
-        if noise_on and rows > 0:
+        if self.paths is not None and rows > 0:
             vals, rho = vals[:rows], rho[:rows]
             part = slice(first * size, first * size + rows)
-            prod = vals * cw_phi
-            dots[part] = row_sums(prod)
-            if track_energy:
+            prod = vals * self.cw_phi
+            self.dots[part] = row_sums(prod)
+            if self.track_energy:
+                dots, sums = self.energy_dots, self.energy_sums
                 rho_sig = rho if sigma == 1.0 else rho**sigma
-                energy_dots[0, part] = row_sums(vals * cw_x2phi)
-                energy_dots[1, part] = row_sums(vals * cw_xgrad)
-                energy_dots[2, part] = row_sums(vals * cw_lap)
-                energy_dots[3, part] = row_sums(rho_sig * prod)
-                energy_sums[0, part] = row_sums(rho_sig * phi_sq)
+                for j, cw in enumerate(self.cw_energy):
+                    dots[j, part] = row_sums(vals * cw)
+                dots[3, part] = row_sums(rho_sig * prod)
+                sums[0, part] = row_sums(rho_sig * self.phi_sq)
                 im_pt = prod.imag
                 if sigma == 1.0:
-                    energy_sums[1, part] = row_sums(im_pt**2)
+                    sums[1, part] = row_sums(im_pt**2)
                 elif (rho > 0.0).all():  # an all-True mask sums the same contiguous rows
-                    energy_sums[1, part] = row_sums(rho ** (sigma - 1.0) * im_pt**2)
+                    sums[1, part] = row_sums(rho ** (sigma - 1.0) * im_pt**2)
                 else:  # the rho > 0 mask differs by row: one masked sum per row
-                    energy_sums[1, part] = [
+                    sums[1, part] = [
                         float((r[m] ** (sigma - 1.0) * i[m] ** 2).sum())
                         for r, i, m in zip(rho, im_pt, rho > 0.0)
                     ]
-        first, count = stop, 0
+        self.first, self.count = stop, 0
 
-    def record_snapshot(t_now: float, vals: np.ndarray) -> None:
-        mon_times.append(t_now)
-        mon_boundary.append(boundary_mass_fractions(grid, vals))
-        mon_tail.append(spectral_tail_fractions(grid, vals))
-        if keep_snapshots:
-            snapshots.append((t_now, Field(grid, vals[0])))
+    def finish(self, vals: np.ndarray) -> tuple[BatchRun, list[tuple[float, Field]]]:
+        """Record what is still held and assemble the budgets; return the
+        BatchRun whose final field is vals, and the kept snapshots."""
+        self.flush()
+        config, size = self.config, self.size
+        steps, dt, sigma, n, dvol = (self.steps, config.dt, config.sigma, self.grid.dim,
+                                     self.grid.cell_volume)
+        times = config.times()
+        if not self.full:
+            self.series["mass"] *= dvol
+        series = {name: _frozen(col.reshape(steps + 1, size).T)
+                  for name, col in self.series.items()}
+        del self.series  # the flat tables are not kept through the budget
 
-    vals = held[0]
-    vals[...] = u0
-    tau = 0.5 * dt
-    for k in range(steps):
-        rho = hold(vals)
-        if k % config.snapshot_stride == 0:
-            record_snapshot(k * dt, vals)
-        if count == chunk:
-            flush()
-        vals = _strang_step(
-            vals, sigma, grid, lin,
-            tau * c1[k] if c1 is not None else tau,
-            tau * c2[k] if c2 is not None else tau,
-            shift[k] if shift is not None else None,
-            shift[k + 1] if shift is not None else None,
-            rho if shift is None else None,
-            held[count],
-        )
-        if noise_on:
-            vals += kicks[k] * prop_phi  # vals is the rotation's output slot
-        finite = np.isfinite(row_sums(vals))
-        if not finite.all():
-            flush()  # the functionals of step k were due before this check
-            _require_finite(finite, "field", k + 1, steps, dt)
-
-    hold(vals)
-    flush()
-    record_snapshot(steps * dt, vals)  # the loop never records the final index
-
-    times = config.times()
-    if not full:
-        series["mass"] *= dvol
-    series = {name: _frozen(col.reshape(steps + 1, size).T) for name, col in series.items()}
-
-    budget: dict[str, np.ndarray] = {}
-    zeros = _frozen(np.zeros((size, steps + 1)))
-    if config.equation in ("deterministic", "snls"):
-        if noise_on:
-            s1 = dots.reshape(steps, size) * dvol
-            budget["mass_martingale"] = _cumsum0(2.0 * s1.imag.T * g_left * incr)
-            drift = _cumsum0(np.full(steps, norm_phi_sq) * g_left**2 * dt)
-            budget["mass_drift"] = _frozen(np.broadcast_to(drift, (size, steps + 1)))
-        else:
-            budget["mass_martingale"] = budget["mass_drift"] = zeros
-        if track_energy:
-            flow_coeff = 4.0 * (2.0 - n * sigma) / (sigma + 1.0)
-            integrand = flow_coeff * (1.0 + times) * series["potential"]
-            budget["energy_flow_drift"] = _cumtrapz0(integrand, dt)
-            if noise_on:
-                s2, s3, p_lap, q_nl = energy_dots.reshape(4, steps, size) * dvol
-                b1, b2 = energy_sums.reshape(2, steps, size) * dvol
-                w = (1.0 + np.arange(steps) * dt)[:, None]
-                g = g_left[:, None]
-                t2_terms = g * (
-                    2.0 * s2.imag + 4.0 * n * w * s1.real + 8.0 * w * s3.real
-                    + 8.0 * w * w * (q_nl.imag - p_lap.imag)
-                )
-                t1_terms = g * g * (
-                    a0 - 4.0 * w * a1 + 4.0 * w * w * (a2 + b1) + 8.0 * sigma * w * w * b2
-                )
-                budget["energy_ito_drift"] = _cumsum0(t1_terms.T * dt)
-                budget["energy_martingale"] = _cumsum0(t2_terms.T * incr)
+        budget: dict[str, np.ndarray] = {}
+        zeros = _frozen(np.zeros((size, steps + 1)))
+        if config.equation in ("deterministic", "snls"):
+            if self.paths is not None:
+                s1 = self.dots.reshape(steps, size) * dvol
+                budget["mass_martingale"] = _cumsum0(2.0 * s1.imag.T * self.g_left * self.incr)
+                drift = _cumsum0(np.full(steps, self.norm_phi_sq) * self.g_left**2 * dt)
+                budget["mass_drift"] = _frozen(np.broadcast_to(drift, (size, steps + 1)))
             else:
-                budget["energy_ito_drift"] = budget["energy_martingale"] = zeros
+                budget["mass_martingale"] = budget["mass_drift"] = zeros
+            if self.track_energy:
+                flow_coeff = 4.0 * (2.0 - n * sigma) / (sigma + 1.0)
+                integrand = flow_coeff * (1.0 + times) * series["potential"]
+                budget["energy_flow_drift"] = _cumtrapz0(integrand, dt)
+                if self.paths is not None:
+                    s2, s3, p_lap, q_nl = self.energy_dots.reshape(4, steps, size) * dvol
+                    b1, b2 = self.energy_sums.reshape(2, steps, size) * dvol
+                    a0, a1, a2 = self.a
+                    w = (1.0 + np.arange(steps) * dt)[:, None]
+                    g = self.g_left[:, None]
+                    t2_terms = g * (
+                        2.0 * s2.imag + 4.0 * n * w * s1.real + 8.0 * w * s3.real
+                        + 8.0 * w * w * (q_nl.imag - p_lap.imag)
+                    )
+                    t1_terms = g * g * (
+                        a0 - 4.0 * w * a1 + 4.0 * w * w * (a2 + b1) + 8.0 * sigma * w * w * b2
+                    )
+                    budget["energy_ito_drift"] = _cumsum0(t1_terms.T * dt)
+                    budget["energy_martingale"] = _cumsum0(t2_terms.T * self.incr)
+                else:
+                    budget["energy_ito_drift"] = budget["energy_martingale"] = zeros
 
-    mon_times_arr = _frozen(np.asarray(mon_times))
-    boundary = _frozen(np.array(mon_boundary).T)
-    tail = _frozen(np.array(mon_tail).T)
-    run = BatchRun(
-        config=config,
-        times=_frozen(times),
-        series=series,
-        budget=budget,
-        monitors={"times": mon_times_arr, "boundary_fraction": boundary, "spectral_tail": tail},
-        final=_frozen(vals.copy()),  # not a view that keeps the buffer alive
-        paths=paths,
-        warnings=tuple(_collect_warnings(mon_times_arr, boundary[p], tail[p])
-                       for p in range(size)),
-    )
-    return run, snapshots
+        mon_times, boundary, tail = (_frozen(np.array(col).T) for col in zip(*self.monitors))
+        run = BatchRun(
+            config=config,
+            times=_frozen(times),
+            series=series,
+            budget=budget,
+            monitors={"times": mon_times, "boundary_fraction": boundary, "spectral_tail": tail},
+            final=_frozen(vals.copy()),  # not a view that keeps the buffer alive
+            paths=self.paths,
+            warnings=tuple(_collect_warnings(mon_times, boundary[p], tail[p])
+                           for p in range(size)),
+        )
+        return run, self.snapshots
 
 
 def _require_finite(finite: np.ndarray, what: str, k: int, steps: int, dt: float) -> None:

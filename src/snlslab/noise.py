@@ -14,7 +14,7 @@ scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -265,11 +265,6 @@ def coarsen_path(path: NoisePath, factor: int) -> NoisePath:
 # S(-t_k) phi g(t_k) dB_k, accumulated directly in Fourier space.
 
 
-def _envelope(spec: NoiseSpec) -> tuple:
-    """The fields g(t) depends on: the paths of one study differ only in seed."""
-    return spec.g_kind, spec.g_alpha, spec.g_t0, spec.g_t1, spec.g_constant
-
-
 def _scan_rows(paths: Sequence[NoisePath]) -> int:
     """Steps per block of _SCAN_BLOCK_BYTES of (paths,) float rows."""
     return max(1, _SCAN_BLOCK_BYTES // (8 * len(paths)))
@@ -282,24 +277,24 @@ def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterat
     Yields the (paths, *grid) accumulator before the first step and after
     each step: one buffer, updated in place, so read it before advancing.
     The weights g(t_k) dB_k are built for one block of _scan_rows
-    consecutive steps at a time, with g evaluated once per envelope,
-    never as a (steps, paths) table. A step skips only when every path
+    consecutive steps at a time, with paths[0]'s g (every path's, as the
+    paths differ only in seed) evaluated once per block, never as a
+    (steps, paths) table. A step skips only when every path
     weights it by zero; a zero-weight row then adds exact zeros, which
     leave its sum unchanged.
     """
     k2 = grid.k_squared()
     dt = paths[0].dt
     rows = _scan_rows(paths)
-    specs = {_envelope(path.spec): path.spec for path in paths}
     acc = np.zeros((len(paths),) + grid.shape, dtype=np.complex128)
     yield acc
     for lo in range(0, len(ks), rows):
         block = ks[lo:lo + rows]
         kk = np.arange(block.start, block.stop, block.step)
-        g = {key: _g_values(spec, dt * kk) for key, spec in specs.items()}
+        g = _g_values(paths[0].spec, dt * kk)
         weights = np.empty((len(kk), len(paths)))
         for j, path in enumerate(paths):
-            np.multiply(g[_envelope(path.spec)], path.increments[kk], out=weights[:, j])
+            np.multiply(g, path.increments[kk], out=weights[:, j])
         live = weights.any(axis=1).tolist()
         weights = weights.reshape(weights.shape + (1,) * grid.dim)
         for k, w, on in zip(block, weights, live):
@@ -441,6 +436,8 @@ def tail_decay_fit(
     for p in paths:
         if (p.t_inf, p.dt) != (t_inf, dt):
             raise ValueError("all paths must share the same partition")
+        if replace(p.spec, seed=spec.seed) != spec:
+            raise ValueError("all paths must share paths[0]'s noise spec up to the seed")
     lo, hi = check_fit_window(t_inf, fit_window)
     # geometric grid with ratio sqrt(2) anchored at the window ends
     n_pts = max(2, int(round(math.log(hi / lo) / math.log(math.sqrt(2.0)))) + 1)

@@ -305,7 +305,8 @@ def _with_equation(name: str, equation: str) -> str:
     "name, equation",
     [(name, equation) for name in ("ensemble", "growth-fit")
      for equation in ("deterministic", "transformed", "random_shifted")]
-    + [("simulate", "random_shifted"), ("scatter-test", "random_shifted")],
+    + [("simulate", "random_shifted"), ("scatter-test", "random_shifted"),
+       ("scatter-test", "transformed")],
 )
 def test_equation_the_kind_cannot_run_exits_1_naming_sim_equation(name, equation):
     code, err = _run_cli(name, _with_equation(name, equation))

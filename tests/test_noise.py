@@ -397,12 +397,12 @@ def test_scan_skips_zero_weights_row_by_row(grid_key):
 
 @pytest.mark.parametrize("p_space", [2.0, 4.0])
 def test_tail_scan_blocks_and_indices_keep_bytes(monkeypatch, p_space):
-    """Paths with two envelopes in one scan match their batches of one,
-    and folding the running sup in blocks of a few steps, or recording it
-    at a few indices only, changes no byte."""
+    """Paths in one scan match their batches of one, and folding the
+    running sup in blocks of a few steps, or recording it at a few
+    indices only, changes no byte."""
     grid = GridSpec(*GRIDS["1d"])
     phi = make_phi(spec_power(), grid)
-    paths = [sample_path(spec_power(alpha=2.0 + i % 2, seed=path_seed(29, i)), 1.0, 0.02)
+    paths = [sample_path(spec_power(alpha=3.0, seed=path_seed(29, i)), 1.0, 0.02)
              for i in range(5)]
     whole = noise._tail_sups(paths, phi, p_space)
     for row, path in zip(whole, paths):
@@ -412,6 +412,16 @@ def test_tail_scan_blocks_and_indices_keep_bytes(monkeypatch, p_space):
         monkeypatch.setattr(noise, "_SCAN_BLOCK_BYTES", block_bytes)
         assert noise._tail_sups(paths, phi, p_space).tobytes() == whole.tobytes()
         assert noise._tail_sups(paths, phi, p_space, idx).tobytes() == whole[:, idx].tobytes()
+
+
+@pytest.mark.parametrize("alpha, amp", [(2.0, 1.0), (3.0, 0.5)])
+def test_tail_fit_refuses_paths_that_differ_in_more_than_the_seed(alpha, amp):
+    """The zero-envelope check and the truncation bound read paths[0]'s
+    spec only, so a path with another envelope or profile is refused."""
+    paths, phi = _fit_case(2.0)
+    odd = sample_path(spec_power(alpha, path_seed(3, 99), amp), paths[0].t_inf, paths[0].dt)
+    with pytest.raises(ValueError, match="up to the seed"):
+        tail_decay_fit(paths[:2] + [odd], phi)
 
 
 def test_tail_fit_independent_of_batch_cap(monkeypatch):
