@@ -19,7 +19,8 @@ from typing import Sequence
 
 from . import __version__
 from .analysis import classify_regime, growth_fit, scattering_cauchy
-from .config import KINDS, ConfigError, ExperimentConfig, load_config, make_initial
+from .config import (GROWTH_MIN_PATHS, KINDS, ConfigError, ExperimentConfig, load_config,
+                     make_initial)
 from .dynamics import evolve
 from .ensemble import EnsembleError, run_ensemble, sample_ensemble_paths
 from .noise import make_phi, tail_decay_fit
@@ -144,7 +145,7 @@ def _run_growth(config: ExperimentConfig) -> int:
     result = run_ensemble(config)
     _print_warnings([f"path {i}: {w}" for i, w in result.path_warnings])
     fit = growth_fit(result.trajectory_views(), config.growth.tau_grid,
-                     min_paths=2)
+                     min_paths=GROWTH_MIN_PATHS)
     _emit(fit, config)
     predicted = max(0.0, 2.0 - config.grid.dim * config.sim.sigma)
     bound = predicted + config.growth.bound_slack

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import check_geometric, check_scatter_args, classify_regime
-from .dynamics import SimConfig
+from .dynamics import SimConfig, _check_inside_half_box
 from .grids import Field, GridSpec
 from .noise import (NoiseSpec, check_fit_window, g_sq_tail_bound, make_phi, partition_steps,
                     path_seed)
@@ -57,6 +57,8 @@ __all__ = [
 
 _INITIAL_KINDS = ("gaussian", "zero")
 _THEOREM_NAMES = ("short_range_L2", "sigma_scattering", "h1_scattering")
+#: the fewest paths growth-fit runs: its fit regresses an ensemble mean
+GROWTH_MIN_PATHS = 2
 
 
 class ConfigError(ValueError):
@@ -495,6 +497,10 @@ def load_config(
     if "sim" in sections:
         sim = _build(SimConfig, "sim", get, grid=grid, noise=noise)
         initial = _build(InitialSpec, "initial", get)
+        try:
+            _check_inside_half_box(make_initial(initial, grid))
+        except ValueError as exc:
+            raise ConfigError(f"initial.width, grid.box_length: {exc}") from None
 
     scatter = None
     if "scatter" in sections:
@@ -510,8 +516,9 @@ def load_config(
             on_grid = abs(c - round(c / stride_dt) * stride_dt) <= 1e-9
             if not on_grid and abs(c - sim.t_end) > 1e-9:
                 raise ConfigError(
-                    f"scatter.checkpoints: {c:g} is not a recorded snapshot time "
-                    f"(multiples of snapshot_stride*dt = {stride_dt:g}, or t_end)"
+                    f"scatter.checkpoints, sim.snapshot_stride, sim.dt: {c:g} is not a "
+                    f"recorded snapshot time (multiples of sim.snapshot_stride * sim.dt = "
+                    f"{stride_dt:g}, or sim.t_end)"
                 )
         warnings.extend(_check_scatter_hypotheses(name, scatter, grid, sim, noise))
 
@@ -559,6 +566,9 @@ def load_config(
     ensemble_size = get("ensemble.size")
     if ensemble_size < 1:
         raise ConfigError(f"ensemble.size: must be >= 1, got {ensemble_size}")
+    if "growth" in sections and ensemble_size < GROWTH_MIN_PATHS:
+        raise ConfigError(f"ensemble.size: growth-fit needs at least {GROWTH_MIN_PATHS} "
+                          f"paths, got {ensemble_size}")
     workers = get("ensemble.workers")
     if workers < 1:
         raise ConfigError(f"ensemble.workers: must be >= 1, got {workers}")
@@ -568,9 +578,8 @@ def load_config(
             "least 200 paths for a stable ensemble mean"
         )
 
-    selftest_points = get("selftest.points")
-    if selftest_points < 8:
-        raise ConfigError(f"selftest.points: need at least 8 points, got {selftest_points}")
+    # GridSpec's own check on points (a power of two >= 8); the box does not matter
+    selftest_points = _build(GridSpec, "selftest", get, dim=1, box_length=1.0).points
 
     if strict and warnings:
         raise ConfigError(

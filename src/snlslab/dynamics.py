@@ -298,6 +298,18 @@ def _validate_shift(shift: Sequence[Field], grid: GridSpec, steps: int) -> list[
     return vals
 
 
+def _check_inside_half_box(u0: Field) -> None:
+    """Refuse initial data with more than BOUNDARY_TOL of its mass outside
+    the inner half-box [-L/4, L/4]^dim: the run would wrap it around."""
+    frac0 = boundary_mass_fraction(u0)
+    if frac0 > BOUNDARY_TOL:
+        raise ValueError(
+            f"initial data touches the box boundary: mass fraction {frac0:.3e} outside the "
+            f"inner half-box [-L/4, L/4]^dim exceeds {BOUNDARY_TOL:g}; enlarge the box or "
+            "narrow the data"
+        )
+
+
 def _check_partition(config: SimConfig, path: NoisePath) -> None:
     if abs(path.t_inf - config.t_end) > 1e-9 * max(1.0, config.t_end) or \
             abs(path.dt - config.dt) > 1e-12 * config.dt:
@@ -384,12 +396,7 @@ def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
     for field in initial:
         if field.grid != grid:
             raise ValueError("initial field lives on a different grid than the config")
-        frac0 = boundary_mass_fraction(field)
-        if frac0 > BOUNDARY_TOL:
-            raise ValueError(
-                f"initial data touches the box boundary: mass fraction {frac0:.3e} outside the "
-                f"inner half-box exceeds {BOUNDARY_TOL:g}; enlarge the box or narrow the data"
-            )
+        _check_inside_half_box(field)
     rows = np.stack([f.values for f in initial])
     if len(initial) == 1:
         rows = np.repeat(rows, size, axis=0)
@@ -417,7 +424,7 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
     Snapshot fields of row 0 are kept only when asked for."""
     grid, sigma, dt, steps = config.grid, config.sigma, config.dt, config.steps
     lin = np.exp(1j * dt * grid.k_squared())
-    rec = _Recorder(config, u0, paths, shift is not None, keep_snapshots)
+    rec = _Recorder(config, u0, paths, keep_snapshots)
     # per-step inputs: both half-step weights (the transformed coefficient at
     # t + dt/4, t + 3dt/4), the shift at both substep ends, the noise kick
     taus = repeat((0.5 * dt, 0.5 * dt))
@@ -450,8 +457,7 @@ class _Recorder:
 
     ``held`` is (chunk, paths, *grid), chunk = max(1, BATCH_FIELD_BYTES //
     batch bytes) with the cap read at run time; held[j] is the field at
-    partition point first + j and ``held_rho`` its |u|² (not kept when a
-    shifted run records in full, which reads it nowhere). The series and
+    partition point first + j and ``held_rho`` its |u|². The series and
     Ito tables are flat, one entry per (point, path) in that order.
     Failures keep the order of a step-by-step record: check flushes the
     held steps before it raises for a field, and flush checks a chunk's
@@ -459,7 +465,7 @@ class _Recorder:
     """
 
     def __init__(self, config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
-                 shifted: bool, keep_snapshots: bool) -> None:
+                 keep_snapshots: bool) -> None:
         grid = self.grid = config.grid
         self.config, self.paths, self.keep_snapshots = config, paths, keep_snapshots
         size, steps = self.size, self.steps = len(u0), config.steps  # a property: read once
@@ -493,25 +499,22 @@ class _Recorder:
         self.checked = [name for name in names if name not in FRAME_UNSET[self.frame]]
         self.snapshots: list[tuple[float, Field]] = []
         self.monitors: list[tuple[float, np.ndarray, np.ndarray]] = []
-        # |u|² feeds the light mass record, the energy Ito sums, the left half phase
+        # |u|² feeds the functionals or mass, the energy Ito sums, the unshifted left half phase
         self.chunk = max(1, BATCH_FIELD_BYTES // u0.nbytes)
-        self.rho_read = not shifted or not full
         self.held = np.empty((self.chunk,) + u0.shape, dtype=complex)
-        self.held_rho = np.empty(self.held.shape) if self.rho_read else None
+        self.held_rho = np.empty(self.held.shape)
         self.first = self.count = 0  # the step in held[0], steps held
 
     def slot(self) -> np.ndarray:
         """The buffer the next held field is written to."""
         return self.held[self.count]
 
-    def hold(self, vals: np.ndarray, k: int) -> np.ndarray | None:
+    def hold(self, vals: np.ndarray, k: int) -> np.ndarray:
         """Count vals, the field in slot(), in as partition point k: take
         its monitors at snapshot points (and the last point), flush a
-        full chunk, and return its |u|² if anything reads it."""
+        full chunk, and return its |u|²."""
         self.count += 1
-        rho = None
-        if self.rho_read:
-            rho = np.add(vals.real**2, vals.imag**2, out=self.held_rho[self.count - 1])
+        rho = np.add(vals.real**2, vals.imag**2, out=self.held_rho[self.count - 1])
         if k % self.config.snapshot_stride == 0 or k == self.steps:
             t_now = k * self.config.dt
             self.monitors.append((t_now, boundary_mass_fractions(self.grid, vals),
@@ -537,7 +540,7 @@ class _Recorder:
         steps, dt = self.steps, self.config.dt
         stop = first + self.count
         vals = self.held.reshape((-1,) + grid.shape)[:self.count * size]
-        rho = self.held_rho.reshape((-1,) + grid.shape)[:self.count * size] if self.rho_read else None
+        rho = self.held_rho.reshape((-1,) + grid.shape)[:self.count * size]
         part = slice(first * size, stop * size)
         if self.full:
             t = np.repeat(np.arange(first, stop) * dt, size)

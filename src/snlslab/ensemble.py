@@ -17,7 +17,9 @@ error message rather than yielding a partial, silently biased result.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -48,31 +50,25 @@ def pool_map(fn: Callable, items: Sequence, workers: int) -> list:
     workers=1 runs inline (no pool, no pickling). Only workers > 1
     imports the pool, and sizes it to min(workers, len(items)): the
     pool starts all its processes on the first submit, so spare ones
-    would only sit idle. Any exception aborts with the failing item's
-    index; an EnsembleError from fn already names its path and passes
-    through. Results are collected in submission order, so downstream
-    folds are deterministic.
+    would only sit idle. Both routes collect results in one loop, in
+    submission order, so downstream folds are deterministic. Any
+    exception aborts with the failing item's index; an EnsembleError
+    from fn already names its path and passes through.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        out = []
-        for i, item in enumerate(items):
-            try:
-                out.append(fn(item))
-            except EnsembleError:
-                raise
-            except Exception as exc:
-                raise EnsembleError(f"path {i} failed: {exc}") from exc
-        return out
-    from concurrent.futures import ProcessPoolExecutor
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=max(1, min(workers, len(items)))) as pool:
-        futures = [pool.submit(fn, item) for item in items]
+        pool = ProcessPoolExecutor(max_workers=max(1, min(workers, len(items))))
+    with pool or nullcontext():
+        calls = ([pool.submit(fn, item).result for item in items] if pool
+                 else [partial(fn, item) for item in items])
         out = []
-        for i, fut in enumerate(futures):
+        for i, call in enumerate(calls):
             try:
-                out.append(fut.result())
+                out.append(call())
             except EnsembleError:
                 raise
             except Exception as exc:

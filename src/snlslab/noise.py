@@ -46,7 +46,7 @@ _PHI_KINDS = ("gaussian", "gaussian_times_poly", "zero")
 _G_KINDS = ("power_law", "indicator", "constant", "zero")
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-_SCAN_BLOCK_BYTES = 1 << 17  # (paths,) float rows the tail scan holds per block
+_SCAN_BLOCK_BYTES = 1 << 17  # (paths,) float weight rows the noise scan builds per block
 
 
 def splitmix64(x: int) -> int:
@@ -126,13 +126,7 @@ def g_value(spec: NoiseSpec, t: float) -> float:
     t = float(t)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"envelope time must satisfy t >= 0, got {t}")
-    if spec.g_kind == "power_law":
-        return float((1.0 + t * t) ** (-0.5 * spec.g_alpha))
-    if spec.g_kind == "indicator":
-        return 1.0 if spec.g_t0 <= t < spec.g_t1 else 0.0
-    if spec.g_kind == "constant":
-        return float(spec.g_constant)
-    return 0.0
+    return float(_g_values(spec, np.asarray(t)))
 
 
 def _g_values(spec: NoiseSpec, times: np.ndarray) -> np.ndarray:
@@ -265,27 +259,22 @@ def coarsen_path(path: NoisePath, factor: int) -> NoisePath:
 # S(-t_k) phi g(t_k) dB_k, accumulated directly in Fourier space.
 
 
-def _scan_rows(paths: Sequence[NoisePath]) -> int:
-    """Steps per block of _SCAN_BLOCK_BYTES of (paths,) float rows."""
-    return max(1, _SCAN_BLOCK_BYTES // (8 * len(paths)))
-
-
 def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterator[np.ndarray]:
     """Running sums of exp(-i t_k |k|^2) g(t_k) dB_k over the steps ks,
     taken in the order given, for all paths at once.
 
     Yields the (paths, *grid) accumulator before the first step and after
     each step: one buffer, updated in place, so read it before advancing.
-    The weights g(t_k) dB_k are built for one block of _scan_rows
-    consecutive steps at a time, with paths[0]'s g (every path's, as the
-    paths differ only in seed) evaluated once per block, never as a
-    (steps, paths) table. A step skips only when every path
-    weights it by zero; a zero-weight row then adds exact zeros, which
-    leave its sum unchanged.
+    The weights g(t_k) dB_k are built for one block of consecutive steps
+    (_SCAN_BLOCK_BYTES of (paths,) float rows) at a time, with paths[0]'s
+    g (every path's, as the paths differ only in seed) evaluated once per
+    block, never as a (steps, paths) table. A step skips only when every
+    path weights it by zero; a zero-weight row then adds exact zeros,
+    which leave its sum unchanged.
     """
     k2 = grid.k_squared()
     dt = paths[0].dt
-    rows = _scan_rows(paths)
+    rows = max(1, _SCAN_BLOCK_BYTES // (8 * len(paths)))
     acc = np.zeros((len(paths),) + grid.shape, dtype=np.complex128)
     yield acc
     for lo in range(0, len(ks), rows):
@@ -345,9 +334,9 @@ def _tail_sups(paths: Sequence[NoisePath], phi: Field, p_space: float,
     """tail_sup_norms of every path at the partition indices idx (default
     all), one row each; the paths share a partition.
 
-    The scan keeps one running sup per path, folded in blocks of
-    _scan_rows steps, and records it at idx only. For p = 2 it folds the
-    Parseval sums and takes the roots of the recorded ones: the root is
+    The scan updates one running sup per path each step and keeps a copy
+    of it at the indices in idx only. For p = 2 it runs the sup over the
+    Parseval sums and takes the roots of the kept ones: the root is
     monotone, so it commutes with the max.
     """
     grid = phi.grid
@@ -355,27 +344,21 @@ def _tail_sups(paths: Sequence[NoisePath], phi: Field, p_space: float,
     hat = phi.spectrum()
     dt, steps = paths[0].dt, paths[0].steps
     weight = 1.0 + k2
-    back = steps - (np.arange(steps + 1) if idx is None else np.asarray(idx))  # scan position
-    sups = np.empty((len(back), len(paths)))
-    rows = _scan_rows(paths)
-    block = np.empty((rows, len(paths)))
+    want = range(steps + 1) if idx is None else [int(m) for m in idx]
+    kept = dict.fromkeys(want)  # partition index -> the running sup there
     sup = np.full(len(paths), -np.inf)
     scan = _noise_scan(paths, grid, range(steps - 1, -1, -1))
-    for j, (acc, m) in enumerate(zip(scan, range(steps, -1, -1))):
+    for acc, m in zip(scan, range(steps, -1, -1)):
         z_hat = acc * hat
         if p_space == 2.0:
-            block[j % rows] = row_sums((z_hat.real**2 + z_hat.imag**2) * weight)
+            value = row_sums((z_hat.real**2 + z_hat.imag**2) * weight)
         else:
             vals = -1j * grid.ifft(np.exp(1j * (m * dt) * k2) * z_hat)
-            block[j % rows] = [sobolev_norm(Field(grid, v), p_space, 1) for v in vals]
-        if j % rows == rows - 1 or m == 0:
-            lo = j - j % rows
-            run = block[:j - lo + 1]
-            np.maximum.accumulate(run, axis=0, out=run)
-            np.maximum(run, sup, out=run)
-            sup = run[-1].copy()
-            hit = (back >= lo) & (back <= j)
-            sups[hit] = run[back[hit] - lo]
+            value = [sobolev_norm(Field(grid, v), p_space, 1) for v in vals]
+        np.maximum(sup, value, out=sup)
+        if m in kept:
+            kept[m] = sup.copy()
+    sups = np.array([kept[m] for m in want])
     if p_space == 2.0:
         np.sqrt(np.multiply(sups, grid.cell_volume / grid.num_cells, out=sups), out=sups)
     return sups.T

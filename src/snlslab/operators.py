@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, gradients
 
 __all__ = [
     "propagate",
@@ -45,13 +45,10 @@ def propagate(field: Field, t: float) -> Field:
 def apply_J(field: Field, t: float) -> tuple[Field, ...]:
     """Components of (x - 2it*grad)u, one field per axis."""
     t = float(t)
-    hat = field.spectrum()
     grid = field.grid
-    out = []
-    for x, k in zip(grid.coords(), grid.freqs()):
-        deriv = grid.ifft(1j * k * hat)
-        out.append(Field(grid, x * field.values - 2j * t * deriv))
-    return tuple(out)
+    derivs = gradients(grid, field.values[None])
+    return tuple(Field(grid, x * field.values - 2j * t * d[0])
+                 for x, d in zip(grid.coords(), derivs))
 
 
 def dilate(field: Field, beta: float) -> Field:

@@ -660,13 +660,14 @@ def test_cli_strict_turns_warnings_into_exit_1(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):
-    # width-8 data on a length-20 box trips the boundary guard at run time
-    cfg = _write_cfg(tmp_path, SIM_TEXT + "initial.width = 8.0\n")
+    # |u|² of amplitude-1e200 data overflows, so the first recorded functionals are not finite
+    cfg = _write_cfg(tmp_path, SIM_TEXT.replace("initial.amplitude = 0.7",
+                                                "initial.amplitude = 1e200"))
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
     assert code == 2
     assert "numerical error" in captured.err
-    assert "boundary" in captured.err
+    assert "non-finite functionals after step 0" in captured.err
 
 
 def test_cli_unwritable_output_exits_3(tmp_path, capsys):

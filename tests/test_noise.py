@@ -397,9 +397,9 @@ def test_scan_skips_zero_weights_row_by_row(grid_key):
 
 @pytest.mark.parametrize("p_space", [2.0, 4.0])
 def test_tail_scan_blocks_and_indices_keep_bytes(monkeypatch, p_space):
-    """Paths in one scan match their batches of one, and folding the
-    running sup in blocks of a few steps, or recording it at a few
-    indices only, changes no byte."""
+    """Paths in one scan match their batches of one, and building the
+    scan's weights in blocks of a few steps, or keeping the running sup
+    at a few indices only, changes no byte."""
     grid = GridSpec(*GRIDS["1d"])
     phi = make_phi(spec_power(), grid)
     paths = [sample_path(spec_power(alpha=3.0, seed=path_seed(29, i)), 1.0, 0.02)
