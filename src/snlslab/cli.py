@@ -17,6 +17,8 @@ import argparse
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .analysis import classify_regime, growth_fit, scattering_cauchy
 from .config import (GROWTH_MIN_PATHS, KINDS, ConfigError, ExperimentConfig, load_config,
@@ -187,12 +189,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load(args)
-        _print_warnings(config.warnings)
-        print("# effective configuration")
-        print(config.echo(), end="")
-        print(f"# config hash {config.config_hash}")
-        return _DRIVERS[config.kind](config)
+        # the engine's explicit finite checks decide exit 2; numpy's
+        # overflow warnings on the way there would only bury the message
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            config = _load(args)
+            _print_warnings(config.warnings)
+            print("# effective configuration")
+            print(config.echo(), end="")
+            print(f"# config hash {config.config_hash}")
+            return _DRIVERS[config.kind](config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .grids import Field, GridSpec, row_sums
-from .norms import lp_norm, sobolev_norm
+from .norms import lp_norm, sobolev_row_norms
 
 __all__ = [
     "NoiseSpec",
@@ -265,17 +265,19 @@ def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterat
 
     Yields the (paths, *grid) accumulator before the first step and after
     each step: one buffer, updated in place, so read it before advancing.
-    The weights g(t_k) dB_k are built for one block of consecutive steps
-    (_SCAN_BLOCK_BYTES of (paths,) float rows) at a time, with paths[0]'s
-    g (every path's, as the paths differ only in seed) evaluated once per
-    block, never as a (steps, paths) table. A step skips only when every
-    path weights it by zero; a zero-weight row then adds exact zeros,
-    which leave its sum unchanged.
+    Each step writes its term into one ``term`` buffer allocated with the
+    accumulator. The weights g(t_k) dB_k are built for one block of
+    consecutive steps (_SCAN_BLOCK_BYTES of (paths,) float rows) at a
+    time, with paths[0]'s g (every path's, as the paths differ only in
+    seed) evaluated once per block, never as a (steps, paths) table. A
+    step skips only when every path weights it by zero; a zero-weight row
+    then adds exact zeros, which leave its sum unchanged.
     """
     k2 = grid.k_squared()
     dt = paths[0].dt
     rows = max(1, _SCAN_BLOCK_BYTES // (8 * len(paths)))
     acc = np.zeros((len(paths),) + grid.shape, dtype=np.complex128)
+    term = np.empty_like(acc)
     yield acc
     for lo in range(0, len(ks), rows):
         block = ks[lo:lo + rows]
@@ -288,7 +290,7 @@ def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterat
         weights = weights.reshape(weights.shape + (1,) * grid.dim)
         for k, w, on in zip(block, weights, live):
             if on:
-                acc += np.exp(-1j * (k * dt) * k2) * w
+                acc += np.multiply(np.exp(-1j * (k * dt) * k2), w, out=term)
             yield acc
 
 
@@ -334,10 +336,13 @@ def _tail_sups(paths: Sequence[NoisePath], phi: Field, p_space: float,
     """tail_sup_norms of every path at the partition indices idx (default
     all), one row each; the paths share a partition.
 
-    The scan updates one running sup per path each step and keeps a copy
-    of it at the indices in idx only. For p = 2 it runs the sup over the
-    Parseval sums and takes the roots of the kept ones: the root is
-    monotone, so it commutes with the max.
+    The scan runs backwards from t_inf and stops at the lowest index in
+    idx: the running sup at index m reads only the steps at or after m.
+    It updates one running sup per path each step and keeps a copy of it
+    at the indices in idx only. For p = 2 it runs the sup over the
+    Parseval sums, built in buffers allocated once per scan, and takes
+    the roots of the kept ones: the root is monotone, so it commutes with
+    the max. Other p take the W^{1,p} norms of all rows in one batch.
     """
     grid = phi.grid
     k2 = grid.k_squared()
@@ -345,16 +350,22 @@ def _tail_sups(paths: Sequence[NoisePath], phi: Field, p_space: float,
     dt, steps = paths[0].dt, paths[0].steps
     weight = 1.0 + k2
     want = range(steps + 1) if idx is None else [int(m) for m in idx]
+    low = min(want)
     kept = dict.fromkeys(want)  # partition index -> the running sup there
     sup = np.full(len(paths), -np.inf)
-    scan = _noise_scan(paths, grid, range(steps - 1, -1, -1))
-    for acc, m in zip(scan, range(steps, -1, -1)):
-        z_hat = acc * hat
+    scan = _noise_scan(paths, grid, range(steps - 1, low - 1, -1))
+    z_hat = np.empty((len(paths),) + grid.shape, dtype=np.complex128)
+    power, im2 = np.empty(z_hat.shape), np.empty(z_hat.shape)
+    for acc, m in zip(scan, range(steps, low - 1, -1)):
+        np.multiply(acc, hat, out=z_hat)
         if p_space == 2.0:
-            value = row_sums((z_hat.real**2 + z_hat.imag**2) * weight)
+            np.square(z_hat.real, out=power)
+            power += np.square(z_hat.imag, out=im2)
+            power *= weight
+            value = row_sums(power)
         else:
             vals = -1j * grid.ifft(np.exp(1j * (m * dt) * k2) * z_hat)
-            value = [sobolev_norm(Field(grid, v), p_space, 1) for v in vals]
+            value = sobolev_row_norms(grid, vals, p_space)
         np.maximum(sup, value, out=sup)
         if m in kept:
             kept[m] = sup.copy()

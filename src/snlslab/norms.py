@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .grids import Field, gradient
+from .grids import Field, GridSpec, gradients, row_sums
 
-__all__ = ["lp_norm", "sobolev_norm", "sigma_norm"]
+__all__ = ["lp_norm", "sobolev_norm", "sobolev_row_norms", "sigma_norm"]
 
 
 def _check_exponent(p: float, name: str = "p") -> float:
@@ -38,8 +38,8 @@ def sobolev_norm(field: Field, p: float = 2.0, order: int = 1) -> float:
     """W^{order,p} norm for order in {0, 1}.
 
     order=1, p=2 is computed on the Fourier side as the l2 sum of
-    (1+|k|^2)^{1/2} times the spectrum; other p use lp_norm of the field
-    plus its gradient components.
+    (1+|k|^2)^{1/2} times the spectrum; other p are sobolev_row_norms
+    of a batch of one.
     """
     p = _check_exponent(p)
     if order not in (0, 1):
@@ -53,10 +53,23 @@ def sobolev_norm(field: Field, p: float = 2.0, order: int = 1) -> float:
         # Parseval: ||u||_{L2}^2 = (dx^dim / N^dim) * sum |u_hat|^2
         scale = field.grid.cell_volume / field.grid.num_cells
         return float(math.sqrt(power.sum() * scale))
-    total = lp_norm(field, p)
-    for comp in gradient(field):
-        total += lp_norm(comp, p)
-    return float(total)
+    return sobolev_row_norms(field.grid, field.values[None], p)[0]
+
+
+def sobolev_row_norms(grid: GridSpec, values: np.ndarray, p: float) -> list[float]:
+    """W^{1,p} norm (p != 2) of every row of a (paths, *grid) array: the
+    L^p norm of the row plus those of its gradient components, in that
+    order. Each root is taken per row on a Python float, as lp_norm
+    takes it, so a row's norm matches the norm of that row alone."""
+    totals = [0.0] * len(values)
+    for x in (values,) + gradients(grid, values):
+        amp = np.abs(x)
+        if math.isinf(p):
+            terms = amp.reshape(len(amp), -1).max(axis=1).tolist()
+        else:
+            terms = [float(s * grid.cell_volume) ** (1.0 / p) for s in row_sums(amp**p)]
+        totals = [total + term for total, term in zip(totals, terms)]
+    return totals
 
 
 def sigma_norm(field: Field) -> float:

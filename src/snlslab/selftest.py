@@ -84,8 +84,6 @@ def run_selftest(points: int = 64, fault: str | None = None) -> SelftestReport:
     """Run every oracle check on an N=points 1d grid; see module docs."""
     if fault not in _FAULTS:
         raise ValueError(f"fault must be one of {_FAULTS}, got {fault!r}")
-    if points < 8:
-        raise ValueError(f"selftest needs at least 8 points, got {points}")
     grid = GridSpec(1, points, 20.0)
     x = grid.axis_coords()
     checks: list[SelftestCheck] = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -541,8 +542,10 @@ def test_selftest_fault_injection_is_caught():
 
 
 def test_selftest_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="at least 8"):
+    with pytest.raises(ValueError, match="power of two"):
         run_selftest(4)
+    with pytest.raises(ValueError, match="power of two"):
+        run_selftest(12)
     with pytest.raises(ValueError, match="fault"):
         run_selftest(64, fault="gremlins")
 
@@ -663,11 +666,14 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     # |u|² of amplitude-1e200 data overflows, so the first recorded functionals are not finite
     cfg = _write_cfg(tmp_path, SIM_TEXT.replace("initial.amplitude = 0.7",
                                                 "initial.amplitude = 1e200"))
-    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
     assert code == 2
     assert "numerical error" in captured.err
     assert "non-finite functionals after step 0" in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_unwritable_output_exits_3(tmp_path, capsys):

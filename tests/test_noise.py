@@ -414,6 +414,28 @@ def test_tail_scan_blocks_and_indices_keep_bytes(monkeypatch, p_space):
         assert noise._tail_sups(paths, phi, p_space, idx).tobytes() == whole[:, idx].tobytes()
 
 
+@pytest.mark.parametrize("p_space", [2.0, 4.0])
+def test_tail_scan_stops_at_the_lowest_kept_index(monkeypatch, p_space):
+    """Kept indices above 0 end the backward scan at the lowest of them,
+    and the sups kept there match the full scan's byte for byte."""
+    grid = GridSpec(*GRIDS["1d"])
+    phi = make_phi(spec_power(), grid)
+    paths = [sample_path(spec_power(alpha=3.0, seed=path_seed(31, i)), 1.0, 0.02)
+             for i in range(4)]
+    whole = noise._tail_sups(paths, phi, p_space)
+    scanned = []
+    real = noise._noise_scan
+
+    def recording(paths, grid, ks):
+        scanned.append(ks)
+        return real(paths, grid, ks)
+
+    monkeypatch.setattr(noise, "_noise_scan", recording)
+    idx = [17, 40, 3, 17, 50]
+    assert noise._tail_sups(paths, phi, p_space, idx).tobytes() == whole[:, idx].tobytes()
+    assert scanned == [range(49, 2, -1)]  # steps 49 down to 3
+
+
 @pytest.mark.parametrize("alpha, amp", [(2.0, 1.0), (3.0, 0.5)])
 def test_tail_fit_refuses_paths_that_differ_in_more_than_the_seed(alpha, amp):
     """The zero-envelope check and the truncation bound read paths[0]'s
