@@ -24,7 +24,7 @@ a batch of one. The loop builds its per-step inputs once (both
 half-step weights, the shift pair, the noise kick) and hands each
 partition point to a chunk recorder, which keeps the left-endpoint
 fields and their |u|² for a chunk of steps (as many as fit in
-BATCH_FIELD_BYTES, at least one); the loop writes each new field
+grids.BATCH_FIELD_BYTES, at least one); the loop writes each new field
 straight into the recorder's next free slot. Once per chunk the
 recorder evaluates the functional series and the discrete sums every
 Ito budget needs (all at left endpoints) in one batched call, and after
@@ -51,6 +51,7 @@ from .functionals import (
 from .grids import (
     Field,
     GridSpec,
+    batch_rows,
     boundary_mass_fraction,
     boundary_mass_fractions,
     gradient,
@@ -73,13 +74,7 @@ __all__ = [
 
 EQUATION_KINDS = ("deterministic", "snls", "random_shifted", "transformed")
 _RECORD_MODES = ("full", "light")
-
-#: field bytes one (paths, *grid) array may hold: ensembles split their
-#: paths into batches of at most this size, and a run records its
-#: functionals in chunks of max(1, BATCH_FIELD_BYTES // batch bytes)
-#: steps. On a 2-core Xeon at N=256, 32-path batches (128 KiB) took
-#: ~27 us per path-step and 64 to 256 paths 32-40 us.
-BATCH_FIELD_BYTES = 1 << 17
+SNAPSHOT_ATOL = 1e-9  # how far snapshot_at's time may sit from a stored one
 
 #: run warnings trigger above these fractions; see the grids module
 BOUNDARY_TOL = 1e-10
@@ -171,9 +166,9 @@ class Trajectory:
     def steps(self) -> int:
         return len(self.times) - 1
 
-    def snapshot_at(self, t: float, atol: float = 1e-9) -> Field:
+    def snapshot_at(self, t: float) -> Field:
         for t_k, snap in self.snapshots:
-            if abs(t_k - t) <= atol:
+            if abs(t_k - t) <= SNAPSHOT_ATOL:
                 return snap
         stored = ", ".join(f"{t_k:g}" for t_k, _ in self.snapshots)
         raise KeyError(f"no snapshot at t={t:g}; stored snapshot times: {stored}")
@@ -455,8 +450,8 @@ class _Recorder:
     """Records one _integrate run a chunk of steps at a time, takes its
     snapshot monitors and assembles its budgets and BatchRun.
 
-    ``held`` is (chunk, paths, *grid), chunk = max(1, BATCH_FIELD_BYTES //
-    batch bytes) with the cap read at run time; held[j] is the field at
+    ``held`` is (chunk, paths, *grid), chunk = batch_rows(batch bytes)
+    with the cap read at run time; held[j] is the field at
     partition point first + j and ``held_rho`` its |u|². The series and
     Ito tables are flat, one entry per (point, path) in that order.
     Failures keep the order of a step-by-step record: check flushes the
@@ -500,7 +495,7 @@ class _Recorder:
         self.snapshots: list[tuple[float, Field]] = []
         self.monitors: list[tuple[float, np.ndarray, np.ndarray]] = []
         # |u|² feeds the functionals or mass, the energy Ito sums, the unshifted left half phase
-        self.chunk = max(1, BATCH_FIELD_BYTES // u0.nbytes)
+        self.chunk = batch_rows(u0.nbytes)
         self.held = np.empty((self.chunk,) + u0.shape, dtype=complex)
         self.held_rho = np.empty(self.held.shape)
         self.first = self.count = 0  # the step in held[0], steps held

@@ -26,9 +26,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, make_initial, with_path_seed
-from .dynamics import BATCH_FIELD_BYTES, PathError, evolve_batch
+from .dynamics import PathError, evolve_batch
 from .dynamics import evolve  # noqa: F401  perfbench/tracing.py wraps ensemble.evolve
 from .functionals import ito_mass_budget
+from .grids import batches
 from .noise import NoisePath, path_seed, sample_path
 
 __all__ = [
@@ -120,18 +121,6 @@ class SeriesView:
     series: dict[str, np.ndarray]
 
 
-def _batches(size: int, field_bytes: int, workers: int) -> list[tuple[int, int]]:
-    """Split path indices 0..size-1 into [start, stop) batches.
-
-    A batch holds at most BATCH_FIELD_BYTES of field rows; with several
-    workers there are at least as many batches as workers.
-    """
-    per = max(1, BATCH_FIELD_BYTES // field_bytes)
-    if workers > 1:
-        per = min(per, -(-size // workers))
-    return [(start, min(start + per, size)) for start in range(0, size, per)]
-
-
 def _run_batch(args: tuple[ExperimentConfig, int, int]
                ) -> tuple[dict[str, np.ndarray], list[float], tuple[tuple[str, ...], ...]]:
     """Run paths [start, stop) as one batch; return its (rows, steps+1)
@@ -163,7 +152,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     if config.sim is None or config.noise is None:
         raise ValueError(f"kind {config.kind!r} does not define an ensemble of runs")
     jobs = [(config, start, stop) for start, stop in
-            _batches(config.ensemble_size, 16 * config.grid.num_cells, config.workers)]
+            batches(config.ensemble_size, 16 * config.grid.num_cells, config.workers)]
     series, residuals, warnings = zip(*pool_map(_run_batch, jobs, config.workers))
 
     names = tuple(series[0])

@@ -4,6 +4,10 @@ The physical domain is the periodic box [-L/2, L/2)^dim sampled on a
 uniform grid with a power-of-two point count per axis, so every spectral
 operation reduces to an FFT with frequencies 2*pi/L times the standard
 DFT integer layout.
+
+It also owns the batch cap: every working array of rows (ensemble batch,
+recorder chunk, tail-fit chunk, noise-scan weight block) is sized by
+``batch_rows``, which reads BATCH_FIELD_BYTES at call time.
 """
 from __future__ import annotations
 
@@ -22,7 +26,17 @@ __all__ = [
     "boundary_mass_fractions",
     "spectral_tail_fraction",
     "spectral_tail_fractions",
+    "batch_rows",
+    "batches",
 ]
+
+#: bytes one working array of rows may hold: ensembles split their paths
+#: into batches of at most this size, and a run records its functionals
+#: in chunks of max(1, BATCH_FIELD_BYTES // batch bytes) steps. On a
+#: 2-core Xeon at N=256, 32-path batches (128 KiB) took ~27 us per
+#: path-step and 64 to 256 paths 32-40 us.
+BATCH_FIELD_BYTES = 1 << 17
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -254,6 +268,21 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     sums a single field, so batched and per-field sums agree bit for bit.
     """
     return values.reshape(len(values), -1).sum(axis=1)
+
+
+def batch_rows(row_bytes: int) -> int:
+    """Rows of row_bytes each that fit in BATCH_FIELD_BYTES, at least one."""
+    return max(1, BATCH_FIELD_BYTES // row_bytes)
+
+
+def batches(size: int, row_bytes: int, workers: int = 1) -> list[tuple[int, int]]:
+    """Split indices 0..size-1 into [start, stop) batches of at most
+    batch_rows(row_bytes) rows; with several workers there are at least
+    as many batches as workers."""
+    per = batch_rows(row_bytes)
+    if workers > 1:
+        per = min(per, -(-size // workers))
+    return [(start, min(start + per, size)) for start in range(0, size, per)]
 
 
 def _masked_share(density: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .grids import Field, GridSpec, row_sums
+from .grids import Field, GridSpec, batches, row_sums
 from .norms import lp_norm, sobolev_row_norms
 
 __all__ = [
@@ -46,7 +46,6 @@ _PHI_KINDS = ("gaussian", "gaussian_times_poly", "zero")
 _G_KINDS = ("power_law", "indicator", "constant", "zero")
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-_SCAN_BLOCK_BYTES = 1 << 17  # (paths,) float weight rows the noise scan builds per block
 
 
 def splitmix64(x: int) -> int:
@@ -235,7 +234,7 @@ def coarsen_path(path: NoisePath, factor: int) -> NoisePath:
 
     Sums are always regrouped from the originally seeded fine path, so
     coarsening twice is bit-identical to coarsening once by the product
-    of the factors.
+    of the factors; a coarsened path its seed did not draw is refused.
     """
     factor = int(factor)
     if factor < 1 or path.steps % factor != 0:
@@ -244,6 +243,9 @@ def coarsen_path(path: NoisePath, factor: int) -> NoisePath:
         return path
     if path.coarsen_factor != 1:
         fine = sample_path(path.spec, path.t_inf, path.dt / path.coarsen_factor)
+        if coarsen_path(fine, path.coarsen_factor).increments.tobytes() != path.increments.tobytes():
+            raise ValueError(f"this path's seed does not draw the fine path it was coarsened from; "
+                             f"coarsen the fine path by {path.coarsen_factor * factor} instead")
         return coarsen_path(fine, path.coarsen_factor * factor)
     summed = path.increments.reshape(-1, factor).sum(axis=1)
     return NoisePath(path.spec, path.t_inf, path.dt * factor, summed,
@@ -267,7 +269,7 @@ def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterat
     each step: one buffer, updated in place, so read it before advancing.
     Each step writes its term into one ``term`` buffer allocated with the
     accumulator. The weights g(t_k) dB_k are built for one block of
-    consecutive steps (_SCAN_BLOCK_BYTES of (paths,) float rows) at a
+    consecutive steps (a grids.batches block of (paths,) float rows) at a
     time, with paths[0]'s g (every path's, as the paths differ only in
     seed) evaluated once per block, never as a (steps, paths) table. A
     step skips only when every path weights it by zero; a zero-weight row
@@ -275,12 +277,11 @@ def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterat
     """
     k2 = grid.k_squared()
     dt = paths[0].dt
-    rows = max(1, _SCAN_BLOCK_BYTES // (8 * len(paths)))
     acc = np.zeros((len(paths),) + grid.shape, dtype=np.complex128)
     term = np.empty_like(acc)
     yield acc
-    for lo in range(0, len(ks), rows):
-        block = ks[lo:lo + rows]
+    for lo, hi in batches(len(ks), 8 * len(paths)):
+        block = ks[lo:hi]
         kk = np.arange(block.start, block.stop, block.step)
         g = _g_values(paths[0].spec, dt * kk)
         weights = np.empty((len(kk), len(paths)))
@@ -313,16 +314,15 @@ def tail_convolution(path: NoisePath, phi: Field, t: float) -> Field:
     return _propagated_sum(path, phi, range(path.index_of(t), path.steps), t, -1j)
 
 
-def convolution_series(path: NoisePath, phi: Field, through: float | None = None) -> list[Field]:
-    """z at every partition point up to `through` (default t_inf).
+def convolution_series(path: NoisePath, phi: Field) -> list[Field]:
+    """z at every partition point of [0, t_inf].
 
     One running Fourier accumulator; cost is one inverse FFT per output.
     """
-    stop = path.steps if through is None else path.index_of(through)
     grid = phi.grid
     k2 = grid.k_squared()
     hat = phi.spectrum()
-    scan = _noise_scan([path], grid, range(stop))
+    scan = _noise_scan([path], grid, range(path.steps))
     next(scan)  # z(0) is the empty sum
     out = [Field.zeros(grid)]
     for m, acc in enumerate(scan, start=1):
@@ -419,8 +419,6 @@ def tail_decay_fit(
     slopes plus the ensemble median and interquartile range, and the
     closed-form bound on the truncated envelope energy.
     """
-    from .ensemble import _batches
-
     if not paths:
         raise ValueError("need at least one path")
     spec = paths[0].spec
@@ -439,8 +437,8 @@ def tail_decay_fit(
     log_t = np.log(np.sqrt(1.0 + t_grid**2))
     idx = np.rint(t_grid / dt).astype(int)
     slopes = np.empty(len(paths))
-    # one scan per chunk of at most ensemble.BATCH_FIELD_BYTES of accumulator rows
-    for start, stop in _batches(len(paths), 16 * phi.grid.num_cells, 1):
+    # one scan per chunk of at most grids.BATCH_FIELD_BYTES of accumulator rows
+    for start, stop in batches(len(paths), 16 * phi.grid.num_cells):
         vals = _tail_sups(paths[start:stop], phi, p_space, idx)
         if np.any(vals <= 0.0):
             raise ValueError("tail sup-norm vanished inside the fit window")

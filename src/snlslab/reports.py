@@ -323,14 +323,14 @@ def _json_default(obj):
 def emit_report(
     result,
     out_dir: str | Path,
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
 ) -> dict[str, Path]:
     """Write the artifacts for one result; returns {artifact name: path}.
 
     The CSV series, ``summary.txt`` and ``manifest.json`` are written.
     The manifest records the other files with their SHA-256 digests,
-    the code version, and — when a config is supplied — the config hash
-    and base seed.
+    the code version, the experiment kind, the config hash and echo,
+    and the base seed.
     """
     for klass, serializer in _SERIALIZERS:
         if isinstance(result, klass):
@@ -354,12 +354,11 @@ def emit_report(
         "code_version": __version__,
         "files": digests,
         "detail": extra,
+        "experiment_kind": config.kind,
+        "config_hash": config.config_hash,
+        "base_seed": str(config.base_seed),
+        "config_echo": config.echo().splitlines(),
     }
-    if config is not None:
-        manifest["experiment_kind"] = config.kind
-        manifest["config_hash"] = config.config_hash
-        manifest["base_seed"] = str(config.base_seed)
-        manifest["config_echo"] = config.echo().splitlines()
     text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n"
     path = out / "manifest.json"
     _write_text(path, text)

@@ -32,13 +32,13 @@ from snlslab.analysis import (
 )
 from snlslab.config import InitialSpec, load_config, make_initial
 from snlslab.dynamics import SimConfig, evolve, evolve_batch, step_deterministic
-from snlslab.ensemble import BATCH_FIELD_BYTES, run_ensemble, sample_ensemble_paths
+from snlslab.ensemble import run_ensemble, sample_ensemble_paths
 from snlslab.functionals import (
     compute_functionals,
     ito_energy_budget,
     ito_mass_budget,
 )
-from snlslab.grids import Field, GridSpec
+from snlslab.grids import BATCH_FIELD_BYTES, Field, GridSpec
 from snlslab.noise import NoiseSpec, coarsen_path, make_phi, sample_path, tail_decay_fit
 from snlslab.norms import lp_norm
 from snlslab.operators import (

@@ -17,8 +17,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import snlslab.dynamics as dynamics
 import snlslab.ensemble as ensemble
+import snlslab.grids as grids
 from snlslab.config import InitialSpec, load_config, make_initial, with_path_seed
 from snlslab.dynamics import PathError, SimConfig, evolve, evolve_batch
 from snlslab.ensemble import EnsembleError, run_ensemble
@@ -268,7 +268,7 @@ def _run_with_chunk(monkeypatch, chunk, kind, dim, u0, paths=None, shifts=None):
     cfg = _config(kind, dim)
     if chunk is not None:
         rows = np.stack([f.values for f in u0])
-        monkeypatch.setattr(dynamics, "BATCH_FIELD_BYTES", chunk * rows.nbytes)
+        monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", chunk * rows.nbytes)
     try:
         return evolve_batch(cfg, u0, paths, shifts=shifts)
     finally:
@@ -374,8 +374,8 @@ def _ensemble_artifacts(tmp_path, name):
 
 def test_ensemble_output_independent_of_batch_cap(tmp_path, monkeypatch):
     whole, whole_files = _ensemble_artifacts(tmp_path, "whole")
-    monkeypatch.setattr(ensemble, "BATCH_FIELD_BYTES", 1)
-    assert ensemble._batches(8, 16 * 64, 1) == [(i, i + 1) for i in range(8)]
+    monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 1)
+    assert grids.batches(8, 16 * 64, 1) == [(i, i + 1) for i in range(8)]
     single, single_files = _ensemble_artifacts(tmp_path, "single")
 
     assert whole.seeds == single.seeds
@@ -393,8 +393,8 @@ def test_ensemble_path_equals_its_own_run(monkeypatch):
     # raises a second warning, so the per-path numbering is exercised
     config = load_config(text=ENSEMBLE_TEXT,
                          overrides={"grid.points": 32, "noise.phi_amplitude": 6.0})
-    monkeypatch.setattr(ensemble, "BATCH_FIELD_BYTES", 3 * 16 * 32)
-    assert ensemble._batches(8, 16 * 32, 1) == [(0, 3), (3, 6), (6, 8)]
+    monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 3 * 16 * 32)
+    assert grids.batches(8, 16 * 32, 1) == [(0, 3), (3, 6), (6, 8)]
     result = run_ensemble(config)
     u0 = make_initial(config.initial, config.grid)
 
@@ -416,11 +416,11 @@ def test_ensemble_path_equals_its_own_run(monkeypatch):
 
 
 def test_batches_respect_cap_and_workers(monkeypatch):
-    monkeypatch.setattr(ensemble, "BATCH_FIELD_BYTES", 4 * 100)
-    assert ensemble._batches(10, 100, 1) == [(0, 4), (4, 8), (8, 10)]
-    assert ensemble._batches(10, 100, 4) == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    assert ensemble._batches(3, 100, 8) == [(0, 1), (1, 2), (2, 3)]
-    assert ensemble._batches(5, 1000, 1) == [(i, i + 1) for i in range(5)]
+    monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 4 * 100)
+    assert grids.batches(10, 100, 1) == [(0, 4), (4, 8), (8, 10)]
+    assert grids.batches(10, 100, 4) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    assert grids.batches(3, 100, 8) == [(0, 1), (1, 2), (2, 3)]
+    assert grids.batches(5, 1000, 1) == [(i, i + 1) for i in range(5)]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from snlslab import ensemble, noise
+from snlslab import grids, noise
 from snlslab.grids import Field, GridSpec
 from snlslab.noise import (
     NoisePath,
@@ -147,6 +147,17 @@ def test_coarsen_path_group_sums():
     np.testing.assert_array_equal(two_step.increments, coarse.increments)
     with pytest.raises(ValueError):
         coarsen_path(fine, 3)  # 1000 steps not divisible by 3
+
+
+def test_coarsen_path_refuses_a_path_its_seed_did_not_draw():
+    """A coarsened path is re-coarsened from the fine path its seed draws;
+    increments that fine path does not reproduce are refused, not redrawn."""
+    hand = NoisePath(NoiseSpec(seed=3), 0.08, 0.01, np.arange(8.0))
+    once = coarsen_path(hand, 2)
+    assert once.increments.tolist() == [1.0, 5.0, 9.0, 13.0]
+    with pytest.raises(ValueError, match="coarsen the fine path by 4"):
+        coarsen_path(once, 2)
+    np.testing.assert_array_equal(coarsen_path(hand, 4).increments, [6.0, 22.0])
 
 
 # -- stochastic convolution -------------------------------------------------
@@ -409,7 +420,7 @@ def test_tail_scan_blocks_and_indices_keep_bytes(monkeypatch, p_space):
         assert row.tobytes() == tail_sup_norms(path, phi, p_space).tobytes()
     idx = [3, 17, 17, 40, 50, 0]
     for block_bytes in (8, 8 * 5 * 7, 8 * 5 * 50):  # 1, 7 and 50 steps per block
-        monkeypatch.setattr(noise, "_SCAN_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", block_bytes)
         assert noise._tail_sups(paths, phi, p_space).tobytes() == whole.tobytes()
         assert noise._tail_sups(paths, phi, p_space, idx).tobytes() == whole[:, idx].tobytes()
 
@@ -457,8 +468,8 @@ def test_tail_fit_independent_of_batch_cap(monkeypatch):
 
     monkeypatch.setattr(noise, "_tail_sups", recording)
     fits = []
-    for cap in (ensemble.BATCH_FIELD_BYTES, 3 * 16 * 64, 1):
-        monkeypatch.setattr(ensemble, "BATCH_FIELD_BYTES", cap)
+    for cap in (grids.BATCH_FIELD_BYTES, 3 * 16 * 64, 1):
+        monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", cap)
         fits.append(tail_decay_fit(paths, phi))
     assert chunks == [8, 3, 3, 2] + [1] * 8
     whole = fits[0]
