@@ -21,7 +21,8 @@ step's propagator, which reproduces the discrete Duhamel form exactly.
 
 The engine is a step loop over a (paths, *grid) array; a single run is
 a batch of one. The loop builds its per-step inputs once (both
-half-step weights, the shift pair, the noise kick) and hands each
+half-step weights, the shift pair, the noise increments), writes every
+step's intermediates into one set of buffers the run owns, and hands each
 partition point to a chunk recorder, which keeps the left-endpoint
 fields and their |u|² for a chunk of steps (as many as fit in
 grids.BATCH_FIELD_BYTES, at least one); the loop writes each new field
@@ -227,28 +228,56 @@ class BatchRun:
         )
 
 
+class _StepBuffers:
+    """The working arrays of Strang steps on a (paths, *grid) batch: θ,
+    the mid-step |w|², the shifted sum w = vals + shift, the spectrum, the
+    inverse transform (which also holds the left half phase's output) and
+    the noise kick. A run allocates one set and every step writes into it.
+
+    Complex products keep the operand order of the allocating step they
+    replace (out *= w, spec *= lin, dw * prop_phi): numpy's complex
+    multiply is not bitwise commutative where it uses FMA (numpy 2.4.6 on
+    x86-64 is not), so operand order is part of the output bytes. In place
+    and out of place, one order gives the same bytes.
+    """
+
+    __slots__ = ("theta", "rho", "shifted", "spec", "wave", "kick")
+
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        self.theta, self.rho = np.empty(shape), np.empty(shape)
+        self.shifted, self.spec, self.wave, self.kick = (
+            np.empty(shape, dtype=complex) for _ in range(4))
+
+
 def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
                     shift: np.ndarray | None, rho: np.ndarray | None = None,
+                    buf: _StepBuffers | None = None,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Exact nonlinear substep w ← e^{iθ} w with θ = τ|w|^{2σ} and
-    w = vals + shift (shift frozen), returning the unshifted field.
+    w = vals + shift (shift frozen), returning the unshifted field in out.
 
     e^{iθ} is built as cos θ + i sin θ from the real θ ≥ +0, which skips
     the complex exp and gives the same bytes as np.exp(1j * θ) * w on
     numpy 2.4.6; tests/test_dynamics.py::test_phase_rotation_matches_complex_exp
     pins that. rho, if given, is |w|² already formed by the caller; it is
-    only read. out, if given, receives the result and must not overlap w.
+    only read. θ, |w|² and w go to buf's arrays; out must overlap neither
+    w nor them. Without buf, a rotation on its own gets fresh buffers and
+    a fresh out.
     """
-    w = vals if shift is None else vals + shift
+    if buf is None:
+        buf, out = _StepBuffers(vals.shape), np.empty(vals.shape, dtype=complex)
+    w = vals if shift is None else np.add(vals, shift, out=buf.shifted)
+    theta = buf.theta
     if rho is None:
-        rho = w.real**2 + w.imag**2
+        rho = np.square(w.real, out=buf.rho)
+        rho += np.square(w.imag, out=theta)
     if sigma == 1.0:
-        theta = tau * rho
+        np.multiply(tau, rho, out=theta)
     else:
-        theta = rho**sigma
+        # `**=` dispatches like `rho**sigma`, numpy's fast scalar powers included
+        np.copyto(theta, rho)
+        theta **= sigma
         theta *= tau
-    if out is None:
-        out = np.empty_like(w)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     out *= w
@@ -259,27 +288,29 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
 
 def _strang_step(vals: np.ndarray, sigma: float, grid: GridSpec, lin: np.ndarray,
                  tau_left: float, tau_right: float,
-                 s_left: np.ndarray | None = None,
-                 s_right: np.ndarray | None = None,
-                 rho: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 s_left: np.ndarray | None, s_right: np.ndarray | None,
+                 rho: np.ndarray | None, buf: _StepBuffers,
+                 out: np.ndarray) -> np.ndarray:
     """Half phase — full linear propagator — half phase, on every row of
-    a (paths, *grid) array; lin is the propagator's Fourier multiplier,
-    rho, if given, |vals|² for the unshifted left half phase, and out, if
-    given, receives the new field (vals is read in full before it is
-    written, so out may be vals)."""
-    vals = _phase_rotation(vals, sigma, tau_left, s_left, rho)
-    spec = grid.fft(vals)
+    a (paths, *grid) array, through buf's arrays into out; lin is the
+    propagator's Fourier multiplier and rho, if given, |vals|² for the
+    unshifted left half phase. vals is read in full before out is
+    written, so out may be vals."""
+    left = _phase_rotation(vals, sigma, tau_left, s_left, rho, buf, buf.wave)
+    spec = grid.fft(left, out=buf.spec)
     spec *= lin
-    return _phase_rotation(grid.ifft(spec), sigma, tau_right, s_right, out=out)
+    wave = grid.ifft(spec, out=buf.wave)
+    return _phase_rotation(wave, sigma, tau_right, s_right, None, buf, out)
 
 
 def step_deterministic(field: Field, dt: float, sigma: float) -> Field:
     """One Strang step of the plain equation."""
     grid = field.grid
     lin = np.exp(1j * dt * grid.k_squared())
-    vals = _strang_step(field.values[None], sigma, grid, lin, 0.5 * dt, 0.5 * dt)
-    return Field(grid, vals[0])
+    vals = field.values[None]
+    out = _strang_step(vals, sigma, grid, lin, 0.5 * dt, 0.5 * dt, None, None, None,
+                       _StepBuffers(vals.shape), np.empty(vals.shape, dtype=complex))
+    return Field(grid, out[0])
 
 
 def _validate_shift(shift: Sequence[Field], grid: GridSpec, steps: int) -> list[np.ndarray]:
@@ -428,19 +459,19 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
         taus = zip(0.5 * dt * (1.0 - (t_left + 0.25 * dt)) ** power,
                    0.5 * dt * (1.0 - (t_left + 0.75 * dt)) ** power)
     ends = repeat((None, None)) if shift is None else zip(shift, shift[1:])
-    kicks = repeat(None)
+    dws = repeat(None)
     if paths is not None:
         prop_phi = grid.ifft(lin * rec.phi_hat)
-        dw = (1j * (rec.g_left * rec.incr)).T.reshape((steps, len(u0)) + (1,) * grid.dim)
-        kicks = map(np.multiply, dw, repeat(prop_phi))
+        dws = (1j * (rec.g_left * rec.incr)).T.reshape((steps, len(u0)) + (1,) * grid.dim)
+    buf = _StepBuffers(u0.shape)
     vals = rec.slot()
     vals[...] = u0
-    for k, (tau_l, tau_r), (s_l, s_r), kick in zip(range(steps), taus, ends, kicks):
+    for k, (tau_l, tau_r), (s_l, s_r), dw in zip(range(steps), taus, ends, dws):
         rho = rec.hold(vals, k)
         vals = _strang_step(vals, sigma, grid, lin, tau_l, tau_r, s_l, s_r,
-                            rho if shift is None else None, rec.slot())
-        if kick is not None:
-            vals += kick  # vals is the rotation's output slot
+                            rho if shift is None else None, buf, rec.slot())
+        if dw is not None:
+            vals += np.multiply(dw, prop_phi, out=buf.kick)  # vals is the rotation's output slot
         rec.check(vals, k + 1)
     rec.hold(vals, steps)
     return rec.finish(vals)
@@ -498,6 +529,7 @@ class _Recorder:
         self.chunk = batch_rows(u0.nbytes)
         self.held = np.empty((self.chunk,) + u0.shape, dtype=complex)
         self.held_rho = np.empty(self.held.shape)
+        self.rho_scratch = np.empty(u0.shape)
         self.first = self.count = 0  # the step in held[0], steps held
 
     def slot(self) -> np.ndarray:
@@ -509,7 +541,8 @@ class _Recorder:
         its monitors at snapshot points (and the last point), flush a
         full chunk, and return its |u|²."""
         self.count += 1
-        rho = np.add(vals.real**2, vals.imag**2, out=self.held_rho[self.count - 1])
+        rho = np.square(vals.real, out=self.held_rho[self.count - 1])
+        rho += np.square(vals.imag, out=self.rho_scratch)
         if k % self.config.snapshot_stride == 0 or k == self.steps:
             t_now = k * self.config.dt
             self.monitors.append((t_now, boundary_mass_fractions(self.grid, vals),

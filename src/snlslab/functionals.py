@@ -128,8 +128,11 @@ def functional_columns(
     flux = 0.0
     for x_j, gv in zip(grid.coords(), grads):
         grad_sq += row_sums(gv.real**2 + gv.imag**2) * dvol
-        # Im ∫ u x_j conj(∂_j u)
-        flux += row_sums(x_j * (vals * gv.conj()).imag) * dvol
+        # Im ∫ u x_j conj(∂_j u). Complex-multiply operand order is part of
+        # the bytes (not bitwise commutative under FMA), and `vals * gv.conj()`
+        # lets numpy's temporary elision swap it from 256 KiB up; np.multiply
+        # keeps u first at every batch size.
+        flux += row_sums(x_j * np.multiply(vals, gv.conj()).imag) * dvol
     hamiltonian = 0.5 * grad_sq + potential / (2.0 * sigma + 2.0)
 
     cols = {

@@ -145,6 +145,20 @@ def test_batch_rows_equal_batches_of_one(kind, dim):
     assert _digest(three.trajectory(0)) == PINNED[(kind, dim)]
 
 
+def test_quarter_mebibyte_batch_rows_equal_batches_of_one():
+    # four 2-d 64² paths make a 256 KiB batch: from that size numpy's
+    # temporary elision may swap the operands of a complex product, which
+    # changes its bytes, so every product must keep its order explicitly
+    cfg = replace(_config("snls_full", 2), grid=GridSpec(2, 64, 24.0))
+    u0 = [_initial(cfg.grid, r) for r in range(4)]
+    paths = [_path(cfg, r) for r in range(4)]
+    four = evolve_batch(cfg, u0, paths)
+    assert four.final.nbytes == 1 << 18
+    for row in range(4):
+        _assert_same_run(four.trajectory(row),
+                         evolve_batch(cfg, u0[row], [paths[row]]).trajectory(0), row)
+
+
 @pytest.mark.parametrize("kind", ["deterministic", "snls_light", "snls_full",
                                   "random_shifted", "transformed"])
 def test_runs_leave_their_inputs_untouched(kind):

@@ -1,5 +1,5 @@
-"""Importing the package or its CLI loads no process pool, hashing or
-JSON module: only the runs that use them import them. The package
+"""Importing the package or its CLI loads no process pool, hashing,
+JSON or FFT module: only the runs that use them import them. The package
 itself loads no submodule, and every module imports on its own, so no
 import order fixed elsewhere can hide a cycle."""
 import os
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-DEFERRED = ("concurrent.futures", "multiprocessing", "hashlib", "json")
+DEFERRED = ("concurrent.futures", "multiprocessing", "hashlib", "json", "numpy.fft")
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted(f"snlslab.{m.name}" for m in pkgutil.iter_modules([str(SRC / "snlslab")]))
 

@@ -7,6 +7,8 @@ import pytest
 from snlslab.dynamics import (
     SimConfig,
     _phase_rotation,
+    _StepBuffers,
+    _strang_step,
     evolve,
     step_deterministic,
 )
@@ -123,6 +125,56 @@ def test_phase_rotation_matches_complex_exp(sigma, shifted):
     unit = np.resize(np.array([1.0, 1j, -1.0, -1j]), (2, n))
     for tau in [5e-324, 1e-310, 1e6] + [k * np.pi / 2 for k in range(-400, 401) if k]:
         _assert_rotation_bytes(unit if shift is None else unit - shift, sigma, tau, shift)
+
+
+# -- the buffered step against the allocating step it replaced --------------
+
+
+def _allocating_step(vals, sigma, grid, lin, tau_left, tau_right, s_left, s_right):
+    """One Strang step written with fresh arrays: numpy's fftn/ifftn and
+    e^{iθ}w, in the operand order of the step's own products."""
+    axes = tuple(range(-grid.dim, 0))
+    spec = np.fft.fftn(_rotation_as_exp(vals, sigma, tau_left, s_left), axes=axes)
+    spec *= lin
+    return _rotation_as_exp(np.fft.ifftn(spec, axes=axes), sigma, tau_right, s_right)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("sigma", [1.0, 0.75])
+@pytest.mark.parametrize("dim,points", [(1, 64), (2, 32), (3, 16)])
+def test_buffered_step_matches_allocating_step(dim, points, sigma, shifted):
+    grid = GridSpec(dim, points, 12.0)
+    dt = 0.01
+    lin = np.exp(1j * dt * grid.k_squared())
+    rng = np.random.default_rng(dim)
+    shape = (2,) + grid.shape
+
+    def draw(scale):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    # the plain half steps and the transformed frame's midpoint weights at t = 0.3
+    power = sigma * dim - 2.0
+    tau_pairs = [(0.5 * dt, 0.5 * dt),
+                 (0.5 * dt * (1.0 - (0.3 + 0.25 * dt)) ** power,
+                  0.5 * dt * (1.0 - (0.3 + 0.75 * dt)) ** power)]
+    buf = _StepBuffers(shape)  # shared by every step below, as a run shares it
+    vals = draw(2.0)
+    for tau_left, tau_right in tau_pairs:
+        for given_rho in (False, True):
+            s_left, s_right = (draw(0.5), draw(0.5)) if shifted else (None, None)
+            rho = vals.real**2 + vals.imag**2 if given_rho and not shifted else None
+            want = _allocating_step(vals, sigma, grid, lin, tau_left, tau_right, s_left, s_right)
+            out = np.empty(shape, dtype=complex)
+            got = _strang_step(vals, sigma, grid, lin, tau_left, tau_right, s_left, s_right,
+                               rho, buf, out)
+            assert got is out
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+            # in place: out is vals, as when a recorder chunk holds one step
+            same = vals.copy()
+            _strang_step(same, sigma, grid, lin, tau_left, tau_right, s_left, s_right,
+                         rho, buf, same)
+            assert same.tobytes() == want.tobytes()
+            vals = want
 
 
 # -- conservation and convergence ---------------------------------------------

@@ -44,6 +44,13 @@ def test_grid_fft_is_bit_identical_to_numpy_fftn(dim):
         axes = tuple(range(-dim, 0))
         assert np.array_equal(grid.fft(values), np.fft.fftn(values, axes=axes))
         assert np.array_equal(grid.ifft(values), np.fft.ifftn(values, axes=axes))
+        # into a caller's buffer, and in place
+        for transform, reference in ((grid.fft, np.fft.fftn), (grid.ifft, np.fft.ifftn)):
+            out = np.empty_like(values)
+            assert transform(values, out=out) is out
+            assert np.array_equal(out, reference(values, axes=axes))
+            same = values.copy()
+            assert np.array_equal(transform(same, out=same), reference(values, axes=axes))
     field = Field(grid, values[0])
     assert np.array_equal(field.spectrum(), np.fft.fftn(values[0]))
 
