@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Field
-from .norms import lp_norm, sigma_norm, sobolev_norm
+from .norms import lp_row_norms, sigma_row_norms, sobolev_row_norms
 from .operators import propagate
 
 __all__ = [
@@ -50,7 +50,12 @@ __all__ = [
 ALPHA_WEIGHTED = 2.5
 ALPHA_H1 = 1.0
 
-_NORM_KINDS = ("L2", "H1", "Sigma")
+_ROW_NORMS = {
+    "L2": lambda grid, rows: lp_row_norms(grid, rows, 2.0),
+    "H1": lambda grid, rows: sobolev_row_norms(grid, rows, 2.0),
+    "Sigma": sigma_row_norms,
+}
+_NORM_KINDS = tuple(_ROW_NORMS)
 
 
 def strauss_exponent(n: int) -> float:
@@ -270,14 +275,6 @@ class ScatteringReport:
     limit_candidate: Field
 
 
-def _norm_of(field: Field, kind: str) -> float:
-    if kind == "L2":
-        return lp_norm(field, 2.0)
-    if kind == "H1":
-        return sobolev_norm(field, 2.0, 1)
-    return sigma_norm(field)
-
-
 def check_scatter_args(norm_kind: str, checkpoints: Sequence[float]) -> list[float]:
     """Validate a scatter test's norm and checkpoints (at least 3,
     non-negative, strictly increasing); returns the checkpoints."""
@@ -306,19 +303,17 @@ def scattering_cauchy(
     """
     times = check_scatter_args(norm_kind, checkpoint_times)
     compensated = [propagate(trajectory.snapshot_at(t), -t) for t in times]
+    grid, row_norms = compensated[0].grid, _ROW_NORMS[norm_kind]
+    pulled = np.stack([w.values for w in compensated])
 
     m = len(times)
+    first, second = np.triu_indices(m, 1)  # every pair difference is one row
     differences = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = Field(
-                compensated[i].grid,
-                compensated[i].values - compensated[j].values,
-            )
-            differences[i, j] = differences[j, i] = _norm_of(diff, norm_kind)
-    consecutive = np.array([differences[k, k + 1] for k in range(m - 1)])
+    differences[first, second] = differences[second, first] = row_norms(
+        grid, pulled[first] - pulled[second])
+    consecutive = differences.diagonal(1).copy()
     # Tolerate rounding-level wiggle when differences sit at machine zero.
-    slack = 1e-12 * max(_norm_of(w, norm_kind) for w in compensated)
+    slack = 1e-12 * max(row_norms(grid, pulled))
     monotone = bool(
         np.all(consecutive[1:] <= consecutive[:-1] + slack)
     )

@@ -24,7 +24,8 @@ a batch of one. The loop builds its per-step inputs once (both
 half-step weights, the shift pair, the noise increments), writes every
 step's intermediates into one set of buffers the run owns, and hands each
 partition point to a chunk recorder, which keeps the left-endpoint
-fields and their |u|² for a chunk of steps (as many as fit in
+fields and their |u|² (and |u|^{2σ} when the energy Ito sums read it;
+the left half phase reads it too) for a chunk of steps (as many as fit in
 grids.BATCH_FIELD_BYTES, at least one); the loop writes each new field
 straight into the recorder's next free slot. Once per chunk the
 recorder evaluates the functional series and the discrete sums every
@@ -251,15 +252,16 @@ class _StepBuffers:
 
 def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
                     shift: np.ndarray | None, rho: np.ndarray | None = None,
-                    buf: _StepBuffers | None = None,
-                    out: np.ndarray | None = None) -> np.ndarray:
+                    buf: _StepBuffers | None = None, out: np.ndarray | None = None,
+                    rho_sig: np.ndarray | None = None) -> np.ndarray:
     """Exact nonlinear substep w ← e^{iθ} w with θ = τ|w|^{2σ} and
     w = vals + shift (shift frozen), returning the unshifted field in out.
 
     e^{iθ} is built as cos θ + i sin θ from the real θ ≥ +0, which skips
     the complex exp and gives the same bytes as np.exp(1j * θ) * w on
     numpy 2.4.6; tests/test_dynamics.py::test_phase_rotation_matches_complex_exp
-    pins that. rho, if given, is |w|² already formed by the caller; it is
+    pins that. rho and rho_sig, if given, are |w|² and |w|^{2σ} already
+    formed by the caller (rho is not read when rho_sig is given); they are
     only read. θ, |w|² and w go to buf's arrays; out must overlap neither
     w nor them. Without buf, a rotation on its own gets fresh buffers and
     a fresh out.
@@ -268,16 +270,12 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
         buf, out = _StepBuffers(vals.shape), np.empty(vals.shape, dtype=complex)
     w = vals if shift is None else np.add(vals, shift, out=buf.shifted)
     theta = buf.theta
-    if rho is None:
-        rho = np.square(w.real, out=buf.rho)
-        rho += np.square(w.imag, out=theta)
-    if sigma == 1.0:
-        np.multiply(tau, rho, out=theta)
-    else:
-        # `**=` dispatches like `rho**sigma`, numpy's fast scalar powers included
-        np.copyto(theta, rho)
-        theta **= sigma
-        theta *= tau
+    if rho_sig is None:
+        if rho is None:
+            rho = np.square(w.real, out=buf.rho)
+            rho += np.square(w.imag, out=theta)
+        rho_sig = rho if sigma == 1.0 else _pow_sigma(rho, sigma, theta)
+    np.multiply(rho_sig, tau, out=theta)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     out *= w
@@ -286,17 +284,24 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
     return out
 
 
+def _pow_sigma(rho: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
+    """|u|^{2σ} from rho = |u|², written into out."""
+    np.copyto(out, rho)
+    out **= sigma  # dispatches like `rho**sigma`, numpy's fast scalar powers included
+    return out
+
+
 def _strang_step(vals: np.ndarray, sigma: float, grid: GridSpec, lin: np.ndarray,
                  tau_left: float, tau_right: float,
                  s_left: np.ndarray | None, s_right: np.ndarray | None,
                  rho: np.ndarray | None, buf: _StepBuffers,
-                 out: np.ndarray) -> np.ndarray:
+                 out: np.ndarray, rho_sig: np.ndarray | None = None) -> np.ndarray:
     """Half phase — full linear propagator — half phase, on every row of
     a (paths, *grid) array, through buf's arrays into out; lin is the
-    propagator's Fourier multiplier and rho, if given, |vals|² for the
-    unshifted left half phase. vals is read in full before out is
-    written, so out may be vals."""
-    left = _phase_rotation(vals, sigma, tau_left, s_left, rho, buf, buf.wave)
+    propagator's Fourier multiplier and rho and rho_sig, if given, |vals|²
+    and |vals|^{2σ} for the unshifted left half phase. vals is read in
+    full before out is written, so out may be vals."""
+    left = _phase_rotation(vals, sigma, tau_left, s_left, rho, buf, buf.wave, rho_sig)
     spec = grid.fft(left, out=buf.spec)
     spec *= lin
     wave = grid.ifft(spec, out=buf.wave)
@@ -467,9 +472,9 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
     vals = rec.slot()
     vals[...] = u0
     for k, (tau_l, tau_r), (s_l, s_r), dw in zip(range(steps), taus, ends, dws):
-        rho = rec.hold(vals, k)
+        rho, rho_sig = rec.hold(vals, k)
         vals = _strang_step(vals, sigma, grid, lin, tau_l, tau_r, s_l, s_r,
-                            rho if shift is None else None, buf, rec.slot())
+                            rho if shift is None else None, buf, rec.slot(), rho_sig)
         if dw is not None:
             vals += np.multiply(dw, prop_phi, out=buf.kick)  # vals is the rotation's output slot
         rec.check(vals, k + 1)
@@ -483,7 +488,8 @@ class _Recorder:
 
     ``held`` is (chunk, paths, *grid), chunk = batch_rows(batch bytes)
     with the cap read at run time; held[j] is the field at
-    partition point first + j and ``held_rho`` its |u|². The series and
+    partition point first + j, ``held_rho`` its |u|² and ``held_rho_sig``
+    (or None) its |u|^{2σ}. The series and
     Ito tables are flat, one entry per (point, path) in that order.
     Failures keep the order of a step-by-step record: check flushes the
     held steps before it raises for a field, and flush checks a chunk's
@@ -525,10 +531,13 @@ class _Recorder:
         self.checked = [name for name in names if name not in FRAME_UNSET[self.frame]]
         self.snapshots: list[tuple[float, Field]] = []
         self.monitors: list[tuple[float, np.ndarray, np.ndarray]] = []
-        # |u|² feeds the functionals or mass, the energy Ito sums, the unshifted left half phase
+        # |u|² feeds the functionals or mass, the energy Ito sums, the unshifted left half
+        # phase; |u|^{2σ} (σ ≠ 1) is held only when the energy Ito sums read it
         self.chunk = batch_rows(u0.nbytes)
         self.held = np.empty((self.chunk,) + u0.shape, dtype=complex)
         self.held_rho = np.empty(self.held.shape)
+        self.held_rho_sig = (np.empty(self.held.shape) if self.track_energy and paths is not None
+                             and config.sigma != 1.0 else None)
         self.rho_scratch = np.empty(u0.shape)
         self.first = self.count = 0  # the step in held[0], steps held
 
@@ -536,22 +545,24 @@ class _Recorder:
         """The buffer the next held field is written to."""
         return self.held[self.count]
 
-    def hold(self, vals: np.ndarray, k: int) -> np.ndarray:
+    def hold(self, vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Count vals, the field in slot(), in as partition point k: take
         its monitors at snapshot points (and the last point), flush a
-        full chunk, and return its |u|²."""
+        full chunk, and return its |u|² and its held |u|^{2σ} (or None)."""
         self.count += 1
         rho = np.square(vals.real, out=self.held_rho[self.count - 1])
         rho += np.square(vals.imag, out=self.rho_scratch)
+        sig = self.held_rho_sig
+        rho_sig = None if sig is None else _pow_sigma(rho, self.config.sigma, sig[self.count - 1])
         if k % self.config.snapshot_stride == 0 or k == self.steps:
             t_now = k * self.config.dt
-            self.monitors.append((t_now, boundary_mass_fractions(self.grid, vals),
+            self.monitors.append((t_now, boundary_mass_fractions(self.grid, vals, rho),
                                   spectral_tail_fractions(self.grid, vals)))
             if self.keep_snapshots:
                 self.snapshots.append((t_now, Field(self.grid, vals[0])))
         if self.count == self.chunk:
             self.flush()
-        return rho
+        return rho, rho_sig
 
     def check(self, vals: np.ndarray, k: int) -> None:
         """Raise PathError for a non-finite row of vals, the field after step k."""
@@ -576,8 +587,9 @@ class _Recorder:
             for name, col in self.series.items():
                 col[part] = cols[name]
             finite = np.logical_and.reduce([np.isfinite(cols[name]) for name in self.checked])
-            for k, row in enumerate(finite.reshape(-1, size), start=first):
-                _require_finite(row, "functionals", k, steps, dt)
+            if not finite.all():  # name the earliest failing step
+                for k, row in enumerate(finite.reshape(-1, size), start=first):
+                    _require_finite(row, "functionals", k, steps, dt)
         else:
             self.series["mass"][part] = row_sums(rho)
         # the last partition point starts no step, so it has no Ito sums
@@ -589,7 +601,8 @@ class _Recorder:
             self.dots[part] = row_sums(prod)
             if self.track_energy:
                 dots, sums = self.energy_dots, self.energy_sums
-                rho_sig = rho if sigma == 1.0 else rho**sigma
+                rho_sig = (rho if sigma == 1.0
+                           else self.held_rho_sig.reshape((-1,) + grid.shape)[:rows])
                 for j, cw in enumerate(self.cw_energy):
                     dots[j, part] = row_sums(vals * cw)
                 dots[3, part] = row_sums(rho_sig * prod)

@@ -301,9 +301,12 @@ def _masked_share(density: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.divide(part, total, out=np.zeros_like(total), where=total != 0.0)
 
 
-def boundary_mass_fractions(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """boundary_mass_fraction of every row of a (paths, *grid) array."""
-    return _masked_share(values.real**2 + values.imag**2, grid.outside_half_box())
+def boundary_mass_fractions(grid: GridSpec, values: np.ndarray,
+                            rho: np.ndarray | None = None) -> np.ndarray:
+    """boundary_mass_fraction of every row of a (paths, *grid) array; rho,
+    if given, is |values|² already formed by the caller."""
+    rho = values.real**2 + values.imag**2 if rho is None else rho
+    return _masked_share(rho, grid.outside_half_box())
 
 
 def spectral_tail_fractions(grid: GridSpec, values: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ from snlslab.analysis import (
 )
 from snlslab.dynamics import SimConfig, evolve
 from snlslab.grids import Field, GridSpec
-from snlslab.norms import lp_norm
+from snlslab.norms import lp_norm, sigma_norm, sobolev_norm
+from snlslab.operators import propagate
 
 
 def gaussian(grid, amp=1.0):
@@ -154,6 +155,42 @@ def test_scattering_cauchy_contracts_for_short_range_power():
     # consecutive pullback differences shrink as the horizon grows
     assert rep.consecutive[-1] < rep.consecutive[0]
     assert rep.limit_candidate is not None
+
+
+def _field_pair_cauchy(traj, norm_kind, times):
+    """The per-field pair loop scattering_cauchy's row norms replace."""
+    norm_of = {"L2": lambda f: lp_norm(f, 2.0), "H1": lambda f: sobolev_norm(f, 2.0, 1),
+               "Sigma": sigma_norm}[norm_kind]
+    compensated = [propagate(traj.snapshot_at(t), -t) for t in times]
+    m = len(times)
+    differences = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            diff = Field(compensated[i].grid, compensated[i].values - compensated[j].values)
+            differences[i, j] = differences[j, i] = norm_of(diff)
+    consecutive = np.array([differences[k, k + 1] for k in range(m - 1)])
+    slack = 1e-12 * max(norm_of(w) for w in compensated)
+    return differences, consecutive, bool(np.all(consecutive[1:] <= consecutive[:-1] + slack))
+
+
+@pytest.fixture(scope="module")
+def short_range_runs():
+    runs = []
+    for grid, t_end in ((GridSpec(1, 256, 40.0), 4.0), (GridSpec(2, 32, 20.0), 1.0)):
+        cfg = SimConfig(grid, sigma=1.5, dt=1e-2, t_end=t_end, snapshot_stride=25)
+        runs.append((evolve(cfg, gaussian(grid)), tuple(np.linspace(0.25, 1.0, 4) * t_end)))
+    return runs
+
+
+@pytest.mark.parametrize("norm_kind", ["L2", "H1", "Sigma"])
+def test_scattering_cauchy_matches_field_pair_loop(short_range_runs, norm_kind):
+    for traj, times in short_range_runs:
+        rep = scattering_cauchy(traj, norm_kind, times)
+        differences, consecutive, monotone = _field_pair_cauchy(traj, norm_kind, times)
+        assert rep.differences.dtype == differences.dtype
+        assert rep.differences.tobytes() == differences.tobytes()
+        assert rep.consecutive.tobytes() == consecutive.tobytes()
+        assert rep.monotone_decay is monotone
 
 
 def test_scattering_cauchy_validation():

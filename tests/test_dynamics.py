@@ -160,19 +160,24 @@ def test_buffered_step_matches_allocating_step(dim, points, sigma, shifted):
     buf = _StepBuffers(shape)  # shared by every step below, as a run shares it
     vals = draw(2.0)
     for tau_left, tau_right in tau_pairs:
-        for given_rho in (False, True):
+        # the left half phase forms |w|² itself, reads a recorder's |w|², or
+        # reads the |w|^{2σ} a full snls record holds for its Ito sums
+        for given in (None, "rho", "rho_sig"):
             s_left, s_right = (draw(0.5), draw(0.5)) if shifted else (None, None)
-            rho = vals.real**2 + vals.imag**2 if given_rho and not shifted else None
+            rho = rho_sig = None
+            if given and not shifted:
+                rho = vals.real**2 + vals.imag**2
+                rho_sig = rho**sigma if given == "rho_sig" else None
             want = _allocating_step(vals, sigma, grid, lin, tau_left, tau_right, s_left, s_right)
             out = np.empty(shape, dtype=complex)
             got = _strang_step(vals, sigma, grid, lin, tau_left, tau_right, s_left, s_right,
-                               rho, buf, out)
+                               rho, buf, out, rho_sig)
             assert got is out
             assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
             # in place: out is vals, as when a recorder chunk holds one step
             same = vals.copy()
             _strang_step(same, sigma, grid, lin, tau_left, tau_right, s_left, s_right,
-                         rho, buf, same)
+                         rho, buf, same, rho_sig)
             assert same.tobytes() == want.tobytes()
             vals = want
 

@@ -8,6 +8,7 @@ from snlslab.grids import (
     Field,
     GridSpec,
     boundary_mass_fraction,
+    boundary_mass_fractions,
     gradient,
     spectral_tail_fraction,
 )
@@ -126,6 +127,12 @@ def test_boundary_mass_fraction_flags_escaped_field():
     assert boundary_mass_fraction(centered) < 1e-30
     assert boundary_mass_fraction(shifted) > 0.99
     assert boundary_mass_fraction(Field.zeros(grid)) == 0.0
+    # a recorder passes the |u|² it already holds; the fractions keep their bytes
+    rows = np.stack([centered.values, shifted.values, 1j * shifted.values])
+    rho = np.square(rows.real)
+    rho += np.square(rows.imag)
+    given = boundary_mass_fractions(grid, rows, rho)
+    assert given.tobytes() == boundary_mass_fractions(grid, rows).tobytes()
 
 
 def test_spectral_tail_fraction_flags_rough_field():
