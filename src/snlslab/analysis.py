@@ -34,6 +34,8 @@ from .operators import propagate
 __all__ = [
     "ALPHA_H1",
     "ALPHA_WEIGHTED",
+    "THEOREM_NAMES",
+    "GROWTH_FIT_PATHS",
     "TheoremCheck",
     "RegimeReport",
     "strauss_exponent",
@@ -49,6 +51,10 @@ __all__ = [
 
 ALPHA_WEIGHTED = 2.5
 ALPHA_H1 = 1.0
+#: the scattering statements classify_regime checks: L^2, weighted-space, H^1
+THEOREM_NAMES = ("short_range_L2", "sigma_scattering", "h1_scattering")
+#: the paths a growth fit wants for a stable ensemble mean (growth_fit's default floor)
+GROWTH_FIT_PATHS = 200
 
 _ROW_NORMS = {
     "L2": lambda grid, rows: lp_row_norms(grid, rows, 2.0),
@@ -155,11 +161,12 @@ def classify_regime(dim: int, two_sigma: float, alpha: float) -> RegimeReport:
     mass_critical = criticality == "critical"
     decay_weighted = alpha > ALPHA_WEIGHTED
     decay_h1 = alpha > ALPHA_H1
+    l2_name, sigma_name, h1_name = THEOREM_NAMES
 
     # L^2 scattering: 2/n < 2*sigma < 4/n, decay stronger than t^{-5/2}.
     l2_window = (2.0 / dim < two_sigma < mass_line) and not mass_critical
     l2_check = TheoremCheck(
-        name="short_range_L2",
+        name=l2_name,
         window_ok=l2_window,
         decay_ok=decay_weighted,
         required_alpha=ALPHA_WEIGHTED,
@@ -175,7 +182,7 @@ def classify_regime(dim: int, two_sigma: float, alpha: float) -> RegimeReport:
         sigma_window = strauss < two_sigma and not mass_critical
         sigma_small = strauss < two_sigma and mass_critical
     sigma_check = TheoremCheck(
-        name="sigma_scattering",
+        name=sigma_name,
         window_ok=sigma_window or sigma_small,
         decay_ok=decay_weighted,
         required_alpha=ALPHA_WEIGHTED,
@@ -189,7 +196,7 @@ def classify_regime(dim: int, two_sigma: float, alpha: float) -> RegimeReport:
         two_sigma > mass_line - _CRIT_TOL and two_sigma < sup
     )
     h1_check = TheoremCheck(
-        name="h1_scattering",
+        name=h1_name,
         window_ok=h1_window,
         decay_ok=decay_h1,
         required_alpha=ALPHA_H1,
@@ -362,7 +369,7 @@ def check_geometric(tau_grid: Sequence[float]) -> list[float]:
 def growth_fit(
     trajectories: Sequence,
     tau_grid: Sequence[float],
-    min_paths: int = 200,
+    min_paths: int = GROWTH_FIT_PATHS,
 ) -> GrowthFitResult:
     """Fit the growth exponent of the quadratic-weight energy.
 

@@ -11,7 +11,9 @@ Each experiment kind is one ``ExperimentKind`` record in ``KINDS``: its
 name, its command-line help line and the sections it reads. A kind's
 required keys are the schema keys without a default in those sections.
 Every spec is built from its section's keys by one helper, so a value
-its constructor rejects fails at load time with the key named.
+its constructor rejects fails at load time with the key named; the
+schema itself is read off the spec fields, so each key's type and
+default are declared once, on its spec.
 
 Defaults are materialized at load time and echoed back through
 ``ExperimentConfig.echo()``; the SHA-256 of that canonical echo is the
@@ -28,12 +30,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import check_geometric, check_scatter_args, classify_regime
+from .analysis import (GROWTH_FIT_PATHS, THEOREM_NAMES, check_geometric, check_scatter_args,
+                       classify_regime)
 from .dynamics import SimConfig, _check_inside_half_box
 from .grids import Field, GridSpec
 from .noise import (NoiseSpec, check_fit_window, g_sq_tail_bound, make_phi, partition_steps,
@@ -56,7 +59,6 @@ __all__ = [
 ]
 
 _INITIAL_KINDS = ("gaussian", "zero")
-_THEOREM_NAMES = ("short_range_L2", "sigma_scattering", "h1_scattering")
 #: the fewest paths growth-fit runs: its fit regresses an ensemble mean
 GROWTH_MIN_PATHS = 2
 
@@ -135,13 +137,13 @@ class ScatterSpec:
 
     checkpoints: tuple[float, ...]
     norm_kind: str = field(default="Sigma", metadata={"key": "norm"})
-    theorem: str | None = None
+    theorem: str | None = ""
 
     def __post_init__(self) -> None:
         check_scatter_args(self.norm_kind, self.checkpoints)
         object.__setattr__(self, "theorem", self.theorem or None)
-        if self.theorem not in (None, *_THEOREM_NAMES):
-            raise ValueError(f"theorem must be one of {_THEOREM_NAMES}, got {self.theorem!r}")
+        if self.theorem not in (None, *THEOREM_NAMES):
+            raise ValueError(f"theorem must be one of {THEOREM_NAMES}, got {self.theorem!r}")
 
 
 @dataclass(frozen=True)
@@ -169,8 +171,8 @@ class TailSpec:
     dt: float = 1e-3
     paths: int = 100
     p_space: float = 2.0
-    window_lo: float | None = None
-    window_hi: float | None = None
+    window_lo: float | None = math.nan
+    window_hi: float | None = math.nan
 
     def __post_init__(self) -> None:
         for name in ("window_lo", "window_hi"):
@@ -216,18 +218,18 @@ class ExperimentConfig:
     """One fully validated experiment; every default materialized."""
 
     kind: str
+    ensemble_size: int
+    workers: int
+    out_dir: str
+    selftest_points: int
     grid: GridSpec | None = None
     sim: SimConfig | None = None
     initial: InitialSpec | None = None
     noise: NoiseSpec | None = None
-    ensemble_size: int = 1
-    workers: int = 1
-    out_dir: str = "runs"
     scatter: ScatterSpec | None = None
     growth: GrowthSpec | None = None
     tail: TailSpec | None = None
     regimes: RegimeQuery | None = None
-    selftest_points: int = 64
     warnings: tuple[str, ...] = ()
     resolved: tuple[tuple[str, str], ...] = field(default=(), repr=False)
 
@@ -251,50 +253,39 @@ class ExperimentConfig:
 # Schema
 # ---------------------------------------------------------------------------
 
+#: the spec each section builds; every field's key, tag and default come from it
+_SPECS = {"sim": SimConfig, "initial": InitialSpec, "noise": NoiseSpec, "scatter": ScatterSpec,
+          "growth": GrowthSpec, "tail": TailSpec, "regimes": RegimeQuery}
+#: parse tag of each field annotation in use
+_TAGS = {"int": "int", "float": "float", "str": "str", "float | None": "float",
+         "str | None": "str", "tuple[float, ...]": "float_list"}
+
+
+def _key(section: str, f) -> str:
+    """Config key of one spec field: ``section.<field>``, or the key
+    named in the field's ``key`` metadata."""
+    return f"{section}.{f.metadata.get('key', f.name)}"
+
+
+# key: (type tag, default or None = required when the section is used)
 _SCHEMA: dict[str, tuple] = {
-    # key: (type tag, default or None=required-when-section-used)
+    _key(section, f): (_TAGS[f.type], None if f.default is MISSING else f.default)
+    for section, cls in _SPECS.items()
+    for f in fields(cls)
+    if not (cls is SimConfig and f.name in ("grid", "noise"))  # load_config passes these
+} | {
+    # the keys no spec field defaults
     "experiment.kind": ("str", None),
     "grid.dim": ("int", 1),
     "grid.points": ("int", 256),
     "grid.box_length": ("float", 24.0),
-    "sim.sigma": ("float", None),
     "sim.dt": ("float", 1e-3),
-    "sim.t_end": ("float", None),
-    "sim.equation": ("str", "deterministic"),
-    "sim.snapshot_stride": ("int", 10),
-    "sim.record": ("str", "full"),
-    "initial.kind": ("str", "gaussian"),
-    "initial.amplitude": ("float", 1.0),
-    "initial.width": ("float", 1.0),
-    "noise.phi_kind": ("str", "gaussian"),
-    "noise.phi_width": ("float", 1.0),
-    "noise.phi_center": ("float", 0.0),
-    "noise.phi_amplitude": ("float", 1.0),
-    "noise.g_kind": ("str", "constant"),
-    "noise.g_alpha": ("float", 3.0),
-    "noise.g_t0": ("float", 0.0),
-    "noise.g_t1": ("float", 1.0),
-    "noise.g_constant": ("float", 1.0),
-    "noise.seed": ("int", 0),
     "ensemble.size": ("int", 1),
     "ensemble.workers": ("int", 1),
     "output.dir": ("str", "runs"),
-    "scatter.checkpoints": ("float_list", None),
-    "scatter.norm": ("str", "Sigma"),
-    "scatter.theorem": ("str", ""),
-    "growth.tau_grid": ("float_list", None),
-    "growth.bound_slack": ("float", 0.25),
-    "tail.t_inf": ("float", None),
-    "tail.dt": ("float", 1e-3),
-    "tail.paths": ("int", 100),
-    "tail.p_space": ("float", 2.0),
-    "tail.window_lo": ("float", math.nan),
-    "tail.window_hi": ("float", math.nan),
-    "regimes.dim": ("int", None),
-    "regimes.two_sigma": ("float", None),
-    "regimes.alpha": ("float", None),
     "selftest.points": ("int", 64),
 }
+
 
 def _convert(key: str, raw: str):
     tag, _ = _SCHEMA[key]
@@ -383,19 +374,19 @@ def _check_scatter_hypotheses(
     ]
 
 
+def _on_partition(t: float, step: float) -> bool:
+    """Whether time t is a multiple of step (within 1e-9)."""
+    return abs(t - round(t / step) * step) <= 1e-9
+
+
 def _build(cls, section: str, get, **given):
     """Build one spec from its section's keys.
 
-    Each dataclass field not in ``given`` reads key ``section.<field>``
-    (or the key named in the field's ``key`` metadata). A value the
-    constructor rejects becomes a ConfigError naming the keys of the
+    Each dataclass field not in ``given`` reads its ``_key``. A value
+    the constructor rejects becomes a ConfigError naming the keys of the
     fields its message mentions.
     """
-    keys = {
-        f.name: f"{section}.{f.metadata.get('key', f.name)}"
-        for f in fields(cls)
-        if f.name not in given
-    }
+    keys = {f.name: _key(section, f) for f in fields(cls) if f.name not in given}
     values = {name: get(key) for name, key in keys.items()}
     try:
         return cls(**given, **values)
@@ -513,8 +504,7 @@ def load_config(
             )
         stride_dt = sim.snapshot_stride * sim.dt
         for c in checkpoints:
-            on_grid = abs(c - round(c / stride_dt) * stride_dt) <= 1e-9
-            if not on_grid and abs(c - sim.t_end) > 1e-9:
+            if not _on_partition(c, stride_dt) and abs(c - sim.t_end) > 1e-9:
                 raise ConfigError(
                     f"scatter.checkpoints, sim.snapshot_stride, sim.dt: {c:g} is not a "
                     f"recorded snapshot time (multiples of sim.snapshot_stride * sim.dt = "
@@ -533,6 +523,10 @@ def load_config(
         if sim.record != "full":
             raise ConfigError("sim.record: growth-fit needs record = full")
         growth = _build(GrowthSpec, "growth", get)
+        for tau in growth.tau_grid:
+            if not _on_partition(tau, sim.dt):
+                raise ConfigError(f"growth.tau_grid, sim.dt: horizon {tau:g} is not a multiple "
+                                  f"of sim.dt = {sim.dt:g}, so no step is recorded there")
 
     tail = None
     if "tail" in sections:
@@ -572,10 +566,10 @@ def load_config(
     workers = get("ensemble.workers")
     if workers < 1:
         raise ConfigError(f"ensemble.workers: must be >= 1, got {workers}")
-    if "growth" in sections and ensemble_size < 200:
+    if "growth" in sections and ensemble_size < GROWTH_FIT_PATHS:
         warnings.append(
             f"ensemble.size = {ensemble_size}: growth-exponent fits want at "
-            "least 200 paths for a stable ensemble mean"
+            f"least {GROWTH_FIT_PATHS} paths for a stable ensemble mean"
         )
 
     # GridSpec's own check on points (a power of two >= 8); the box does not matter

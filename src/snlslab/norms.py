@@ -72,12 +72,8 @@ def lp_norm(field: Field, p: float) -> float:
     return lp_row_norms(field.grid, field.values[None], p)[0]
 
 
-def sobolev_norm(field: Field, p: float = 2.0, order: int = 1) -> float:
-    """W^{order,p} norm for order in {0, 1}."""
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {order}")
-    if order == 0:
-        return lp_norm(field, p)
+def sobolev_norm(field: Field, p: float = 2.0) -> float:
+    """W^{1,p} norm; sobolev_row_norms of a batch of one."""
     return sobolev_row_norms(field.grid, field.values[None], p)[0]
 
 

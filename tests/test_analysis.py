@@ -159,7 +159,7 @@ def test_scattering_cauchy_contracts_for_short_range_power():
 
 def _field_pair_cauchy(traj, norm_kind, times):
     """The per-field pair loop scattering_cauchy's row norms replace."""
-    norm_of = {"L2": lambda f: lp_norm(f, 2.0), "H1": lambda f: sobolev_norm(f, 2.0, 1),
+    norm_of = {"L2": lambda f: lp_norm(f, 2.0), "H1": lambda f: sobolev_norm(f, 2.0),
                "Sigma": sigma_norm}[norm_kind]
     compensated = [propagate(traj.snapshot_at(t), -t) for t in times]
     m = len(times)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from snlslab import cli
-from snlslab.config import _SCHEMA, KINDS, ConfigError, load_config
+from snlslab.config import _SCHEMA, KINDS, ConfigError, _convert, load_config
 from snlslab.dynamics import EQUATION_KINDS
 from snlslab.noise import partition_steps
 
@@ -280,6 +281,7 @@ def test_one_bad_value_runs_or_exits_1_naming_its_key():
         ("tail-decay", {"ensemble.size": "4"}, "ensemble.size"),
         ("growth-fit", {"growth.tau_grid": "0.05, 0.1, 0.15"}, "growth.tau_grid"),
         ("growth-fit", {"growth.bound_slack": "nan"}, "growth.bound_slack"),
+        ("growth-fit", {"growth.tau_grid": "0.001, 0.002, 0.004"}, "growth.tau_grid, sim.dt"),
         ("regimes", {"regimes.alpha": "nan"}, "regimes.alpha"),
         ("simulate", {"initial.width": "6"}, "initial.width"),
         ("scatter-test", {"grid.box_length": "12"}, "grid.box_length"),
@@ -373,9 +375,40 @@ def _loads_with_equation(equation: str) -> bool:
     return True
 
 
+def _readme_defaults(text: str) -> dict[str, str]:
+    """The first value README's config reference states in parentheses
+    after each key: `a` (x) gives a: x; `a`/`b` (x/y) gives a: x, b: y,
+    and `a`/`b` (x) gives both x."""
+    section = text.split("### Config reference", 1)[1].split("\n## ", 1)[0]
+    stated = {}
+    for keys, inner in re.findall(r"((?:`[\w.]+`/)*`[\w.]+`) \(([^)]*)\)", section):
+        keys = re.findall(r"`([\w.]+)`", keys)
+        first = re.split(r"[,;|]", inner, maxsplit=1)[0].split("/")
+        for key, value in zip(keys, first * len(keys) if len(first) == 1 else first):
+            stated.setdefault(key, value.strip().strip("`"))
+    return stated
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) and (a == b or (isinstance(a, float) and math.isnan(a)
+                                              and math.isnan(b)))
+
+
 def test_readme_names_every_schema_key_and_the_loadable_equations():
     text = README.read_text()
     assert [key for key in _SCHEMA if f"`{key}`" not in text] == []
     listed = re.search(r"`sim\.equation` \(([^)]*)\)", text).group(1)
     loadable = {equation for equation in EQUATION_KINDS if _loads_with_equation(equation)}
     assert set(re.findall(r"`(\w+)`", listed)) == loadable
+    # *req* marks exactly the keys without a default; every other key states
+    # its default first in parentheses ("unset" is the empty string or NaN
+    # that the specs read as None)
+    assert set(re.findall(r"`([\w.]+)` \*req\*", text)) == {
+        key for key, (_, default) in _SCHEMA.items() if default is None}
+    stated = _readme_defaults(text)
+    assert set(stated) == {key for key, (_, default) in _SCHEMA.items() if default is not None}
+    unset = {"str": "", "float": "nan"}
+    wrong = [(key, raw, _SCHEMA[key][1]) for key, raw in stated.items()
+             if not _same(_convert(key, unset[_SCHEMA[key][0]] if raw == "unset" else raw),
+                          _SCHEMA[key][1])]
+    assert wrong == []

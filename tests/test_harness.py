@@ -10,6 +10,7 @@ failures.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import warnings
@@ -17,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+from snlslab.analysis import GROWTH_FIT_PATHS, classify_regime, growth_fit
 from snlslab.cli import main
 from snlslab.config import (
     ConfigError,
@@ -306,6 +308,15 @@ def test_scatter_window_failure_is_named():
     assert any("window fails" in w for w in config.warnings)
 
 
+def test_scatter_theorem_accepts_every_name_classify_regime_checks():
+    names = [check.name for check in classify_regime(1, 3.0, 3.0).checks]
+    for name in names:
+        text = SCATTER_THEOREM_TEXT.replace("sigma_scattering", name)
+        assert load_config(text=text).scatter.theorem == name
+    with pytest.raises(ConfigError, match="scatter.theorem"):
+        load_config(text=SCATTER_THEOREM_TEXT.replace("sigma_scattering", "L2_scattering"))
+
+
 def test_growth_fit_warns_on_small_ensembles():
     text = GROWTH_HEAD.replace("ensemble.size = 256", "ensemble.size = 8")
     text += "growth.tau_grid = 0.05, 0.1, 0.2\n"
@@ -313,6 +324,15 @@ def test_growth_fit_warns_on_small_ensembles():
     assert any("at least 200 paths" in w for w in config.warnings)
     with pytest.raises(ConfigError, match="strict mode"):
         load_config(text=text, strict=True)
+
+
+def test_growth_warning_threshold_is_growth_fit_default_floor():
+    # the load-time warning fires exactly below the paths growth_fit wants by default
+    assert inspect.signature(growth_fit).parameters["min_paths"].default == GROWTH_FIT_PATHS
+    for size, warned in ((GROWTH_FIT_PATHS - 1, True), (GROWTH_FIT_PATHS, False)):
+        text = GROWTH_HEAD.replace("ensemble.size = 256", f"ensemble.size = {size}")
+        config = load_config(text=text + "growth.tau_grid = 0.05, 0.1, 0.2\n")
+        assert any(f"least {GROWTH_FIT_PATHS} paths" in w for w in config.warnings) == warned
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def test_tail_sup_norms_nonincreasing_and_terminal_zero():
     assert np.all(np.diff(sup) <= 1e-12)
     assert sup[-1] == pytest.approx(0.0, abs=1e-14)
     # at t = 0 the sup dominates the first tail value
-    tail0 = sobolev_norm(tail_convolution(path, phi, 0.0), 2.0, 1)
+    tail0 = sobolev_norm(tail_convolution(path, phi, 0.0), 2.0)
     assert sup[0] >= tail0 - 1e-12
 
 
