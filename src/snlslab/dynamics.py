@@ -12,12 +12,19 @@ One step is: half nonlinear phase — full linear propagator — half
 nonlinear phase. The nonlinear substep is an exact phase rotation
 (|u| is invariant under it), applied as (cos θ + i sin θ)·u from real
 cos and sin; tests/test_dynamics.py::test_phase_rotation_matches_complex_exp
-pins it byte for byte to e^{iθ}u. For shifted equations the shift is frozen
-at the substep's endpoint value, and for the transformed equation the
-time-dependent coefficient is sampled at the substep midpoints
-(t + dt/4, t + 3dt/4). Noise enters after the split step as
-i·S(dt)[φ]·g(t_k)·ΔB_k, the left-point Ito increment pushed through the
-step's propagator, which reproduces the discrete Duhamel form exactly.
+pins it byte for byte to e^{iθ}u. Where |θ| < _TINY_PHASE = 2^-27 it
+writes cos θ = 1 and sin θ = θ without calling libm: these are the
+correctly rounded values there (θ²/2 and θ³/6 fall below half an ulp), and
+libm returns them, which test_libm_is_exact_below_tiny_phase checks on the
+platform at hand. As the field disperses, τ|w|^{2σ} dies away outside the
+wave packet, so most grid points of a scattering run take this shortcut.
+
+For shifted equations the shift is frozen at the substep's endpoint
+value, and for the transformed equation the time-dependent coefficient
+is sampled at the substep midpoints (t + dt/4, t + 3dt/4). Noise enters
+after the split step as i·S(dt)[φ]·g(t_k)·ΔB_k, the left-point Ito
+increment pushed through the step's propagator, which reproduces the
+discrete Duhamel form exactly.
 
 The engine is a step loop over a (paths, *grid) array; a single run is
 a batch of one. The loop builds its per-step inputs once (both
@@ -77,6 +84,9 @@ __all__ = [
 EQUATION_KINDS = ("deterministic", "snls", "random_shifted", "transformed")
 _RECORD_MODES = ("full", "light")
 SNAPSHOT_ATOL = 1e-9  # how far snapshot_at's time may sit from a stored one
+
+#: below this |θ| the rotation writes cos θ = 1, sin θ = θ without libm
+_TINY_PHASE = 2.0**-27
 
 #: run warnings trigger above these fractions; see the grids module
 BOUNDARY_TOL = 1e-10
@@ -232,8 +242,9 @@ class BatchRun:
 class _StepBuffers:
     """The working arrays of Strang steps on a (paths, *grid) batch: θ,
     the mid-step |w|², the shifted sum w = vals + shift, the spectrum, the
-    inverse transform (which also holds the left half phase's output) and
-    the noise kick. A run allocates one set and every step writes into it.
+    inverse transform (which also holds the left half phase's output), the
+    noise kick and the mask of angles that need libm. A run allocates one
+    set and every step writes into it.
 
     Complex products keep the operand order of the allocating step they
     replace (out *= w, spec *= lin, dw * prop_phi): numpy's complex
@@ -242,10 +253,11 @@ class _StepBuffers:
     and out of place, one order gives the same bytes.
     """
 
-    __slots__ = ("theta", "rho", "shifted", "spec", "wave", "kick")
+    __slots__ = ("theta", "rho", "shifted", "spec", "wave", "kick", "live")
 
     def __init__(self, shape: tuple[int, ...]) -> None:
         self.theta, self.rho = np.empty(shape), np.empty(shape)
+        self.live = np.empty(shape, dtype=bool)
         self.shifted, self.spec, self.wave, self.kick = (
             np.empty(shape, dtype=complex) for _ in range(4))
 
@@ -257,13 +269,18 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
     """Exact nonlinear substep w ← e^{iθ} w with θ = τ|w|^{2σ} and
     w = vals + shift (shift frozen), returning the unshifted field in out.
 
-    e^{iθ} is built as cos θ + i sin θ from the real θ ≥ +0, which skips
+    e^{iθ} is built as cos θ + i sin θ from the real θ, which skips
     the complex exp and gives the same bytes as np.exp(1j * θ) * w on
     numpy 2.4.6; tests/test_dynamics.py::test_phase_rotation_matches_complex_exp
-    pins that. rho and rho_sig, if given, are |w|² and |w|^{2σ} already
+    pins that. libm is called only where |θ| ≥ _TINY_PHASE (2^-27); below
+    it cos θ = 1 and sin θ = θ exactly, so those entries are written
+    directly. θ has τ's sign (|w|^{2σ} ≥ 0), so the mask is θ ≥ 2^-27 for
+    τ ≥ 0 and θ ≤ −2^-27 otherwise. A NaN θ is outside the mask and still
+    gives NaN; an infinite one is inside it, so cos and sin warn as
+    before. rho and rho_sig, if given, are |w|² and |w|^{2σ} already
     formed by the caller (rho is not read when rho_sig is given); they are
-    only read. θ, |w|² and w go to buf's arrays; out must overlap neither
-    w nor them. Without buf, a rotation on its own gets fresh buffers and
+    only read. θ, |w|², w and the mask go to buf's arrays; out must
+    overlap neither w nor them. Without buf, a rotation on its own gets fresh buffers and
     a fresh out.
     """
     if buf is None:
@@ -276,8 +293,15 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
             rho += np.square(w.imag, out=theta)
         rho_sig = rho if sigma == 1.0 else _pow_sigma(rho, sigma, theta)
     np.multiply(rho_sig, tau, out=theta)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    live = buf.live
+    if tau >= 0.0:
+        np.greater_equal(theta, _TINY_PHASE, out=live)
+    else:
+        np.less_equal(theta, -_TINY_PHASE, out=live)
+    out.real.fill(1.0)
+    out.imag[...] = theta
+    np.cos(theta, out=out.real, where=live)
+    np.sin(theta, out=out.imag, where=live)
     out *= w
     if shift is not None:
         out -= shift
@@ -311,10 +335,10 @@ def _strang_step(vals: np.ndarray, sigma: float, grid: GridSpec, lin: np.ndarray
 def step_deterministic(field: Field, dt: float, sigma: float) -> Field:
     """One Strang step of the plain equation."""
     grid = field.grid
-    lin = np.exp(1j * dt * grid.k_squared())
     vals = field.values[None]
-    out = _strang_step(vals, sigma, grid, lin, 0.5 * dt, 0.5 * dt, None, None, None,
-                       _StepBuffers(vals.shape), np.empty(vals.shape, dtype=complex))
+    out = _strang_step(vals, sigma, grid, grid.propagator(dt), 0.5 * dt, 0.5 * dt,
+                       None, None, None, _StepBuffers(vals.shape),
+                       np.empty(vals.shape, dtype=complex))
     return Field(grid, out[0])
 
 
@@ -454,7 +478,7 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
     _Recorder records every row; row p is bit-identical to a batch of one.
     Snapshot fields of row 0 are kept only when asked for."""
     grid, sigma, dt, steps = config.grid, config.sigma, config.dt, config.steps
-    lin = np.exp(1j * dt * grid.k_squared())
+    lin = grid.propagator(dt)
     rec = _Recorder(config, u0, paths, keep_snapshots)
     # per-step inputs: both half-step weights (the transformed coefficient at
     # t + dt/4, t + 3dt/4), the shift at both substep ends, the noise kick

@@ -164,6 +164,20 @@ class GridSpec:
 
         return self._cached("_k_squared", build)
 
+    def propagator(self, dt: float) -> np.ndarray:
+        """The free propagator's Fourier multiplier e^{i dt |k|²}, read-only.
+
+        Only the last dt's array is kept: a run that steps with one dt
+        builds it once, and a new dt replaces it.
+        """
+        kept = self.__dict__.get("_propagator")
+        if kept is not None and kept[0] == dt:
+            return kept[1]
+        arr = np.exp(1j * dt * self.k_squared())
+        arr.flags.writeable = False
+        object.__setattr__(self, "_propagator", (dt, arr))
+        return arr
+
     def radius_squared(self) -> np.ndarray:
         """|x|^2 on the full grid."""
 

@@ -10,8 +10,9 @@ control, the regime classification table, and worker-count determinism.
 
 Every test prints a single ``[NN] PASS/FAIL name: detail`` line before
 asserting the same bound, so ``pytest tests/test_acceptance.py -s``
-doubles as a human-readable scorecard. All seeds, grids, and tolerances
-are frozen here; nothing is tuned at run time. The ensemble scenarios
+doubles as a human-readable scorecard. Beside gate 10, an unscored test
+pins its Cauchy ratios to the closed-form contraction law 2^{1−σn}. All
+seeds, grids, and tolerances are frozen here; nothing is tuned at run time. The ensemble scenarios
 (06, 09) dominate the runtime at a few minutes total on one core.
 """
 
@@ -22,6 +23,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from snlslab.analysis import (
     classify_regime,
@@ -382,23 +384,45 @@ scatter.checkpoints = 5.0, 10.0, 20.0, 40.0
 """
 
 
-def _cauchy_ratios(sigma: float) -> list[float]:
+def _cauchy_ratios(sigma: float, equation: str = "snls",
+                   norms: tuple[str, ...] = ("Sigma",)) -> dict[str, list[float]]:
+    """Consecutive Cauchy ratios of one gate-10 run in each norm, all taken
+    from the same trajectory."""
     config = load_config(text=SCATTER_TEXT.format(sigma=sigma))
-    u0 = make_initial(config.initial, config.grid)
-    traj = evolve(config.sim, u0)
-    report = scattering_cauchy(traj, "Sigma", config.scatter.checkpoints)
-    cons = [float(c) for c in report.consecutive]
-    return [cons[i + 1] / cons[i] for i in range(len(cons) - 1)]
+    sim = config.sim
+    if equation != "snls":
+        sim = dataclasses.replace(sim, equation=equation, noise=None)
+    traj = evolve(sim, make_initial(config.initial, config.grid))
+
+    def ratios(kind: str) -> list[float]:
+        cons = scattering_cauchy(traj, kind, config.scatter.checkpoints).consecutive
+        return [float(cons[i + 1] / cons[i]) for i in range(len(cons) - 1)]
+
+    return {kind: ratios(kind) for kind in norms}
 
 
 def test_10_pullback_cauchy_contraction():
-    pos = _cauchy_ratios(1.5)     # short-range power: differences contract
-    neg = _cauchy_ratios(0.25)    # long-range power: no contraction below floor
+    pos = _cauchy_ratios(1.5)["Sigma"]     # short-range power: differences contract
+    neg = _cauchy_ratios(0.25)["Sigma"]    # long-range power: no contraction below floor
     ok = all(r < 0.8 for r in pos) and all(r >= 0.8 for r in neg)
     _gate(10, "pullback Cauchy test", ok,
           f"2sigma=3 ratios {pos[0]:.3f},{pos[1]:.3f} (<0.8); "
           f"control 2sigma=0.5 ratios {neg[0]:.3f},{neg[1]:.3f} (>=0.8 floor) "
           f"at checkpoints 5/10/20/40")
+
+
+@pytest.mark.parametrize("equation", ["deterministic", "snls"])
+@pytest.mark.parametrize("sigma", [1.25, 1.5, 1.75])
+def test_pullback_cauchy_ratio_follows_contraction_law(sigma, equation):
+    """Gate 10's run contracts at the closed-form rate: in the lens frame the
+    nonlinearity carries (1−s)^{σn−2}, so the pullback sits ∝ t^{1−σn} from its
+    limit and each doubling of the checkpoint shrinks the Cauchy difference
+    by 2^{1−σn} (short range, 1 < σn < 2)."""
+    law = 2.0 ** (1.0 - sigma)  # n = 1
+    ratios = _cauchy_ratios(sigma, equation, ("L2", "H1", "Sigma"))
+    off = {kind: [r / law - 1.0 for r in rs] for kind, rs in ratios.items()}
+    assert all(abs(d) <= 0.03 for ds in off.values() for d in ds), (
+        f"2sigma={2 * sigma:g} {equation}: ratios off 2^(1-sigma n)={law:.4f} by {off}")
 
 
 # -- 11: regime classification table ----------------------------------------------

@@ -1,10 +1,12 @@
 """Time integrator: exactness, order, conservation, reproducibility."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from snlslab.dynamics import (
+    _TINY_PHASE,
     SimConfig,
     _phase_rotation,
     _StepBuffers,
@@ -84,6 +86,10 @@ ROTATION_CHANGED = (
 )
 
 
+#: |θ| at the libm bound 2^-27 and one ulp on each side of it
+_TINY_STRADDLE = [np.nextafter(_TINY_PHASE, 0.0), _TINY_PHASE, np.nextafter(_TINY_PHASE, 1.0)]
+
+
 def _rotation_as_exp(vals, sigma, tau, shift):
     """The nonlinear substep in its complex-exp form, e^{iτ|w|^{2σ}} w − shift."""
     w = vals if shift is None else vals + shift
@@ -109,9 +115,10 @@ def test_phase_rotation_matches_complex_exp(sigma, shifted):
     n = 256
     shift = rng.normal(size=n) + 1j * rng.normal(size=n) if shifted else None
     # a (paths, N) batch whose θ = τ|w|^{2σ} lands on the sweep up to the
-    # rounding of |w|^{2σ}: +0, subnormals, kπ/2, 1e6 and a log-uniform sample
+    # rounding of |w|^{2σ}: +0, subnormals, the libm bound 2^-27 and its
+    # neighbours, kπ/2, 1e6 and a log-uniform sample
     theta = np.concatenate([
-        [0.0, 5e-324, 1e-310, 1e6],
+        [0.0, 5e-324, 1e-310, 1e6] + _TINY_STRADDLE,
         np.arange(401) * (np.pi / 2),
         np.exp(rng.uniform(math.log(1e-8), math.log(3e6), 64 * n)),
     ])
@@ -120,11 +127,122 @@ def test_phase_rotation_matches_complex_exp(sigma, shifted):
         w = (theta / tau) ** (0.5 / sigma) * np.exp(2j * np.pi * rng.random(theta.size))
         w = w.reshape(-1, n)
         _assert_rotation_bytes(w if shift is None else w - shift, sigma, tau, shift)
-    # τ itself on the sweep, kπ/2 for 0 < |k| <= 400, with |w|² = 1 exactly
-    # (so θ = τ exactly when there is no shift)
+    # τ itself on the sweep, ±2^-27 and its neighbours and kπ/2 for
+    # 0 < |k| <= 400, with |w|² = 1 exactly (so θ = τ exactly when there is
+    # no shift)
     unit = np.resize(np.array([1.0, 1j, -1.0, -1j]), (2, n))
-    for tau in [5e-324, 1e-310, 1e6] + [k * np.pi / 2 for k in range(-400, 401) if k]:
+    straddle = [sign * t for t in _TINY_STRADDLE for sign in (1.0, -1.0)]
+    for tau in [5e-324, 1e-310, 1e6] + straddle + [k * np.pi / 2 for k in range(-400, 401) if k]:
         _assert_rotation_bytes(unit if shift is None else unit - shift, sigma, tau, shift)
+
+
+def _rotation_with_libm(vals, sigma, tau, shift, rho_sig=None):
+    """The nonlinear substep with cos and sin of every θ, as the rotation
+    computed it before angles below _TINY_PHASE skipped libm."""
+    w = vals if shift is None else vals + shift
+    if rho_sig is None:
+        rho = w.real**2 + w.imag**2
+        rho_sig = rho if sigma == 1.0 else rho**sigma
+    theta = rho_sig * tau
+    out = np.empty(w.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    out *= w
+    if shift is not None:
+        out -= shift
+    return out
+
+
+def _tiny_angle_rows(rng, n):
+    """|θ| rows around the libm bound: one all live, one with none live, one
+    with isolated live points, one with long live runs, the bound's
+    neighbourhood with ±0 and subnormals, and log-uniform [2^-40, 2^-20]."""
+    live = np.exp(rng.uniform(math.log(2.0**-26), math.log(4.0), n))
+    dead = np.exp(rng.uniform(math.log(1e-300), math.log(2.0**-27), n))
+    isolated = dead.copy()
+    isolated[::17] = live[::17]
+    runs = dead.copy()
+    for start in range(0, n, 96):
+        runs[start:start + 48] = live[start:start + 48]
+    edges = np.resize(np.array(
+        _TINY_STRADDLE + [0.0, -0.0, 5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022]), n)
+    sample = np.exp(rng.uniform(math.log(2.0**-40), math.log(2.0**-20), 8 * n)).reshape(8, n)
+    return np.vstack([live, dead, isolated, runs, edges, sample])
+
+
+def _assert_same_bytes(got, want, what):
+    bad = got.view(np.uint64) != want.view(np.uint64)
+    assert not bad.any(), f"{what}: first differing entries {np.argwhere(bad)[:3].tolist()}"
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("sigma", [1.0, 0.75, 1.5])
+def test_phase_rotation_skips_libm_without_changing_bytes(sigma, shifted):
+    rng = np.random.default_rng(27)
+    n = 192
+    mags = _tiny_angle_rows(rng, n)
+    shift = 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)) if shifted else None
+    phase = np.exp(2j * np.pi * rng.random(mags.shape))
+    for tau in (0.5, 1.0, -1.0, -0.5):
+        # θ = τ·rho_sig exactly: |w|^{2σ} handed in as the caller's rho_sig
+        vals = rng.normal(size=mags.shape) + 1j * rng.normal(size=mags.shape)
+        rho_sig = mags / abs(tau)
+        got = _phase_rotation(vals, sigma, tau, shift, rho_sig=rho_sig)
+        want = _rotation_with_libm(vals, sigma, tau, shift, rho_sig)
+        _assert_same_bytes(got, want, f"given |w|^(2σ), tau={tau}")
+        # θ formed from w = vals + shift, landing on the rows up to rounding
+        w = (mags / abs(tau)) ** (0.5 / sigma) * phase
+        vals = w if shift is None else w - shift
+        got = _phase_rotation(vals, sigma, tau, shift)
+        want = _rotation_with_libm(vals, sigma, tau, shift)
+        _assert_same_bytes(got, want, f"sigma={sigma}, tau={tau}")
+
+
+@pytest.mark.parametrize("tau", [0.5, -0.5])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_phase_rotation_keeps_non_finite_angles_non_finite(bad, tau):
+    rng = np.random.default_rng(3)
+    n = 64
+    vals = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    rho_sig = _tiny_angle_rows(rng, n)[[0, 1]]
+    rho_sig[1, [0, 9, 40]] = bad  # a row with no live angle but these
+    with warnings.catch_warnings(record=True) as before:
+        warnings.simplefilter("always")
+        want = _rotation_with_libm(vals, 1.0, tau, None, rho_sig)
+    with warnings.catch_warnings(record=True) as after:
+        warnings.simplefilter("always")
+        got = _phase_rotation(vals, 1.0, tau, None, rho_sig=rho_sig)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert not finite[1, [0, 9, 40]].any()
+    _assert_same_bytes(got[finite], want[finite], f"finite entries, bad={bad}")
+    assert {(w.category, str(w.message)) for w in after} <= \
+        {(w.category, str(w.message)) for w in before}
+
+
+def test_libm_is_exact_below_tiny_phase():
+    """Skipping libm below _TINY_PHASE keeps the bytes only while this
+    platform's cos and sin return 1 and θ exactly there."""
+    rng = np.random.default_rng(7)
+    mags = np.concatenate([
+        [0.0, 5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022,
+         np.nextafter(_TINY_PHASE, 0.0)],
+        np.exp(rng.uniform(math.log(5e-324), math.log(_TINY_PHASE), 1 << 16)),
+        np.linspace(0.5 * _TINY_PHASE, _TINY_PHASE, 1 << 14, endpoint=False),
+    ])
+    theta = np.concatenate([mags, -mags])
+    assert np.abs(theta).max() < _TINY_PHASE
+    # as the rotation called them before the skip: into a complex array's parts
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    for name, got, want in (("cos θ = 1", out.real, np.ones_like(theta)),
+                            ("sin θ = θ", out.imag, theta)):
+        bad = got.view(np.uint64) != want.view(np.uint64)
+        assert not bad.any(), (
+            f"{name} fails on this platform for |θ| < _TINY_PHASE = 2^-27 "
+            f"(first at θ = {theta[np.argmax(bad)]!r}); lower dynamics._TINY_PHASE "
+            f"below the first such angle, or the run outputs differ from the pinned digests")
 
 
 # -- the buffered step against the allocating step it replaced --------------

@@ -72,6 +72,22 @@ def test_grid_validation(dim, points, length):
         GridSpec(dim, points, length)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_propagator_is_the_exp_and_keeps_only_the_last_dt(dim):
+    grid = GridSpec(dim, 16, 12.0)
+    first = grid.propagator(2.5e-3)
+    want = np.exp(1j * 2.5e-3 * grid.k_squared())
+    assert first.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    assert not first.flags.writeable
+    assert grid.propagator(2.5e-3) is first  # kept for a repeat of its dt
+    second = grid.propagator(1e-2)
+    assert second.tobytes() == np.exp(1j * 1e-2 * grid.k_squared()).tobytes()
+    # the second dt replaced the first: asking for it again builds it afresh
+    again = grid.propagator(2.5e-3)
+    assert again is not first and again.tobytes() == first.tobytes()
+    assert grid.propagator(2.5e-3) is again
+
+
 def test_radius_squared_matches_coords():
     grid = GridSpec(2, 16, 8.0)
     xs = grid.coords()
