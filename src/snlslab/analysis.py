@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Field
+from .noise import partition_index
 from .norms import lp_row_norms, sigma_row_norms, sobolev_row_norms
 from .operators import propagate
 
@@ -374,7 +375,8 @@ def growth_fit(
     """Fit the growth exponent of the quadratic-weight energy.
 
     For each path the running supremum of the pseudo-conformal energy
-    up to horizon tau is taken on the recorded grid; the ensemble mean
+    up to horizon tau is read at tau's step on the recorded grid (of step
+    times[1] - times[0], by noise.partition_index); the ensemble mean
     of that supremum is regressed as log(mean) against log(1 + tau)
     over a geometric horizon grid. The returned slope estimates the
     exponent beta in mean-sup ~ (1+tau)^beta. Upper-bound statements
@@ -395,14 +397,14 @@ def growth_fit(
                 "need physical-frame trajectories recorded in full mode"
             )
         times = np.asarray(traj.times, dtype=float)
-        if times[-1] < taus[-1] - 1e-9:
+        idx = ([partition_index(tau, times[1] - times[0], "tau_grid") for tau in taus]
+               if len(times) > 1 else [len(times)])
+        if idx[-1] >= len(times):
             raise ValueError(
                 f"trajectory horizon {times[-1]} is shorter than the last "
                 f"grid point {taus[-1]}"
             )
-        running = np.maximum.accumulate(series)
-        idx = np.searchsorted(times, np.asarray(taus) + 1e-12, side="right") - 1
-        means += running[idx]
+        means += np.maximum.accumulate(series)[idx]
     means /= len(trajectories)
     slope, intercept = np.polyfit(np.log1p(taus), np.log(means), 1)
     return GrowthFitResult(

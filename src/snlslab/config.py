@@ -39,8 +39,8 @@ from .analysis import (GROWTH_FIT_PATHS, THEOREM_NAMES, check_geometric, check_s
                        classify_regime)
 from .dynamics import SimConfig, _check_inside_half_box
 from .grids import Field, GridSpec
-from .noise import (NoiseSpec, check_fit_window, g_sq_tail_bound, make_phi, partition_steps,
-                    path_seed)
+from .noise import (NoiseSpec, check_fit_window, g_sq_tail_bound, make_phi, partition_index,
+                    partition_steps, path_seed)
 from .norms import _check_exponent
 
 __all__ = [
@@ -207,8 +207,8 @@ class RegimeQuery:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if not self.two_sigma > 0:
-            raise ValueError(f"two_sigma must be positive, got {self.two_sigma}")
+        if not (self.two_sigma > 0 and math.isfinite(self.two_sigma)):
+            raise ValueError(f"two_sigma must be positive and finite, got {self.two_sigma}")
         if math.isnan(self.alpha):
             raise ValueError("alpha must be a number (inf for compact support), got nan")
 
@@ -374,9 +374,16 @@ def _check_scatter_hypotheses(
     ]
 
 
-def _on_partition(t: float, step: float) -> bool:
-    """Whether time t is a multiple of step (within 1e-9)."""
-    return abs(t - round(t / step) * step) <= 1e-9
+def _recorded_step(t: float, sim: SimConfig, keys: str, what: str) -> int:
+    """t's step on sim's partition (noise.partition_index); a ConfigError names
+    keys when t is off it, and the first of them when the step is past sim.steps."""
+    try:
+        m = partition_index(t, sim.dt, what)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+    if m > sim.steps:
+        raise ConfigError(f"{keys.split(',')[0]}: {what} {t} exceeds sim.t_end = {sim.t_end}")
+    return m
 
 
 def _build(cls, section: str, get, **given):
@@ -431,7 +438,10 @@ def load_config(
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
-        text = p.read_text()
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {p} is not UTF-8 text ({exc})") from None
     values = parse_config_text(text)
     for key, val in (overrides or {}).items():
         if key not in _SCHEMA:
@@ -496,37 +506,21 @@ def load_config(
     scatter = None
     if "scatter" in sections:
         scatter = _build(ScatterSpec, "scatter", get)
-        checkpoints = scatter.checkpoints
-        if checkpoints[-1] > sim.t_end + 1e-9:
-            raise ConfigError(
-                f"scatter.checkpoints: last checkpoint {checkpoints[-1]:g} exceeds "
-                f"sim.t_end = {sim.t_end:g}"
-            )
-        stride_dt = sim.snapshot_stride * sim.dt
-        for c in checkpoints:
-            if not _on_partition(c, stride_dt) and abs(c - sim.t_end) > 1e-9:
-                raise ConfigError(
-                    f"scatter.checkpoints, sim.snapshot_stride, sim.dt: {c:g} is not a "
-                    f"recorded snapshot time (multiples of sim.snapshot_stride * sim.dt = "
-                    f"{stride_dt:g}, or sim.t_end)"
-                )
+        keys = "scatter.checkpoints, sim.snapshot_stride, sim.dt"
+        for c in scatter.checkpoints:
+            m = _recorded_step(c, sim, keys, "checkpoint")
+            if m % sim.snapshot_stride and m != sim.steps:
+                raise ConfigError(f"{keys}: {c} is not a recorded snapshot time (its step {m} "
+                                  f"is neither a multiple of the stride nor the last)")
         warnings.extend(_check_scatter_hypotheses(name, scatter, grid, sim, noise))
 
     growth = None
     if "growth" in sections:
-        tau_grid = get("growth.tau_grid")
-        if tau_grid[-1] > sim.t_end + 1e-9:
-            raise ConfigError(
-                f"growth.tau_grid: last horizon {tau_grid[-1]:g} exceeds "
-                f"sim.t_end = {sim.t_end:g}"
-            )
+        for tau in get("growth.tau_grid"):
+            _recorded_step(tau, sim, "growth.tau_grid, sim.dt", "horizon")
         if sim.record != "full":
             raise ConfigError("sim.record: growth-fit needs record = full")
         growth = _build(GrowthSpec, "growth", get)
-        for tau in growth.tau_grid:
-            if not _on_partition(tau, sim.dt):
-                raise ConfigError(f"growth.tau_grid, sim.dt: horizon {tau:g} is not a multiple "
-                                  f"of sim.dt = {sim.dt:g}, so no step is recorded there")
 
     tail = None
     if "tail" in sections:

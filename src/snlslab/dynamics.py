@@ -68,7 +68,7 @@ from .grids import (
     spectral_tail_fraction,  # noqa: F401  perfbench/tracing.py wraps dynamics.spectral_tail_fraction
     spectral_tail_fractions,
 )
-from .noise import NoisePath, NoiseSpec, make_phi, partition_steps, sample_path
+from .noise import NoisePath, NoiseSpec, check_paths, make_phi, partition_index, sample_path
 
 __all__ = [
     "EQUATION_KINDS",
@@ -83,7 +83,6 @@ __all__ = [
 
 EQUATION_KINDS = ("deterministic", "snls", "random_shifted", "transformed")
 _RECORD_MODES = ("full", "light")
-SNAPSHOT_ATOL = 1e-9  # how far snapshot_at's time may sit from a stored one
 
 #: below this |θ| the rotation writes cos θ = 1, sin θ = θ without libm
 _TINY_PHASE = 2.0**-27
@@ -97,9 +96,10 @@ SPECTRAL_TAIL_TOL = 1e-10
 class SimConfig:
     """Immutable description of one run.
 
-    t_end must be an integer multiple of dt. The transformed equation
-    lives on [0, 1); when σn < 2 its coefficient (1−t)^{σn−2} blows up
-    at t=1, so horizons within 10 steps of it are refused outright.
+    t_end must be on the partition of dt (noise.partition_index), 0 too.
+    The transformed equation lives on [0, 1); when σn < 2 its coefficient
+    (1−t)^{σn−2} blows up at t=1, so horizons within 10 steps of it are
+    refused outright.
     """
 
     grid: GridSpec
@@ -149,7 +149,7 @@ class SimConfig:
 
     @property
     def steps(self) -> int:
-        return partition_steps(self.t_end, self.dt, "t_end") if self.t_end > 0 else 0
+        return partition_index(self.t_end, self.dt, "t_end")
 
     def times(self) -> np.ndarray:
         return np.arange(self.steps + 1) * self.dt
@@ -179,8 +179,11 @@ class Trajectory:
         return len(self.times) - 1
 
     def snapshot_at(self, t: float) -> Field:
-        for t_k, snap in self.snapshots:
-            if abs(t_k - t) <= SNAPSHOT_ATOL:
+        """The snapshot of t's partition point k, stored at the float k * dt:
+        ValueError for a t off the partition, KeyError for a k not stored."""
+        t_k = partition_index(t, self.config.dt) * self.config.dt
+        for stored, snap in self.snapshots:
+            if stored == t_k:
                 return snap
         stored = ", ".join(f"{t_k:g}" for t_k, _ in self.snapshots)
         raise KeyError(f"no snapshot at t={t:g}; stored snapshot times: {stored}")
@@ -365,24 +368,6 @@ def _check_inside_half_box(u0: Field) -> None:
         )
 
 
-def _check_partition(config: SimConfig, path: NoisePath) -> None:
-    if abs(path.t_inf - config.t_end) > 1e-9 * max(1.0, config.t_end) or \
-            abs(path.dt - config.dt) > 1e-12 * config.dt:
-        raise ValueError(
-            f"noise path partition (t_inf={path.t_inf}, dt={path.dt}) does not match "
-            f"the run (t_end={config.t_end}, dt={config.dt})"
-        )
-
-
-def _resolve_path(config: SimConfig, path: NoisePath | None) -> NoisePath:
-    if path is None:
-        return sample_path(config.noise, config.t_end, config.dt)
-    if config.noise is not None and path.spec != config.noise:
-        raise ValueError("config.noise and the supplied path disagree; pass one or the other")
-    _check_partition(config, path)
-    return path
-
-
 def evolve(config: SimConfig, u0: Field, *, path: NoisePath | None = None,
            shift: Sequence[Field] | None = None) -> Trajectory:
     """Run the equation selected by config and return its trajectory.
@@ -394,8 +379,10 @@ def evolve(config: SimConfig, u0: Field, *, path: NoisePath | None = None,
     deterministic run.
     """
     if config.equation == "snls" and shift is None:
-        # a zero-length run has no increments to draw
-        path = _resolve_path(config, path) if config.steps else None
+        if path is None:
+            path = sample_path(config.noise, config.t_end, config.dt)
+        elif path.spec != config.noise:
+            raise ValueError("config.noise and the supplied path disagree; pass one or the other")
     # a batch of one that also keeps its snapshot fields
     run, snapshots = _integrate(
         config,
@@ -432,7 +419,7 @@ def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
     if equation == "snls":
         if shifts is not None:
             raise ValueError("snls runs do not take a shift series")
-        if paths is None and config.steps:
+        if paths is None:
             raise ValueError("snls batches need one noise path per row")
     elif paths is not None:
         raise ValueError(f"equation {equation!r} does not take a noise path")
@@ -458,12 +445,7 @@ def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
 
     if paths is not None:
         paths = tuple(paths)
-        ref = config.noise
-        for p, path in enumerate(paths):
-            if replace(path.spec, seed=ref.seed) != ref:
-                raise ValueError(f"path {p}: its noise spec differs from config.noise "
-                                 f"in more than the seed")
-            _check_partition(config, path)
+        check_paths(paths, config.noise, config.steps, config.dt)
     shift = None
     if shifts is not None:
         per_path = [_validate_shift(series, grid, config.steps) for series in shifts]

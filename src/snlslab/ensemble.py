@@ -129,11 +129,7 @@ def _run_batch(args: tuple[ExperimentConfig, int, int]
     try:
         sims = [with_path_seed(config, i) for i in range(start, stop)]
         u0 = make_initial(config.initial, config.grid)
-        if sims[0].steps:
-            run = evolve_batch(sims[0], u0, [sample_path(sim.noise, sim.t_end, sim.dt)
-                                             for sim in sims])
-        else:  # a zero-length run has no increments to draw
-            run = evolve_batch(sims[0], [u0] * len(sims))
+        run = evolve_batch(sims[0], u0, [sample_path(s.noise, s.t_end, s.dt) for s in sims])
         residuals = [ito_mass_budget(run.trajectory(p)).residual for p in range(run.size)]
     except PathError as exc:
         raise EnsembleError(f"path {start + exc.path} failed: {exc}") from exc

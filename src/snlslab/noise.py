@@ -5,6 +5,10 @@ The driving increment over [t_k, t_k+dt) is phi(x) * g(t_k) * dB_k with
 dB_k ~ N(0, dt). All Fourier work exploits that the free propagator is
 unimodular, so L2/H1 norms of convolutions never need an inverse FFT.
 
+Every time a run reads (a horizon, a checkpoint, a growth horizon, a
+snapshot time) becomes a step through ``partition_index``, the one rule
+for whether t is on the partition of step dt; callers compare steps.
+
 Seeding: one 64-bit seed per path feeds a counter-based Philox
 generator. Ensemble path seeds derive from a base seed through
 SplitMix64 (seed_i = splitmix64(base + i * golden)), so ensembles can be
@@ -30,7 +34,9 @@ __all__ = [
     "make_phi",
     "g_value",
     "g_sq_tail_bound",
+    "partition_index",
     "partition_steps",
+    "check_paths",
     "sample_path",
     "coarsen_path",
     "stochastic_convolution",
@@ -158,30 +164,36 @@ def g_sq_tail_bound(spec: NoiseSpec, t_inf: float) -> float:
     return 0.0
 
 
-def partition_steps(horizon: float, dt: float, name: str = "t_inf") -> int:
-    """Number of steps of size dt that partition [0, horizon].
-
-    Both must be positive and finite, and horizon an integer multiple of
-    dt up to a relative 1e-9; ``name`` labels the horizon in errors.
-    """
+def partition_index(t: float, dt: float, name: str = "t") -> int:
+    """The step m of time t on the partition of step dt: the one rule,
+    |m dt - t| <= 1e-9 max(dt, t) for finite t >= 0 and dt > 0. Anything
+    else raises ValueError, with ``name`` labelling t."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"{name} must be non-negative and finite, got {t}")
+    m = int(round(t / dt))
+    if abs(m * dt - t) > 1e-9 * max(dt, t):
+        raise ValueError(f"{name}={t} is not an integer multiple of dt={dt}")
+    return m
+
+
+def partition_steps(horizon: float, dt: float, name: str = "t_inf") -> int:
+    """Number of steps of size dt that partition [0, horizon]: its
+    ``partition_index``, with a zero horizon refused; ``name`` labels it."""
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"{name} must be positive and finite, got {horizon}")
-    steps = int(round(horizon / dt))
-    if abs(steps * dt - horizon) > 1e-9 * max(dt, horizon):
-        raise ValueError(f"{name}={horizon} is not an integer multiple of dt={dt}")
-    return steps
+    return partition_index(horizon, dt, name)
 
 
 @dataclass(frozen=True)
 class NoisePath:
     """Brownian increments on the uniform partition of [0, t_inf].
 
-    increments[k] is dB over [k dt, (k+1) dt); there are round(t_inf/dt)
-    of them. coarsen_factor records the integer ratio between dt and the
-    step the path was originally seeded at, so coarsen_path can regroup
-    from the fine path (sample fine, then group-sum).
+    increments[k] is dB over [k dt, (k+1) dt); there are
+    partition_index(t_inf, dt) of them. coarsen_factor records the integer
+    ratio between dt and the step the path was originally seeded at, so
+    coarsen_path can regroup from the fine path (sample fine, then group-sum).
     """
 
     spec: NoiseSpec
@@ -191,7 +203,7 @@ class NoisePath:
     coarsen_factor: int = 1
 
     def __post_init__(self) -> None:
-        steps = partition_steps(self.t_inf, self.dt)
+        steps = partition_index(self.t_inf, self.dt, "t_inf")
         inc = np.asarray(self.increments, dtype=np.float64)
         if inc.ndim != 1 or len(inc) != steps:
             raise ValueError(f"expected {steps} increments, got shape {inc.shape}")
@@ -213,16 +225,27 @@ class NoisePath:
         return _g_values(self.spec, self.left_times())
 
     def index_of(self, t: float) -> int:
-        """Partition index of an on-partition time."""
-        m = int(round(t / self.dt))
-        if not (0 <= m <= self.steps) or abs(m * self.dt - t) > 1e-9 * max(1.0, self.t_inf):
-            raise ValueError(f"time {t} is not on the partition of [0, {self.t_inf}] with dt {self.dt}")
+        """Partition index of an on-partition time no later than t_inf."""
+        m = partition_index(t, self.dt, "time")
+        if m > self.steps:
+            raise ValueError(f"time {t} is past the end of the path, t_inf={self.t_inf}")
         return m
+
+
+def check_paths(paths: Sequence[NoisePath], spec: NoiseSpec, steps: int, dt: float) -> None:
+    """Refuse a path set that cannot drive one run of ``steps`` steps of
+    size dt under spec: each path's spec must equal spec up to the seed,
+    and its partition the run's (dt within a relative 1e-12)."""
+    for p, path in enumerate(paths):
+        if replace(path.spec, seed=spec.seed) != spec:
+            raise ValueError(f"path {p}: its noise spec must equal the run's up to the seed")
+        if path.steps != steps or abs(path.dt - dt) > 1e-12 * dt:
+            raise ValueError(f"path {p}: its partition is not the run's {steps} steps of dt={dt}")
 
 
 def sample_path(spec: NoiseSpec, t_inf: float, dt: float) -> NoisePath:
     """Draw the path determined by spec.seed (bitwise reproducible)."""
-    steps = partition_steps(t_inf, dt)
+    steps = partition_index(t_inf, dt, "t_inf")
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     increments = rng.normal(0.0, math.sqrt(dt), steps)
     return NoisePath(spec, float(t_inf), float(dt), increments)
@@ -425,11 +448,7 @@ def tail_decay_fit(
     if spec.g_kind == "zero":
         raise ValueError("zero envelope has no decay exponent to fit")
     t_inf, dt = paths[0].t_inf, paths[0].dt
-    for p in paths:
-        if (p.t_inf, p.dt) != (t_inf, dt):
-            raise ValueError("all paths must share the same partition")
-        if replace(p.spec, seed=spec.seed) != spec:
-            raise ValueError("all paths must share paths[0]'s noise spec up to the seed")
+    check_paths(paths, spec, paths[0].steps, dt)
     lo, hi = check_fit_window(t_inf, fit_window)
     # geometric grid with ratio sqrt(2) anchored at the window ends
     n_pts = max(2, int(round(math.log(hi / lo) / math.log(math.sqrt(2.0)))) + 1)

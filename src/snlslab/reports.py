@@ -8,7 +8,9 @@ Every experiment result renders to up to three artifacts:
 * JSON manifest — provenance: config hash (SHA-256 of the canonical
   config echo), code version, base seed and per-path seeds, plus the
   emitted file names with their own SHA-256 digests. No timestamps:
-  identical configs must produce identical bytes.
+  identical configs must produce identical bytes. It is strict JSON:
+  a non-finite float in the result detail is written as the string
+  "inf", "-inf" or "nan".
 * table — a small human-readable summary (also returned as a string).
 
 File writes that fail surface a ReportIOError naming the path.
@@ -307,17 +309,15 @@ _SERIALIZERS = (
 )
 
 
-def _json_default(obj):
-    """Coerce numpy scalars/arrays so manifests serialize cleanly."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _plain(obj):
+    """obj with numpy values as Python ones and each non-finite float as the
+    string "inf", "-inf" or "nan", for which strict JSON has no number."""
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(val) for val in obj]
+    obj = obj.item() if isinstance(obj, np.generic) else obj
+    return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def emit_report(
@@ -353,13 +353,13 @@ def emit_report(
         "result_type": type(result).__name__,
         "code_version": __version__,
         "files": digests,
-        "detail": extra,
+        "detail": _plain(extra),
         "experiment_kind": config.kind,
         "config_hash": config.config_hash,
         "base_seed": str(config.base_seed),
         "config_echo": config.echo().splitlines(),
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
     path = out / "manifest.json"
     _write_text(path, text)
     written["manifest.json"] = path

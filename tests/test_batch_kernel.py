@@ -355,6 +355,27 @@ def test_batch_rejects_mismatched_inputs():
         evolve_batch(cfg, u0, [_path(cfg, 0)], shifts=[_shift(cfg.grid, cfg.steps, 0)])
 
 
+def test_zero_length_snls_runs_on_a_path_of_no_increments():
+    """t_end = 0 is a partition of zero steps: the run draws a path with no
+    increments, and every budget is the single zero of its one point."""
+    cfg = replace(_config("snls_full_s075", 1), t_end=0.0)
+    u0 = _initial(cfg.grid, 0)
+    traj = evolve(cfg, u0)
+    assert traj.path is not None and traj.path.steps == 0
+    assert traj.path.increments.shape == (0,)
+    paths = [sample_path(replace(cfg.noise, seed=seed), 0.0, cfg.dt) for seed in (1, 2)]
+    run = evolve_batch(cfg, u0, paths)
+    for budget, shape in ((traj.budget, (1,)), (run.budget, (2, 1))):
+        assert set(budget) == {"mass_martingale", "mass_drift", "energy_flow_drift",
+                               "energy_ito_drift", "energy_martingale"}
+        for col in budget.values():
+            assert col.shape == shape and not col.any()
+    text = (ENSEMBLE_TEXT.replace("sim.t_end = 0.04", "sim.t_end = 0")
+            .replace("ensemble.size = 8", "ensemble.size = 2"))
+    result = run_ensemble(load_config(text=text))
+    assert not result.mass_change.any() and not result.mass_residuals.any()
+
+
 ENSEMBLE_TEXT = """\
 experiment.kind = ensemble
 grid.points = 64

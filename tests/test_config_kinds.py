@@ -12,17 +12,22 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import math
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from snlslab import cli
+from snlslab.analysis import growth_fit
 from snlslab.config import _SCHEMA, KINDS, ConfigError, _convert, load_config
-from snlslab.dynamics import EQUATION_KINDS
-from snlslab.noise import partition_steps
+from snlslab.dynamics import EQUATION_KINDS, SimConfig, evolve
+from snlslab.grids import Field, GridSpec
+from snlslab.noise import NoiseSpec, partition_index, partition_steps, sample_path
 
 _SIM_HEAD = """\
 grid.points = 64
@@ -207,7 +212,7 @@ TINY_ARTIFACTS = {
     },
     "regimes": {
         "checks.csv": "5c053c36413ebb54b1026ba00965c580bbbfa90aa7fe82faf929b3e3e17b2731",
-        "manifest.json": "ba25d082b74c82ca04015d0abf0db18efd87987b69d7806e1c75a98717431f6a",
+        "manifest.json": "7c036651ebf7859b12dd1c978430e6558ff14ed057c3d62c1f672903414144c4",
         "summary.txt": "62a1ff9352824eba41491cfb39fe6729b5b3c759cc63c63d21a5937f11061e5d",
     },
     "selftest": {
@@ -218,12 +223,22 @@ TINY_ARTIFACTS = {
 }
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"manifest holds the non-JSON constant {name}")
+
+
 @pytest.mark.parametrize("name", list(KINDS))
 def test_tiny_configs_run(name, tmp_path):
     code, err = _run_cli(name, TINY[name], out=tmp_path)
     assert code == 0, err
     emitted = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert emitted == TINY_ARTIFACTS[name]
+    # strict JSON: the infinite energy_subcritical_sup of a regime with
+    # dim <= 2 is written as "inf", not as Infinity
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=_refuse_constant)
+    if name == "regimes":
+        assert manifest["detail"]["energy_subcritical_sup"] == "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +297,11 @@ def test_one_bad_value_runs_or_exits_1_naming_its_key():
         ("growth-fit", {"growth.tau_grid": "0.05, 0.1, 0.15"}, "growth.tau_grid"),
         ("growth-fit", {"growth.bound_slack": "nan"}, "growth.bound_slack"),
         ("growth-fit", {"growth.tau_grid": "0.001, 0.002, 0.004"}, "growth.tau_grid, sim.dt"),
+        # 2e-10 below steps 5, 10, 20: outside the rule, where a floor would
+        # read each mean one step early
+        ("growth-fit", {"growth.tau_grid": "0.0499999998, 0.0999999996, 0.1999999992"},
+         "growth.tau_grid, sim.dt"),
+        ("regimes", {"regimes.two_sigma": "inf"}, "regimes.two_sigma"),
         ("regimes", {"regimes.alpha": "nan"}, "regimes.alpha"),
         ("simulate", {"initial.width": "6"}, "initial.width"),
         ("scatter-test", {"grid.box_length": "12"}, "grid.box_length"),
@@ -296,6 +316,29 @@ def test_probed_configs_exit_1_naming_the_key(name, changes, key):
     code, err = _run_cli(name, _render(values))
     assert code == 1, err
     assert key in err
+
+
+def test_config_file_that_is_not_utf8_exits_1_naming_the_file(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TINY["regimes"].encode() + "# d\xe9j\xe0 vu\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin1.cfg"):
+        load_config(cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["regimes", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1 and "latin1.cfg" in err.getvalue(), err.getvalue()
+
+
+def test_scatter_checkpoint_at_t_end_inside_the_rule_runs(tmp_path):
+    """t_end = 2 + 1.5e-9 is step 8 of dt = 0.25 (the rule allows 2e-9),
+    so the last checkpoint, equal to t_end, reads the snapshot stored at
+    8 * 0.25 = 2.0."""
+    values = _parse(TINY["scatter-test"])
+    values.update({"sim.dt": "0.25", "sim.t_end": "2.0000000015",
+                   "scatter.checkpoints": "0.5, 1.0, 2.0000000015"})
+    code, err = _run_cli("scatter-test", _render(values), out=tmp_path)
+    assert code == 0, err
+    assert (tmp_path / "differences.csv").is_file()
 
 
 def test_zero_initial_data_passes_the_box_check_on_any_box():
@@ -358,6 +401,64 @@ def test_partition_steps_accepts_exact_partitions(horizon, dt, steps):
 def test_partition_steps_rejects_with_value_error(horizon, dt, fragment):
     with pytest.raises(ValueError, match=fragment):
         partition_steps(horizon, dt)
+
+
+#: (t, dt, its step or None): on the partition, inside the rule
+#: |m dt - t| <= 1e-9 max(dt, t), and beyond it
+PARTITION_TABLE = [
+    (0.4, 0.01, 40),
+    (0.4 * (1 + 5e-10), 0.01, 40),
+    (0.4 * (1 + 2e-9), 0.01, None),
+    (0.4 * (1 - 2e-9), 0.01, None),
+    (20.000000005, 0.05, 400),  # 5e-9 past step 400: more than 1e-9, inside the rule
+    (20.00000005, 0.05, None),
+    (0.0999999998, 0.01, None),  # 2e-10 short of step 10, beyond 1e-10
+]
+
+
+def _step_or_none(call):
+    try:
+        return call()
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("t, dt, m", PARTITION_TABLE)
+def test_every_entry_point_reads_a_time_by_the_one_rule(t, dt, m):
+    """Each place that reads a time takes the step partition_index gives,
+    or refuses the time, alike: a horizon, a path time, a snapshot, a
+    growth horizon, and a checkpoint or horizon in a config. The run's
+    own horizon is the nearest partition point; t/4 and t/2 sit as near
+    to theirs, relatively, as t does."""
+    grid = GridSpec(1, 16, 24.0)
+    n = round(t / dt)
+    horizon = n * dt
+    traj = evolve(SimConfig(grid, sigma=1.0, dt=dt, t_end=horizon, snapshot_stride=1),
+                  Field.zeros(grid))
+    snapshot_step = {id(snap): k for k, (_, snap) in enumerate(traj.snapshots)}
+    path = sample_path(NoiseSpec(), horizon, dt)
+    view = SimpleNamespace(times=np.arange(n + 1) * dt, series={"pc_energy": np.arange(n + 1.0)})
+    steps = {
+        "partition_index": _step_or_none(lambda: partition_index(t, dt)),
+        "SimConfig.steps": _step_or_none(lambda: SimConfig(grid, sigma=1.0, dt=dt, t_end=t).steps),
+        "NoisePath.index_of": _step_or_none(lambda: path.index_of(t)),
+        "snapshot_at": _step_or_none(lambda: snapshot_step[id(traj.snapshot_at(t))]),
+        "growth_fit": _step_or_none(lambda: growth_fit([view, view], (t / 4, t / 2, t),
+                                                       min_paths=2).mean_running_sup.tolist()),
+    }
+    if steps["growth_fit"] is not None:  # the running sup of 0, 1, 2, ... is the step
+        assert steps["growth_fit"][:2] == [m / 4, m / 2]
+        steps["growth_fit"] = steps["growth_fit"][-1]
+    assert steps == dict.fromkeys(steps, m)
+    for kind, key in (("scatter-test", "scatter.checkpoints"), ("growth-fit", "growth.tau_grid")):
+        values = _parse(TINY[kind])
+        values.update({"sim.dt": repr(dt), "sim.t_end": repr(horizon), "sim.snapshot_stride": "1",
+                       key: f"{t / 4!r}, {t / 2!r}, {t!r}"})
+        if m is None:
+            with pytest.raises(ConfigError, match=key):
+                load_config(text=_render(values))
+        else:
+            load_config(text=_render(values))
 
 
 # ---------------------------------------------------------------------------
