@@ -29,6 +29,7 @@ divergent tail integral is always refused.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -565,6 +566,18 @@ def load_config(
             f"ensemble.size = {ensemble_size}: growth-exponent fits want at "
             f"least {GROWTH_FIT_PATHS} paths for a stable ensemble mean"
         )
+
+    if sim is not None:  # the recorder's float64 series tables, one row per path
+        rows = ensemble_size if "ensemble" in sections else 1
+        points, series = sim.steps + 1, len(sim.series_names)
+        table = points * rows * series * 8
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if table > memory:
+            raise ConfigError(
+                f"sim.t_end, sim.dt: {points} recorded points x {rows} path(s) x {series} "
+                f"series of 8 bytes need {table} bytes, more than the {memory} bytes of "
+                "physical memory"
+            )
 
     # GridSpec's own check on points (a power of two >= 8); the box does not matter
     selftest_points = _build(GridSpec, "selftest", get, dim=1, box_length=1.0).points

@@ -41,10 +41,13 @@ the loop it assembles the budgets, so a finished trajectory certifies
 itself against its noise input. Recorded values never feed back into
 the step, so waiting for the chunk changes no number. Every grid sum is
 taken row by row over C-contiguous rows, so a path's numbers do not
-depend on its batch.
+depend on its batch. The check that every new field is finite is read
+off the |u|² the recorder holds anyway: one total over the batch, and
+the exact per-row check only when that total is not finite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields, replace
 from itertools import repeat
 from typing import Sequence
@@ -153,6 +156,13 @@ class SimConfig:
 
     def times(self) -> np.ndarray:
         return np.arange(self.steps + 1) * self.dt
+
+    @property
+    def series_names(self) -> list[str]:
+        """The series a run records: every functional, or only the mass."""
+        if self.record == "light":
+            return ["mass"]
+        return [f.name for f in dataclass_fields(FunctionalRecord) if f.name != "t"]
 
 
 @dataclass(frozen=True)
@@ -312,10 +322,8 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
 
 
 def _pow_sigma(rho: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
-    """|u|^{2σ} from rho = |u|², written into out."""
-    np.copyto(out, rho)
-    out **= sigma  # dispatches like `rho**sigma`, numpy's fast scalar powers included
-    return out
+    """|u|^{2σ} from rho = |u|², written into out; the same bytes as rho**sigma."""
+    return np.power(rho, sigma, out=out)
 
 
 def _strang_step(vals: np.ndarray, sigma: float, grid: GridSpec, lin: np.ndarray,
@@ -483,7 +491,6 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
                             rho if shift is None else None, buf, rec.slot(), rho_sig)
         if dw is not None:
             vals += np.multiply(dw, prop_phi, out=buf.kick)  # vals is the rotation's output slot
-        rec.check(vals, k + 1)
     rec.hold(vals, steps)
     return rec.finish(vals)
 
@@ -497,6 +504,7 @@ class _Recorder:
     partition point first + j, ``held_rho`` its |u|² and ``held_rho_sig``
     (or None) its |u|^{2σ}. The series and
     Ito tables are flat, one entry per (point, path) in that order.
+    hold reads the check that a field is finite off the |u|² it holds.
     Failures keep the order of a step-by-step record: check flushes the
     held steps before it raises for a field, and flush checks a chunk's
     functionals earliest step first.
@@ -532,7 +540,7 @@ class _Recorder:
                           sum(float((gp.real**2 + gp.imag**2).sum()) for gp in grads_phi) * dvol)
                 self.energy_dots = np.empty((4, steps * size), dtype=complex)
                 self.energy_sums = np.empty((2, steps * size))
-        names = [f.name for f in dataclass_fields(FunctionalRecord) if f.name != "t"] if full else ["mass"]
+        names = config.series_names
         self.series = {name: np.empty((steps + 1) * size) for name in names}
         self.checked = [name for name in names if name not in FRAME_UNSET[self.frame]]
         self.snapshots: list[tuple[float, Field]] = []
@@ -552,14 +560,20 @@ class _Recorder:
         return self.held[self.count]
 
     def hold(self, vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Count vals, the field in slot(), in as partition point k: take
-        its monitors at snapshot points (and the last point), flush a
-        full chunk, and return its |u|² and its held |u|^{2σ} (or None)."""
-        self.count += 1
-        rho = np.square(vals.real, out=self.held_rho[self.count - 1])
+        """Count vals, the field in slot(), in as partition point k: check
+        it, take its monitors at snapshot points (and the last point),
+        flush a full chunk, and return its |u|² and its held |u|^{2σ} (or
+        None). A finite total of the non-negative |u|² means every entry
+        of vals is finite, so only a non-finite total calls check; a
+        finite field whose |u|² overflows passes it."""
+        j = self.count
+        rho = np.square(vals.real, out=self.held_rho[j])
         rho += np.square(vals.imag, out=self.rho_scratch)
+        if not math.isfinite(np.add.reduce(rho, axis=None)):
+            self.check(vals, k)  # vals is not counted in yet: a flush ends at point k - 1
+        self.count = j + 1
         sig = self.held_rho_sig
-        rho_sig = None if sig is None else _pow_sigma(rho, self.config.sigma, sig[self.count - 1])
+        rho_sig = None if sig is None else _pow_sigma(rho, self.config.sigma, sig[j])
         if k % self.config.snapshot_stride == 0 or k == self.steps:
             t_now = k * self.config.dt
             self.monitors.append((t_now, boundary_mass_fractions(self.grid, vals, rho),
@@ -571,7 +585,8 @@ class _Recorder:
         return rho, rho_sig
 
     def check(self, vals: np.ndarray, k: int) -> None:
-        """Raise PathError for a non-finite row of vals, the field after step k."""
+        """Raise PathError for a non-finite row of vals, the field after
+        step k, once the held steps before it are recorded."""
         finite = np.isfinite(row_sums(vals))
         if not finite.all():
             self.flush()

@@ -94,20 +94,31 @@ class GridSpec:
         Calls, last axis first, the pocketfft gufunc np.fft.fft calls, with
         the factor it passes, so each row is bit-identical to np.fft.fftn of
         its field; skipping numpy's Python wrappers takes a (4, 128) call
-        from ~8 to ~5 µs (numpy 2.4.6, 2-core Xeon). numpy.fft is looked
-        up per call, so it loads at the first transform, not at import.
+        from ~8 to ~5 µs (numpy 2.4.6, 2-core Xeon). Where numpy has no
+        private np.fft._pocketfft_umath, np.fft.fft runs each axis
+        instead: the same kernel and factor, so the same bytes. numpy.fft
+        is looked up per call, so it loads at the first transform, not at
+        import.
         """
-        return self._transform(np.fft._pocketfft_umath.fft, 1.0, values, out)
+        return self._transform("fft", 1.0, values, out)
 
     def ifft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of fft, bit-identical to np.fft.ifftn in the same way."""
         # np.fft.ifft's factor, np.reciprocal(points, dtype=float): exact for 2^m
-        return self._transform(np.fft._pocketfft_umath.ifft, 1.0 / self.points, values, out)
+        return self._transform("ifft", 1.0 / self.points, values, out)
 
-    def _transform(self, kernel: np.ufunc, factor: float, values: np.ndarray,
+    def _transform(self, name: str, factor: float, values: np.ndarray,
                    out: np.ndarray | None) -> np.ndarray:
         if out is None:
             out = np.empty(values.shape, dtype=complex)
+        kernels = getattr(np.fft, "_pocketfft_umath", None)
+        if kernels is None:
+            public = getattr(np.fft, name)
+            public(values, out=out)
+            for axis in range(-2, -self.dim - 1, -1):
+                public(out, axis=axis, out=out)
+            return out
+        kernel = getattr(kernels, name)
         kernel(values, factor, out=out)
         for axis in range(-2, -self.dim - 1, -1):
             kernel(out, factor, axes=[(axis,), (), (axis,)], out=out)
@@ -289,7 +300,7 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     Each C-contiguous row is summed as one run, exactly as ``.sum()``
     sums a single field, so batched and per-field sums agree bit for bit.
     """
-    return values.reshape(len(values), -1).sum(axis=1)
+    return np.add.reduce(values.reshape(len(values), -1), axis=1)  # .sum without its wrapper
 
 
 def batch_rows(row_bytes: int) -> int:

@@ -166,12 +166,14 @@ def g_sq_tail_bound(spec: NoiseSpec, t_inf: float) -> float:
 
 def partition_index(t: float, dt: float, name: str = "t") -> int:
     """The step m of time t on the partition of step dt: the one rule,
-    |m dt - t| <= 1e-9 max(dt, t) for finite t >= 0 and dt > 0. Anything
-    else raises ValueError, with ``name`` labelling t."""
+    |m dt - t| <= 1e-9 max(dt, t) for finite t >= 0, dt > 0 and t/dt.
+    Anything else raises ValueError, with ``name`` labelling t."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"{name} must be non-negative and finite, got {t}")
+    if not math.isfinite(t / dt):
+        raise ValueError(f"{name}={t} over dt={dt} is not a finite number of steps")
     m = int(round(t / dt))
     if abs(m * dt - t) > 1e-9 * max(dt, t):
         raise ValueError(f"{name}={t} is not an integer multiple of dt={dt}")

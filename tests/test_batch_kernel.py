@@ -10,6 +10,7 @@ so a change of the numbers shows here.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import multiprocessing
 from dataclasses import replace
@@ -17,10 +18,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import snlslab.dynamics as dynamics
 import snlslab.ensemble as ensemble
 import snlslab.grids as grids
 from snlslab.config import InitialSpec, load_config, make_initial, with_path_seed
-from snlslab.dynamics import PathError, SimConfig, evolve, evolve_batch
+from snlslab.dynamics import BatchRun, PathError, SimConfig, evolve, evolve_batch
 from snlslab.ensemble import EnsembleError, run_ensemble
 from snlslab.functionals import (FunctionalRecord, compute_functionals, functional_columns,
                                  ito_mass_budget)
@@ -335,6 +337,75 @@ def test_overflow_inside_a_chunk_fails_at_its_step(kick, chunk, monkeypatch):
             evolve_batch(light, u0, paths)
     else:
         assert np.isfinite(evolve_batch(light, u0, paths).final).all()
+
+
+def _poisoned_run(monkeypatch, kind, chunk, k, p, bad):
+    """A 3-row evolve_batch whose field after step k has `bad` at entry 5
+    of row p (before the noise kick), with `chunk` steps held per chunk
+    (None: the default cap). Returns the run, or the PathError it raised,
+    and its recorder."""
+    cfg = _config(kind, 1)
+    u0 = [_initial(cfg.grid, r) for r in range(3)]
+    paths = [_path(cfg, r) for r in range(3)] if kind.startswith("snls") else None
+    recorders = []
+
+    class Kept(dynamics._Recorder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            recorders.append(self)
+
+    step, calls = dynamics._strang_step, itertools.count(1)
+
+    def poisoned(*args):
+        out = step(*args)
+        if next(calls) == k:
+            out[p, 5] = bad
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_Recorder", Kept)
+        patch.setattr(dynamics, "_strang_step", poisoned)
+        if chunk is not None:
+            patch.setattr(grids, "BATCH_FIELD_BYTES", chunk * 3 * cfg.grid.num_cells * 16)
+        try:
+            run = evolve_batch(cfg, u0, paths)
+        except PathError as exc:
+            run = exc
+    return run, recorders[0]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("kind", ["snls_full", "snls_light", "deterministic"])
+def test_non_finite_field_fails_at_its_step_after_recording_the_steps_before(
+        kind, bad, chunk, monkeypatch):
+    """The field check read off the held |u|² raises the step-by-step
+    check's PathError, naming step k and path p, once points 0..k-1 are
+    recorded as a clean run records them."""
+    k, p = 7, 1
+    err, rec = _poisoned_run(monkeypatch, kind, chunk, k, p, bad)
+    cfg = rec.config
+    assert isinstance(err, PathError) and err.path == p
+    assert str(err) == (f"non-finite field after step {k} of {cfg.steps} (t={k * cfg.dt:.6g}) "
+                        f"in path {p} of the batch; the run was aborted")
+    clean = _batch(kind, 1, [0, 1, 2])
+    scale = cfg.grid.cell_volume if cfg.record == "light" else 1.0  # finish scales light mass
+    for name, col in clean.series.items():
+        want = col.T.ravel()[:k * 3]
+        assert (rec.series[name][:k * 3] * scale).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_finite_field_whose_density_overflows_is_not_refused(monkeypatch):
+    """|1e200|² overflows, but the field is finite: the exact check lets it
+    step on. At the last point the run finishes; earlier, the next step's
+    infinite phase makes the field NaN, refused at that step."""
+    run, _ = _poisoned_run(monkeypatch, "snls_light", 1, 20, 2, 1e200)
+    assert isinstance(run, BatchRun) and np.isfinite(run.final).all()
+    assert abs(run.final[2, 5]) > 1e199 and run.series["mass"][2, -1] == math.inf
+    err, _ = _poisoned_run(monkeypatch, "snls_light", None, 7, 2, 1e200)
+    assert isinstance(err, PathError) and err.path == 2
+    assert "non-finite field after step 8 of 20 " in str(err)
 
 
 def test_batch_rejects_mismatched_inputs():

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from snlslab import cli
+from snlslab import config as config_module
 from snlslab.analysis import growth_fit
 from snlslab.config import _SCHEMA, KINDS, ConfigError, _convert, load_config
 from snlslab.dynamics import EQUATION_KINDS, SimConfig, evolve
@@ -308,6 +309,10 @@ def test_one_bad_value_runs_or_exits_1_naming_its_key():
         ("growth-fit", {"ensemble.size": "1"}, "ensemble.size"),
         ("selftest", {"selftest.points": "12"}, "selftest.points"),
         ("scatter-test", {"sim.snapshot_stride": "6"}, "sim.snapshot_stride"),
+        # t_end / dt overflows to inf: no finite step count
+        ("simulate", {"sim.dt": "1e-10", "sim.t_end": "1e300"}, "sim.dt, sim.t_end"),
+        # 1e14 steps: the full series tables alone need ~7,300 TiB
+        ("simulate", {"sim.dt": "1e-2", "sim.t_end": "1e12"}, "sim.t_end, sim.dt"),
     ],
 )
 def test_probed_configs_exit_1_naming_the_key(name, changes, key):
@@ -316,6 +321,22 @@ def test_probed_configs_exit_1_naming_the_key(name, changes, key):
     code, err = _run_cli(name, _render(values))
     assert code == 1, err
     assert key in err
+
+
+@pytest.mark.parametrize("name, rows, columns", [("simulate", 1, 10), ("ensemble", 2, 1)])
+def test_recorded_tables_larger_than_memory_are_refused_at_load(name, rows, columns,
+                                                                monkeypatch):
+    """(steps + 1) x rows x series x 8 bytes must fit in physical memory;
+    rows is ensemble.size for ensembles, series 1 for record = light."""
+    config = load_config(text=TINY[name])
+    table = (config.sim.steps + 1) * rows * columns * 8
+    assert len(config.sim.series_names) == columns
+    pages = {"SC_PHYS_PAGES": table, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)
+    load_config(text=TINY[name])  # exactly the memory fits
+    pages["SC_PHYS_PAGES"] = table - 1
+    with pytest.raises(ConfigError, match=rf"^sim.t_end, sim.dt: .* need {table} bytes"):
+        load_config(text=TINY[name])
 
 
 def test_config_file_that_is_not_utf8_exits_1_naming_the_file(tmp_path):

@@ -9,6 +9,7 @@ from snlslab.dynamics import (
     _TINY_PHASE,
     SimConfig,
     _phase_rotation,
+    _pow_sigma,
     _StepBuffers,
     _strang_step,
     evolve,
@@ -218,6 +219,22 @@ def test_phase_rotation_keeps_non_finite_angles_non_finite(bad, tau):
     _assert_same_bytes(got[finite], want[finite], f"finite entries, bad={bad}")
     assert {(w.category, str(w.message)) for w in after} <= \
         {(w.category, str(w.message)) for w in before}
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75, 1.5, 2.0, 3.0])
+def test_pow_sigma_matches_copy_then_inplace_power(sigma):
+    """One np.power call gives the bytes of the copyto + **= it replaced,
+    numpy's fast powers (0.5, 2) included."""
+    rng = np.random.default_rng(21)
+    edges = [0.0, 5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022, 1e-300, 1.0,
+             1e300, np.finfo(float).max, math.inf, math.nan]
+    rho = np.vstack([np.resize(edges, 256), 10.0 ** rng.uniform(-300, 300, (3, 256))])
+    want = np.empty_like(rho)
+    with np.errstate(over="ignore"):
+        np.copyto(want, rho)
+        want **= sigma
+        got = _pow_sigma(rho, sigma, np.empty_like(rho))
+    _assert_same_bytes(got, want, f"sigma={sigma}")
 
 
 def test_libm_is_exact_below_tiny_phase():

@@ -10,6 +10,7 @@ from snlslab.grids import (
     boundary_mass_fraction,
     boundary_mass_fractions,
     gradient,
+    row_sums,
     spectral_tail_fraction,
 )
 
@@ -54,6 +55,39 @@ def test_grid_fft_is_bit_identical_to_numpy_fftn(dim):
             assert np.array_equal(transform(same, out=same), reference(values, axes=axes))
     field = Field(grid, values[0])
     assert np.array_equal(field.spectrum(), np.fft.fftn(values[0]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_fft_without_the_private_kernels_keeps_the_bytes(dim, monkeypatch):
+    """Without np.fft._pocketfft_umath, numpy's public fft and ifft run
+    each axis with the same kernel and factor: the same bytes, in place
+    and into a buffer."""
+    grid = GridSpec(dim, 8, 4.0)
+    rng = np.random.default_rng(10 + dim)
+    shape = (3,) + grid.shape
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = {transform: transform(values) for transform in (grid.fft, grid.ifft)}
+    monkeypatch.delattr(np.fft, "_pocketfft_umath")
+    for transform, reference in want.items():
+        out = np.empty_like(values)
+        assert transform(values, out=out) is out
+        assert out.tobytes() == reference.tobytes()
+        same = values.copy()
+        assert transform(same, out=same).tobytes() == reference.tobytes()
+        assert transform(values).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_row_sums_match_sum_over_each_row(dim):
+    """row_sums is .sum(axis=1) of the flattened rows, byte for byte, and
+    each row sums as its own field does."""
+    rng = np.random.default_rng(30 + dim)
+    shape = (3,) + (16,) * dim
+    real = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    for values in (real, real + 1j * rng.standard_normal(shape)):
+        got = row_sums(values)
+        assert got.tobytes() == values.reshape(3, -1).sum(axis=1).tobytes()
+        assert got.tobytes() == np.array([row.sum() for row in values]).tobytes()
 
 
 @pytest.mark.parametrize(
