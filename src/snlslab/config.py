@@ -567,16 +567,16 @@ def load_config(
             f"least {GROWTH_FIT_PATHS} paths for a stable ensemble mean"
         )
 
-    if sim is not None:  # the recorder's float64 series tables, one row per path
-        rows = ensemble_size if "ensemble" in sections else 1
-        points, series = sim.steps + 1, len(sim.series_names)
-        table = points * rows * series * 8
+    if sim is not None:  # what the run allocates per point and path; evolve keeps snapshots
+        single = "ensemble" not in sections
+        rows = 1 if single else ensemble_size
+        points, per_point = sim.steps + 1, sim.point_bytes(snapshots=single)
+        table = points * rows * per_point
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if table > memory:
             raise ConfigError(
-                f"sim.t_end, sim.dt: {points} recorded points x {rows} path(s) x {series} "
-                f"series of 8 bytes need {table} bytes, more than the {memory} bytes of "
-                "physical memory"
+                f"sim.t_end, sim.dt: {points} recorded points x {rows} path(s) x {per_point} "
+                f"bytes need {table} bytes, more than the {memory} bytes of physical memory"
             )
 
     # GridSpec's own check on points (a power of two >= 8); the box does not matter

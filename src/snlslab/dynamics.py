@@ -164,6 +164,32 @@ class SimConfig:
             return ["mass"]
         return [f.name for f in dataclass_fields(FunctionalRecord) if f.name != "t"]
 
+    def point_bytes(self, snapshots: bool) -> int:
+        """Bytes a run allocates per partition point and path, at most.
+
+        In float64 words: each series twice (the recorder's table and the
+        run's row-major copy), the times and budgets with their temporaries
+        (4), the transformed equation's two weight tables and theirs (4);
+        with noise the increments and their stacked copy (2), the complex
+        kick table and its real factor (3), the complex Ito dot table and
+        its scaled copy (4), the mass budget's temporaries and envelope
+        tables (6); with the energy Ito sums (full snls) the four complex
+        dot and two sum tables, each with its scaled copy (20), and the
+        energy budget's temporaries (8). Per-step tables count per path,
+        as a batch of one pays them. Every snapshot_stride points the
+        monitors take one entry (512 bytes), and with snapshots (evolve)
+        row 0's field is kept as well (512 + 16 per cell).
+        """
+        words = 2 * len(self.series_names) + 4
+        if self.equation == "transformed":
+            words += 4
+        if self.equation == "snls":
+            words += 15
+            if self.record == "full":
+                words += 28
+        snapshot = 512 + (512 + 16 * self.grid.num_cells if snapshots else 0)
+        return 8 * words + -(-snapshot // self.snapshot_stride)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -304,7 +330,7 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
         if rho is None:
             rho = np.square(w.real, out=buf.rho)
             rho += np.square(w.imag, out=theta)
-        rho_sig = rho if sigma == 1.0 else _pow_sigma(rho, sigma, theta)
+        rho_sig = rho if sigma == 1.0 else np.power(rho, sigma, out=theta)
     np.multiply(rho_sig, tau, out=theta)
     live = buf.live
     if tau >= 0.0:
@@ -319,11 +345,6 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
     if shift is not None:
         out -= shift
     return out
-
-
-def _pow_sigma(rho: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
-    """|u|^{2σ} from rho = |u|², written into out; the same bytes as rho**sigma."""
-    return np.power(rho, sigma, out=out)
 
 
 def _strang_step(vals: np.ndarray, sigma: float, grid: GridSpec, lin: np.ndarray,
@@ -473,7 +494,7 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
     # per-step inputs: both half-step weights (the transformed coefficient at
     # t + dt/4, t + 3dt/4), the shift at both substep ends, the noise kick
     taus = repeat((0.5 * dt, 0.5 * dt))
-    if config.equation == "transformed" and sigma * grid.dim != 2.0:
+    if config.equation == "transformed":
         t_left, power = np.arange(steps) * dt, sigma * grid.dim - 2.0
         taus = zip(0.5 * dt * (1.0 - (t_left + 0.25 * dt)) ** power,
                    0.5 * dt * (1.0 - (t_left + 0.75 * dt)) ** power)
@@ -573,7 +594,7 @@ class _Recorder:
             self.check(vals, k)  # vals is not counted in yet: a flush ends at point k - 1
         self.count = j + 1
         sig = self.held_rho_sig
-        rho_sig = None if sig is None else _pow_sigma(rho, self.config.sigma, sig[j])
+        rho_sig = None if sig is None else np.power(rho, self.config.sigma, out=sig[j])
         if k % self.config.snapshot_stride == 0 or k == self.steps:
             t_now = k * self.config.dt
             self.monitors.append((t_now, boundary_mass_fractions(self.grid, vals, rho),

@@ -43,7 +43,6 @@ __all__ = [
     "ItoBudget",
     "compute_functionals",
     "functional_columns",
-    "potential_integral",
     "ito_mass_budget",
     "ito_energy_budget",
 ]
@@ -79,12 +78,6 @@ class FunctionalRecord:
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
-
-
-def potential_integral(field: Field, sigma: float) -> float:
-    """‖u‖^{2σ+2}_{L^{2σ+2}} = ∫ (|u|²)^{σ+1}."""
-    rho = field.values.real**2 + field.values.imag**2
-    return float((rho ** (sigma + 1.0)).sum()) * field.grid.cell_volume
 
 
 def functional_columns(

@@ -2,9 +2,11 @@
 
 Every experiment result renders to up to three artifacts:
 
-* CSV — the numeric contract. Floats are written with %.17g, which
-  round-trips float64 exactly, so a written series can be reloaded
-  bit-for-bit.
+* CSV — the numeric contract. Every CSV is written from named columns,
+  {header name: sequence}, each named once next to its data, by one
+  writer that refuses columns of unequal length; load_series_csv reads
+  the same shape back. Floats are written with %.17g, which round-trips
+  float64 exactly, so a written series can be reloaded bit-for-bit.
 * JSON manifest — provenance: config hash (SHA-256 of the canonical
   config echo), code version, base seed and per-path seeds, plus the
   emitted file names with their own SHA-256 digests. No timestamps:
@@ -21,6 +23,7 @@ import csv
 import io
 import math
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -50,20 +53,15 @@ def format_float(x: float) -> str:
 
 
 def load_series_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a series CSV back into column arrays (exact float round-trip)."""
+    """Read a CSV back into its named columns (exact float round-trip)."""
     p = Path(path)
     try:
         with p.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [row for row in reader]
+            header, *rows = csv.reader(fh)
     except OSError as exc:
         raise ReportIOError(f"cannot read {p}: {exc}") from exc
-    columns = {name: np.empty(len(rows)) for name in header}
-    for i, row in enumerate(rows):
-        for name, cell in zip(header, row):
-            columns[name][i] = float(cell)
-    return columns
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    return dict(zip(header, table.T.copy()))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -74,14 +72,18 @@ def _write_text(path: Path, text: str) -> None:
         raise ReportIOError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(columns: dict[str, Sequence]) -> str:
+    """CSV of named columns, one row per index; floats via format_float."""
+    lengths = {name: len(col) for name, col in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [format_float(c) if isinstance(c, float) else c for c in row]
-        )
+    writer.writerow(columns)
+    writer.writerows(
+        [format_float(c) if isinstance(c, float) else c for c in row]
+        for row in zip(*columns.values())
+    )
     return buf.getvalue()
 
 
@@ -96,14 +98,8 @@ def _table(lines: list[tuple[str, str]]) -> str:
 
 
 def _serialize_trajectory(traj: Trajectory):
-    header = ["time"] + list(traj.series) + [f"budget_{k}" for k in traj.budget]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [float(t)]
-        row += [float(traj.series[k][i]) for k in traj.series]
-        row += [float(traj.budget[k][i]) for k in traj.budget]
-        rows.append(row)
-    csvs = {"series.csv": _csv_text(header, rows)}
+    budget = {f"budget_{k}": col for k, col in traj.budget.items()}
+    csvs = {"series.csv": _csv_text({"time": traj.times, **traj.series, **budget})}
     extra = {
         "steps": traj.steps,
         "warnings": list(traj.warnings),
@@ -123,28 +119,14 @@ def _serialize_trajectory(traj: Trajectory):
 
 
 def _serialize_ensemble(res: EnsembleResult):
-    stats = ("mean", "var", "min", "max", "running_sup_mean")
-    header = ["time"] + [
-        f"{name}_{stat}" for name in res.functional_names for stat in stats
-    ]
-    rows = []
-    for i, t in enumerate(res.times):
-        row = [float(t)]
-        for name in res.functional_names:
-            for stat in stats:
-                row.append(float(res.aggregates[name][stat][i]))
-        rows.append(row)
-    per_path_header = ["path", "seed", "mass_change", "mass_residual"] + [
-        f"{name}_final" for name in res.functional_names
-    ]
-    per_path_rows = []
-    for i in range(res.size):
-        row = [i, str(res.seeds[i]), float(res.mass_change[i]), float(res.mass_residuals[i])]
-        row += [float(res.per_path[name][i, -1]) for name in res.functional_names]
-        per_path_rows.append(row)
+    names, stats = res.functional_names, ("mean", "var", "min", "max", "running_sup_mean")
+    aggregates = {f"{name}_{stat}": res.aggregates[name][stat] for name in names for stat in stats}
+    finals = {f"{name}_final": res.per_path[name][:, -1] for name in names}
     csvs = {
-        "aggregates.csv": _csv_text(header, rows),
-        "per_path.csv": _csv_text(per_path_header, per_path_rows),
+        "aggregates.csv": _csv_text({"time": res.times, **aggregates}),
+        "per_path.csv": _csv_text({"path": range(res.size), "seed": res.seeds,
+                                   "mass_change": res.mass_change,
+                                   "mass_residual": res.mass_residuals, **finals}),
     }
     mean_change = float(res.mass_change.mean())
     se = float(res.mass_change.std(ddof=1) / math.sqrt(res.size)) if res.size > 1 else 0.0
@@ -165,12 +147,9 @@ def _serialize_ensemble(res: EnsembleResult):
 
 
 def _serialize_tail(fit: TailFitResult):
-    rows = [[i, float(s)] for i, s in enumerate(fit.slopes)]
     csvs = {
-        "slopes.csv": _csv_text(["path", "slope"], rows),
-        "grid.csv": _csv_text(
-            ["t"], [[float(t)] for t in fit.t_grid]
-        ),
+        "slopes.csv": _csv_text({"path": range(len(fit.slopes)), "slope": fit.slopes}),
+        "grid.csv": _csv_text({"t": fit.t_grid}),
     }
     extra = {
         "median_slope": float(fit.median),
@@ -189,12 +168,9 @@ def _serialize_tail(fit: TailFitResult):
 
 
 def _serialize_scatter(rep: ScatteringReport):
-    m = len(rep.checkpoint_times)
-    header = ["t"] + [format_float(t) for t in rep.checkpoint_times]
-    rows = []
-    for i in range(m):
-        rows.append([float(rep.checkpoint_times[i])] + [float(x) for x in rep.differences[i]])
-    csvs = {"differences.csv": _csv_text(header, rows)}
+    times = rep.checkpoint_times
+    columns = {format_float(t): rep.differences[:, j] for j, t in enumerate(times)}
+    csvs = {"differences.csv": _csv_text({"t": times, **columns})}
     consecutive = [float(x) for x in rep.consecutive]
     ratios = [
         consecutive[k + 1] / consecutive[k] if consecutive[k] > 0 else math.nan
@@ -221,10 +197,8 @@ def _serialize_scatter(rep: ScatteringReport):
 
 
 def _serialize_growth(fit: GrowthFitResult):
-    rows = [
-        [float(t), float(v)] for t, v in zip(fit.tau_grid, fit.mean_running_sup)
-    ]
-    csvs = {"growth.csv": _csv_text(["tau", "mean_running_sup"], rows)}
+    csvs = {"growth.csv": _csv_text({"tau": fit.tau_grid,
+                                     "mean_running_sup": fit.mean_running_sup})}
     extra = {"slope": fit.slope, "intercept": fit.intercept}
     lines = [
         ("fitted slope", format_float(fit.slope)),
@@ -235,22 +209,15 @@ def _serialize_growth(fit: GrowthFitResult):
 
 def _serialize_regimes(rep: RegimeReport):
     doc = rep.as_dict()
-    csvs = {
-        "checks.csv": _csv_text(
-            ["name", "window_ok", "decay_ok", "required_alpha", "applies", "small_data"],
-            [
-                [
-                    c.name,
-                    int(c.window_ok),
-                    int(c.decay_ok),
-                    float(c.required_alpha),
-                    int(c.applies),
-                    int(c.small_data_required),
-                ]
-                for c in rep.checks
-            ],
-        )
-    }
+    checks = rep.checks
+    csvs = {"checks.csv": _csv_text({
+        "name": [c.name for c in checks],
+        "window_ok": [int(c.window_ok) for c in checks],
+        "decay_ok": [int(c.decay_ok) for c in checks],
+        "required_alpha": [float(c.required_alpha) for c in checks],
+        "applies": [int(c.applies) for c in checks],
+        "small_data": [int(c.small_data_required) for c in checks],
+    })}
     lines = [
         ("dimension", str(rep.dim)),
         ("nonlinearity 2*sigma", format_float(rep.two_sigma)),
@@ -279,12 +246,9 @@ def _serialize_regimes(rep: RegimeReport):
 
 
 def _serialize_selftest(rep: SelftestReport):
-    csvs = {
-        "selftest.csv": _csv_text(
-            ["name", "tolerance", "measured", "passed"],
-            [[c.name, c.tolerance, c.measured, c.passed] for c in rep.checks],
-        )
-    }
+    csvs = {"selftest.csv": _csv_text(
+        {key: [getattr(c, key) for c in rep.checks]
+         for key in ("name", "tolerance", "measured", "passed")})}
     extra = {
         "points": rep.points,
         "passed": rep.passed,
@@ -298,15 +262,15 @@ def _serialize_selftest(rep: SelftestReport):
     return csvs, extra, _table(lines)
 
 
-_SERIALIZERS = (
-    (Trajectory, _serialize_trajectory),
-    (EnsembleResult, _serialize_ensemble),
-    (TailFitResult, _serialize_tail),
-    (ScatteringReport, _serialize_scatter),
-    (GrowthFitResult, _serialize_growth),
-    (RegimeReport, _serialize_regimes),
-    (SelftestReport, _serialize_selftest),
-)
+_SERIALIZERS = {
+    Trajectory: _serialize_trajectory,
+    EnsembleResult: _serialize_ensemble,
+    TailFitResult: _serialize_tail,
+    ScatteringReport: _serialize_scatter,
+    GrowthFitResult: _serialize_growth,
+    RegimeReport: _serialize_regimes,
+    SelftestReport: _serialize_selftest,
+}
 
 
 def _plain(obj):
@@ -332,12 +296,10 @@ def emit_report(
     the code version, the experiment kind, the config hash and echo,
     and the base seed.
     """
-    for klass, serializer in _SERIALIZERS:
-        if isinstance(result, klass):
-            csvs, extra, table = serializer(result)
-            break
-    else:
+    serializer = _SERIALIZERS.get(type(result))
+    if serializer is None:
         raise TypeError(f"no report serializer for {type(result).__name__}")
+    csvs, extra, table = serializer(result)
     import hashlib
     import json
 

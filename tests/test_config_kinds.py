@@ -323,14 +323,17 @@ def test_probed_configs_exit_1_naming_the_key(name, changes, key):
     assert key in err
 
 
-@pytest.mark.parametrize("name, rows, columns", [("simulate", 1, 10), ("ensemble", 2, 1)])
-def test_recorded_tables_larger_than_memory_are_refused_at_load(name, rows, columns,
+@pytest.mark.parametrize("name, rows, per_point", [("simulate", 1, 1560), ("ensemble", 2, 220)])
+def test_recorded_tables_larger_than_memory_are_refused_at_load(name, rows, per_point,
                                                                 monkeypatch):
-    """(steps + 1) x rows x series x 8 bytes must fit in physical memory;
-    rows is ensemble.size for ensembles, series 1 for record = light."""
+    """(steps + 1) x rows x SimConfig.point_bytes must fit in physical
+    memory; rows is ensemble.size for ensembles. Both configs are snls on 64
+    points. simulate records full (67 words, 536 bytes) and keeps a snapshot
+    field every 2 points (1024 per point); the ensemble records light (21
+    words, 168 bytes) and takes a monitor entry every 10 points (52)."""
     config = load_config(text=TINY[name])
-    table = (config.sim.steps + 1) * rows * columns * 8
-    assert len(config.sim.series_names) == columns
+    assert config.sim.point_bytes(snapshots=rows == 1) == per_point
+    table = (config.sim.steps + 1) * rows * per_point
     pages = {"SC_PHYS_PAGES": table, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)
     load_config(text=TINY[name])  # exactly the memory fits

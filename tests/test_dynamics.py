@@ -1,18 +1,20 @@
 """Time integrator: exactness, order, conservation, reproducibility."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from snlslab import grids
 from snlslab.dynamics import (
     _TINY_PHASE,
     SimConfig,
     _phase_rotation,
-    _pow_sigma,
     _StepBuffers,
     _strang_step,
     evolve,
+    evolve_batch,
     step_deterministic,
 )
 from snlslab.grids import Field, GridSpec
@@ -223,8 +225,8 @@ def test_phase_rotation_keeps_non_finite_angles_non_finite(bad, tau):
 
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75, 1.5, 2.0, 3.0])
 def test_pow_sigma_matches_copy_then_inplace_power(sigma):
-    """One np.power call gives the bytes of the copyto + **= it replaced,
-    numpy's fast powers (0.5, 2) included."""
+    """The kernel's np.power(rho, sigma, out=...) gives the bytes of the
+    copyto + **= it replaced, numpy's fast powers (0.5, 2) included."""
     rng = np.random.default_rng(21)
     edges = [0.0, 5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022, 1e-300, 1.0,
              1e300, np.finfo(float).max, math.inf, math.nan]
@@ -233,7 +235,7 @@ def test_pow_sigma_matches_copy_then_inplace_power(sigma):
     with np.errstate(over="ignore"):
         np.copyto(want, rho)
         want **= sigma
-        got = _pow_sigma(rho, sigma, np.empty_like(rho))
+        got = np.power(rho, sigma, out=np.empty_like(rho))
     _assert_same_bytes(got, want, f"sigma={sigma}")
 
 
@@ -486,6 +488,56 @@ def test_transformed_run_conserves_mass():
     traj = evolve(cfg, gaussian(grid))
     m = traj.series["mass"]
     assert abs(m[-1] - m[0]) / m[0] < 1e-12
+
+
+@pytest.mark.parametrize("dim, sigma", [(1, 2.0), (2, 1.0)])
+def test_transformed_run_at_sigma_n_2_is_the_deterministic_run(dim, sigma):
+    """At σn = 2 the coefficient (1−t)^0 is exactly 1, so the transformed
+    run's half-step weights are the plain 0.5·dt and its final field is
+    the deterministic run's, byte for byte."""
+    grid = GridSpec(dim, 64, 24.0)
+    u0 = gaussian(grid, amp=1.5)
+    det = evolve(SimConfig(grid, sigma, 1e-2, 0.5, record="light"), u0)
+    lens = evolve(SimConfig(grid, sigma, 1e-2, 0.5, "transformed", record="light"), u0)
+    assert lens.final.values.tobytes() == det.final.values.tobytes()
+
+
+def _run_peak_bytes(config, u0, paths):
+    """tracemalloc peak of one run, its noise paths sampled inside it:
+    evolve for a batch of one, evolve_batch for more."""
+    tracemalloc.start()
+    try:
+        if paths == 1:
+            evolve(config, u0)
+        else:
+            noise = None if config.noise is None else [
+                sample_path(NoiseSpec(seed=s, phi_amplitude=0.2), config.t_end, config.dt)
+                for s in range(paths)]
+            evolve_batch(config, [u0] * paths, noise)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("paths", [1, 4])
+@pytest.mark.parametrize("equation", ["deterministic", "snls"])
+@pytest.mark.parametrize("record", ["light", "full"])
+def test_run_memory_per_point_and_path_stays_within_the_count(record, equation, paths,
+                                                             monkeypatch):
+    """The peak of a run grows by at most SimConfig.point_bytes per added
+    partition point and path, the count load_config refuses runs by. A
+    chunk of one step keeps the recorder's fixed buffers, and a first run
+    the grid's cached tables, out of the difference between the horizons
+    2.5 and 5."""
+    monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 1)
+    grid = GridSpec(1, 32, 24.0)
+    noise = NoiseSpec(seed=0, phi_amplitude=0.2) if equation == "snls" else None
+    short, long = (SimConfig(grid, 0.75, 1e-2, t_end, equation, noise=noise, record=record,
+                             snapshot_stride=7) for t_end in (2.5, 5.0))
+    _run_peak_bytes(short, gaussian(grid, amp=1.2), paths)
+    peaks = [_run_peak_bytes(config, gaussian(grid, amp=1.2), paths) for config in (short, long)]
+    growth = (peaks[1] - peaks[0]) / ((long.steps - short.steps) * paths)
+    assert 0 < growth <= long.point_bytes(snapshots=paths == 1), (growth, peaks)
 
 
 def test_initial_data_touching_boundary_is_refused():

@@ -9,7 +9,6 @@ from snlslab.functionals import (
     compute_functionals,
     ito_energy_budget,
     ito_mass_budget,
-    potential_integral,
 )
 from snlslab.grids import Field, GridSpec
 from snlslab.noise import NoiseSpec
@@ -25,11 +24,12 @@ def gaussian(grid, amp=1.0):
 # -- closed forms for the standard Gaussian ----------------------------------
 
 
-def test_potential_integral_gaussian():
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_potential_gaussian(sigma):
     grid = GridSpec(1, 256, 30.0)
-    # int e^{-2 x^2} = sqrt(pi/2)
-    assert potential_integral(gaussian(grid), 1.0) == pytest.approx(
-        math.sqrt(math.pi / 2.0), rel=1e-12
+    # int e^{-(sigma+1) x^2} = sqrt(pi/(sigma+1))
+    assert compute_functionals(gaussian(grid), t=0.0, sigma=sigma).potential == pytest.approx(
+        math.sqrt(math.pi / (sigma + 1.0)), rel=1e-12
     )
 
 
@@ -67,7 +67,7 @@ def test_transformed_frame_energies(sigma, t):
     grid = GridSpec(1, 256, 30.0)
     rec = compute_functionals(gaussian(grid), t=t, sigma=sigma, frame="transformed")
     power = sigma * grid.dim - 2.0
-    pot = potential_integral(gaussian(grid), sigma)
+    pot = math.sqrt(math.pi / (sigma + 1.0))
     e1 = 4.0 * SQRT_PI / 2.0 + 4.0 / (sigma + 1.0) * (1.0 - t) ** power * pot
     assert rec.e1_tilde == pytest.approx(e1, rel=1e-12)
     assert rec.e2_tilde == pytest.approx((1.0 - t) ** (-power) * e1, rel=1e-12)

@@ -31,7 +31,7 @@ from snlslab.dynamics import evolve
 from snlslab.ensemble import EnsembleError, pool_map, run_ensemble, sample_ensemble_paths
 from snlslab.grids import GridSpec
 from snlslab.noise import NoiseSpec
-from snlslab.reports import ReportIOError, emit_report, format_float, load_series_csv
+from snlslab.reports import ReportIOError, _csv_text, emit_report, format_float, load_series_csv
 from snlslab.selftest import run_selftest
 
 # ---------------------------------------------------------------------------
@@ -438,6 +438,31 @@ def test_emit_report_rejects_unknown_result(tmp_path):
     _, config = _small_noisy_trajectory()
     with pytest.raises(TypeError, match="no report serializer"):
         emit_report(object(), tmp_path, config)
+
+
+def test_csv_text_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        _csv_text({"time": [0.0, 0.5, 1.0], "mass": np.ones(2)})
+
+
+def test_load_series_csv_parses_each_cell_as_float_does(tmp_path):
+    """One np.array call reads the cells to the bits float() gives each."""
+    values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0 / 3.0, 1e300, -7.25,
+              math.inf, -math.inf, math.nan]
+    path = tmp_path / "edge.csv"
+    path.write_text(_csv_text({"x": values, "y": values[::-1]}))
+    cols = load_series_csv(path)
+    for name, column in (("x", values), ("y", values[::-1])):
+        want = np.array([float(format_float(v)) for v in column])
+        assert cols[name].tobytes() == want.tobytes(), name
+
+
+def test_csv_with_header_and_no_rows_reads_back_as_empty_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(_csv_text({"time": [], "mass": np.empty(0), "slope": ()}))
+    cols = load_series_csv(path)
+    assert list(cols) == ["time", "mass", "slope"]
+    assert all(col.shape == (0,) and col.dtype == float for col in cols.values())
 
 
 def test_load_series_csv_missing_file(tmp_path):
