@@ -6,10 +6,12 @@ lines come from the records of ``config.KINDS``::
     snlslab KIND --config run.cfg [--seed N] [--workers N] [--out DIR] [--strict]
     snlslab selftest [--out DIR]     (selftest's config is optional)
 
-Every run validates its config, echoes the effective settings, executes,
-and emits CSV + JSON-manifest + summary-table artifacts into the output
-directory. Exit codes: 0 success, 1 configuration or usage error,
-2 numerical failure (including a failed selftest), 3 I/O failure.
+--seed and --workers are offered where the kind reads noise.seed and
+ensemble.workers. Every run validates its config, echoes the effective
+settings and runs its driver; main alone reports what the driver returns
+as CSV + JSON-manifest + summary-table artifacts in the output directory.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical
+failure (including a failed selftest), 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ from . import __version__
 from .analysis import classify_regime, growth_fit, scattering_cauchy
 from .config import (GROWTH_MIN_PATHS, KINDS, ConfigError, ExperimentConfig, load_config,
                      make_initial)
-from .dynamics import evolve
-from .ensemble import EnsembleError, run_ensemble, sample_ensemble_paths
-from .noise import make_phi, tail_decay_fit
+from .dynamics import evolve, evolve_batch
+from .ensemble import run_ensemble, sample_ensemble_paths
+from .noise import make_phi, sample_path, tail_decay_fit
 from .reports import ReportIOError, emit_report, format_float
 from .selftest import run_selftest
 
@@ -56,25 +58,18 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind.name, help=kind.help)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="experiment config file (key = value lines)")
-        p.add_argument("--seed", type=int, default=None, metavar="N",
-                       help="override noise.seed")
-        p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="override ensemble.workers")
-        p.add_argument("--out", default=None, metavar="DIR",
-                       help="override output.dir")
+        # each override flag stores under its key, offered where the kind reads that key
+        for flag, key in (("--seed", "noise.seed"), ("--workers", "ensemble.workers")):
+            if kind.reads(key):
+                p.add_argument(flag, type=int, dest=key, metavar="N", help=f"override {key}")
+        p.add_argument("--out", dest="output.dir", metavar="DIR", help="override output.dir")
         p.add_argument("--strict", action="store_true",
                        help="treat hypothesis warnings as errors")
     return parser
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
-    overrides: dict[str, object] = {}
-    if args.seed is not None:
-        overrides["noise.seed"] = args.seed
-    if args.workers is not None:
-        overrides["ensemble.workers"] = args.workers
-    if args.out is not None:
-        overrides["output.dir"] = args.out
+    overrides = {key: v for key, v in vars(args).items() if "." in key and v is not None}
     if args.config is None:
         if args.command != "selftest":
             raise ConfigError(f"--config is required for {args.command!r}")
@@ -106,72 +101,58 @@ def _print_warnings(lines: Sequence[str]) -> None:
 # Subcommand drivers
 # ---------------------------------------------------------------------------
 
-
-def _run_simulate(config: ExperimentConfig) -> int:
-    u0 = make_initial(config.initial, config.grid)
-    traj = evolve(config.sim, u0)
-    _print_warnings(traj.warnings)
-    _emit(traj, config)
-    return EXIT_OK
+_Run = tuple[object, Sequence[str], Sequence[str]]  # result, warnings, after-lines
 
 
-def _run_ensemble(config: ExperimentConfig) -> int:
+def _run_simulate(config: ExperimentConfig) -> _Run:
+    u0, sim = make_initial(config.initial, config.grid), config.sim
+    paths = None if sim.noise is None else [sample_path(sim.noise, sim.t_end, sim.dt)]
+    traj = evolve_batch(sim, u0, paths).trajectory(0)
+    return traj, traj.warnings, ()
+
+
+def _run_ensemble(config: ExperimentConfig) -> _Run:
     result = run_ensemble(config)
-    _print_warnings([f"path {i}: {w}" for i, w in result.path_warnings])
-    _emit(result, config)
-    return EXIT_OK
+    return result, [f"path {i}: {w}" for i, w in result.path_warnings], ()
 
 
-def _run_tail(config: ExperimentConfig) -> int:
+def _run_tail(config: ExperimentConfig) -> _Run:
     tail = config.tail
     paths = sample_ensemble_paths(
         config.noise, tail.paths, tail.t_inf, tail.dt, workers=config.workers
     )
     phi = make_phi(config.noise, config.grid)
-    fit = tail_decay_fit(paths, phi, fit_window=tail.window, p_space=tail.p_space)
-    _emit(fit, config)
-    return EXIT_OK
+    return tail_decay_fit(paths, phi, fit_window=tail.window, p_space=tail.p_space), (), ()
 
 
-def _run_scatter(config: ExperimentConfig) -> int:
+def _run_scatter(config: ExperimentConfig) -> _Run:
     u0 = make_initial(config.initial, config.grid)
     traj = evolve(config.sim, u0)
-    _print_warnings(traj.warnings)
     report = scattering_cauchy(traj, config.scatter.norm_kind,
                                config.scatter.checkpoints)
-    _emit(report, config)
-    return EXIT_OK
+    return report, traj.warnings, ()
 
 
-def _run_growth(config: ExperimentConfig) -> int:
+def _run_growth(config: ExperimentConfig) -> _Run:
     result = run_ensemble(config)
-    _print_warnings([f"path {i}: {w}" for i, w in result.path_warnings])
     fit = growth_fit(result.trajectory_views(), config.growth.tau_grid,
                      min_paths=GROWTH_MIN_PATHS)
-    _emit(fit, config)
     predicted = max(0.0, 2.0 - config.grid.dim * config.sim.sigma)
     bound = predicted + config.growth.bound_slack
     verdict = "within" if fit.slope <= bound else "EXCEEDS"
-    print(f"slope {format_float(fit.slope)} {verdict} predicted exponent "
-          f"{predicted:g} + slack {config.growth.bound_slack:g}")
-    return EXIT_OK
+    return fit, [f"path {i}: {w}" for i, w in result.path_warnings], [
+        f"slope {format_float(fit.slope)} {verdict} predicted exponent "
+        f"{predicted:g} + slack {config.growth.bound_slack:g}"]
 
 
-def _run_regimes(config: ExperimentConfig) -> int:
+def _run_regimes(config: ExperimentConfig) -> _Run:
     q = config.regimes
-    report = classify_regime(q.dim, q.two_sigma, q.alpha)
-    _emit(report, config)
-    return EXIT_OK
+    return classify_regime(q.dim, q.two_sigma, q.alpha), (), ()
 
 
-def _run_selftest(config: ExperimentConfig) -> int:
+def _run_selftest(config: ExperimentConfig) -> _Run:
     report = run_selftest(points=config.selftest_points)
-    _print_warnings(report.warnings)
-    _emit(report, config)
-    if not report.passed:
-        print("selftest FAILED", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return report, report.warnings, ()
 
 
 _DRIVERS = {
@@ -197,16 +178,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("# effective configuration")
             print(config.echo(), end="")
             print(f"# config hash {config.config_hash}")
-            return _DRIVERS[config.kind](config)
+            result, warnings, after = _DRIVERS[config.kind](config)
+            _print_warnings(warnings)
+            _emit(result, config)
+            for line in after:
+                print(line)
+            if not getattr(result, "passed", True):
+                print(f"{config.kind} FAILED", file=sys.stderr)
+                return EXIT_NUMERIC
+            return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ReportIOError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except EnsembleError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (RuntimeError, ValueError, ArithmeticError, KeyError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -504,17 +504,6 @@ def load_config(
         except ValueError as exc:
             raise ConfigError(f"initial.width, grid.box_length: {exc}") from None
 
-    scatter = None
-    if "scatter" in sections:
-        scatter = _build(ScatterSpec, "scatter", get)
-        keys = "scatter.checkpoints, sim.snapshot_stride, sim.dt"
-        for c in scatter.checkpoints:
-            m = _recorded_step(c, sim, keys, "checkpoint")
-            if m % sim.snapshot_stride and m != sim.steps:
-                raise ConfigError(f"{keys}: {c} is not a recorded snapshot time (its step {m} "
-                                  f"is neither a multiple of the stride nor the last)")
-        warnings.extend(_check_scatter_hypotheses(name, scatter, grid, sim, noise))
-
     growth = None
     if "growth" in sections:
         for tau in get("growth.tau_grid"):
@@ -567,10 +556,9 @@ def load_config(
             f"least {GROWTH_FIT_PATHS} paths for a stable ensemble mean"
         )
 
-    if sim is not None:  # what the run allocates per point and path; evolve keeps snapshots
-        single = "ensemble" not in sections
-        rows = 1 if single else ensemble_size
-        points, per_point = sim.steps + 1, sim.point_bytes(snapshots=single)
+    if sim is not None:  # what the run allocates per point and path; scatter keeps snapshots
+        rows = ensemble_size if "ensemble" in sections else 1
+        points, per_point = sim.steps + 1, sim.point_bytes(snapshots="scatter" in sections)
         table = points * rows * per_point
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if table > memory:
@@ -578,6 +566,17 @@ def load_config(
                 f"sim.t_end, sim.dt: {points} recorded points x {rows} path(s) x {per_point} "
                 f"bytes need {table} bytes, more than the {memory} bytes of physical memory"
             )
+
+    scatter = None
+    if "scatter" in sections:  # after the memory rule, which bounds the snapshot points
+        scatter = _build(ScatterSpec, "scatter", get)
+        keys = "scatter.checkpoints, sim.snapshot_stride, sim.dt"
+        for c in scatter.checkpoints:
+            m = _recorded_step(c, sim, keys, "checkpoint")
+            if m not in sim.snapshot_steps():
+                raise ConfigError(f"{keys}: {c} is not a recorded snapshot time (its step {m} "
+                                  f"is neither a multiple of the stride nor the last)")
+        warnings.extend(_check_scatter_hypotheses(name, scatter, grid, sim, noise))
 
     # GridSpec's own check on points (a power of two >= 8); the box does not matter
     selftest_points = _build(GridSpec, "selftest", get, dim=1, box_length=1.0).points

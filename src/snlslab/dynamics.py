@@ -43,7 +43,9 @@ the step, so waiting for the chunk changes no number. Every grid sum is
 taken row by row over C-contiguous rows, so a path's numbers do not
 depend on its batch. The check that every new field is finite is read
 off the |u|² the recorder holds anyway: one total over the batch, and
-the exact per-row check only when that total is not finite.
+the exact per-row check only when that total is not finite. At the
+points of SimConfig.snapshot_steps() it writes every path's monitors, and
+its field if kept (evolve keeps them), into preallocated arrays.
 """
 from __future__ import annotations
 
@@ -157,6 +159,10 @@ class SimConfig:
     def times(self) -> np.ndarray:
         return np.arange(self.steps + 1) * self.dt
 
+    def snapshot_steps(self) -> np.ndarray:
+        """The snapshot points: the steps k with k % snapshot_stride == 0 or k == steps."""
+        return np.append(np.arange(0, self.steps, self.snapshot_stride), self.steps)
+
     @property
     def series_names(self) -> list[str]:
         """The series a run records: every functional, or only the mass."""
@@ -171,23 +177,23 @@ class SimConfig:
         run's row-major copy), the times and budgets with their temporaries
         (4), the transformed equation's two weight tables and theirs (4);
         with noise the increments and their stacked copy (2), the complex
-        kick table and its real factor (3), the complex Ito dot table and
-        its scaled copy (4), the mass budget's temporaries and envelope
-        tables (6); with the energy Ito sums (full snls) the four complex
-        dot and two sum tables, each with its scaled copy (20), and the
-        energy budget's temporaries (8). Per-step tables count per path,
-        as a batch of one pays them. Every snapshot_stride points the
-        monitors take one entry (512 bytes), and with snapshots (evolve)
-        row 0's field is kept as well (512 + 16 per cell).
+        kick table and its real factor (3), the complex Ito dot table (2),
+        the mass budget's temporaries and envelope tables (6); with the
+        energy Ito sums (full snls) the four complex dot and two sum
+        tables (10) and the energy budget's temporaries (8). Per-step
+        tables count per path, as a batch of one pays them. At each
+        snapshot point the monitors take two floats per path, and the
+        point's step and time two more (32 bytes), and with snapshots the
+        field is kept as well (16 per cell).
         """
         words = 2 * len(self.series_names) + 4
         if self.equation == "transformed":
             words += 4
         if self.equation == "snls":
-            words += 15
+            words += 13
             if self.record == "full":
-                words += 28
-        snapshot = 512 + (512 + 16 * self.grid.num_cells if snapshots else 0)
+                words += 18
+        snapshot = 32 + (16 * self.grid.num_cells if snapshots else 0)
         return 8 * words + -(-snapshot // self.snapshot_stride)
 
 
@@ -197,7 +203,8 @@ class Trajectory:
 
     Every series array has length steps+1 (one row per partition point).
     budget holds cumulative discrete sums aligned with times; monitors
-    sample resolution health at snapshot points.
+    sample resolution health at snapshot points. snapshots, when kept,
+    is the (points, *grid) array of the fields at monitors["times"].
     """
 
     config: SimConfig
@@ -205,7 +212,7 @@ class Trajectory:
     series: dict[str, np.ndarray]
     budget: dict[str, np.ndarray]
     monitors: dict[str, np.ndarray]
-    snapshots: tuple[tuple[float, Field], ...]
+    snapshots: np.ndarray | None
     final: Field
     path: NoisePath | None = None
     warnings: tuple[str, ...] = dataclass_field(default=())
@@ -218,11 +225,11 @@ class Trajectory:
         """The snapshot of t's partition point k, stored at the float k * dt:
         ValueError for a t off the partition, KeyError for a k not stored."""
         t_k = partition_index(t, self.config.dt) * self.config.dt
-        for stored, snap in self.snapshots:
-            if stored == t_k:
-                return snap
-        stored = ", ".join(f"{t_k:g}" for t_k, _ in self.snapshots)
-        raise KeyError(f"no snapshot at t={t:g}; stored snapshot times: {stored}")
+        stored = [] if self.snapshots is None else self.monitors["times"].tolist()
+        if t_k in stored:
+            return Field(self.config.grid, self.snapshots[stored.index(t_k)])
+        listed = ", ".join(f"{t_s:g}" for t_s in stored)
+        raise KeyError(f"no snapshot at t={t:g}; stored snapshot times: {listed}")
 
 
 class PathError(RuntimeError):
@@ -239,8 +246,9 @@ class BatchRun:
 
     Row p of every per-path array belongs to path p: series and budget
     arrays have shape (paths, steps+1), the monitor fractions
-    (paths, snapshots) against the shared ``monitors["times"]``, and
-    ``final`` (paths, *grid). Snapshot fields are not kept.
+    (paths, points) against the shared ``monitors["times"]`` (the
+    config's snapshot_steps()), ``final`` (paths, *grid) and
+    ``snapshots``, None unless the fields were kept, (paths, points, *grid).
     """
 
     config: SimConfig
@@ -249,6 +257,7 @@ class BatchRun:
     budget: dict[str, np.ndarray]
     monitors: dict[str, np.ndarray]
     final: np.ndarray
+    snapshots: np.ndarray | None
     paths: tuple[NoisePath, ...] | None
     warnings: tuple[tuple[str, ...], ...]
 
@@ -256,9 +265,8 @@ class BatchRun:
     def size(self) -> int:
         return len(self.final)
 
-    def trajectory(self, p: int,
-                   snapshots: Sequence[tuple[float, Field]] = ()) -> Trajectory:
-        """Path p as a Trajectory; it holds only the snapshots passed in.
+    def trajectory(self, p: int) -> Trajectory:
+        """Path p as a Trajectory, with its row of the snapshots if kept.
 
         Its config carries path p's own noise spec, so re-running it
         replays that path.
@@ -271,7 +279,7 @@ class BatchRun:
             budget={key: col[p] for key, col in self.budget.items()},
             monitors={key: col if key == "times" else col[p]
                       for key, col in self.monitors.items()},
-            snapshots=tuple(snapshots),
+            snapshots=None if self.snapshots is None else self.snapshots[p],
             final=Field(self.config.grid, self.final[p]),
             path=path,
             warnings=self.warnings[p],
@@ -413,13 +421,12 @@ def evolve(config: SimConfig, u0: Field, *, path: NoisePath | None = None,
         elif path.spec != config.noise:
             raise ValueError("config.noise and the supplied path disagree; pass one or the other")
     # a batch of one that also keeps its snapshot fields
-    run, snapshots = _integrate(
+    return _integrate(
         config,
         *_batch_inputs(config, u0, None if path is None else [path],
                        None if shift is None else [shift]),
         keep_snapshots=True,
-    )
-    return run.trajectory(0, snapshots)
+    ).trajectory(0)
 
 
 def evolve_batch(config: SimConfig, u0: Field | Sequence[Field],
@@ -433,7 +440,7 @@ def evolve_batch(config: SimConfig, u0: Field | Sequence[Field],
     equations) holds one shift series per row. Row p of the result is
     bit-identical to the batch of one made of row p's inputs.
     """
-    return _integrate(config, *_batch_inputs(config, u0, paths, shifts))[0]
+    return _integrate(config, *_batch_inputs(config, u0, paths, shifts))
 
 
 def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
@@ -483,11 +490,10 @@ def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
 
 
 def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
-               shift: list[np.ndarray] | None, keep_snapshots: bool = False,
-               ) -> tuple[BatchRun, list[tuple[float, Field]]]:
+               shift: list[np.ndarray] | None, keep_snapshots: bool = False) -> BatchRun:
     """The path-batched kernel: step the (paths, *grid) array u0 while a
     _Recorder records every row; row p is bit-identical to a batch of one.
-    Snapshot fields of row 0 are kept only when asked for."""
+    Snapshot fields are kept only when asked for."""
     grid, sigma, dt, steps = config.grid, config.sigma, config.dt, config.steps
     lin = grid.propagator(dt)
     rec = _Recorder(config, u0, paths, keep_snapshots)
@@ -525,6 +531,8 @@ class _Recorder:
     partition point first + j, ``held_rho`` its |u|² and ``held_rho_sig``
     (or None) its |u|^{2σ}. The series and
     Ito tables are flat, one entry per (point, path) in that order.
+    ``boundary``, ``tail`` (paths, points) and the kept ``snapshots`` (or
+    None, (paths, points, *grid)) hold snapshot point i in column i.
     hold reads the check that a field is finite off the |u|² it holds.
     Failures keep the order of a step-by-step record: check flushes the
     held steps before it raises for a field, and flush checks a chunk's
@@ -534,7 +542,7 @@ class _Recorder:
     def __init__(self, config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
                  keep_snapshots: bool) -> None:
         grid = self.grid = config.grid
-        self.config, self.paths, self.keep_snapshots = config, paths, keep_snapshots
+        self.config, self.paths = config, paths
         size, steps = self.size, self.steps = len(u0), config.steps  # a property: read once
         dvol = grid.cell_volume
         self.full = full = config.record == "full"
@@ -564,8 +572,10 @@ class _Recorder:
         names = config.series_names
         self.series = {name: np.empty((steps + 1) * size) for name in names}
         self.checked = [name for name in names if name not in FRAME_UNSET[self.frame]]
-        self.snapshots: list[tuple[float, Field]] = []
-        self.monitors: list[tuple[float, np.ndarray, np.ndarray]] = []
+        self.snapshot_steps = config.snapshot_steps()
+        self.boundary, self.tail = np.empty((2, size, len(self.snapshot_steps)))
+        self.snapshots = (np.empty(self.boundary.shape + grid.shape, dtype=complex)
+                          if keep_snapshots else None)
         # |u|² feeds the functionals or mass, the energy Ito sums, the unshifted left half
         # phase; |u|^{2σ} (σ ≠ 1) is held only when the energy Ito sums read it
         self.chunk = batch_rows(u0.nbytes)
@@ -574,7 +584,7 @@ class _Recorder:
         self.held_rho_sig = (np.empty(self.held.shape) if self.track_energy and paths is not None
                              and config.sigma != 1.0 else None)
         self.rho_scratch = np.empty(u0.shape)
-        self.first = self.count = 0  # the step in held[0], steps held
+        self.first = self.count = self.taken = 0  # step in held[0], steps held, snapshots taken
 
     def slot(self) -> np.ndarray:
         """The buffer the next held field is written to."""
@@ -582,8 +592,8 @@ class _Recorder:
 
     def hold(self, vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Count vals, the field in slot(), in as partition point k: check
-        it, take its monitors at snapshot points (and the last point),
-        flush a full chunk, and return its |u|² and its held |u|^{2σ} (or
+        it, take its monitors (and keep it) at a snapshot point, flush a
+        full chunk, and return its |u|² and its held |u|^{2σ} (or
         None). A finite total of the non-negative |u|² means every entry
         of vals is finite, so only a non-finite total calls check; a
         finite field whose |u|² overflows passes it."""
@@ -595,12 +605,13 @@ class _Recorder:
         self.count = j + 1
         sig = self.held_rho_sig
         rho_sig = None if sig is None else np.power(rho, self.config.sigma, out=sig[j])
-        if k % self.config.snapshot_stride == 0 or k == self.steps:
-            t_now = k * self.config.dt
-            self.monitors.append((t_now, boundary_mass_fractions(self.grid, vals, rho),
-                                  spectral_tail_fractions(self.grid, vals)))
-            if self.keep_snapshots:
-                self.snapshots.append((t_now, Field(self.grid, vals[0])))
+        i = self.taken
+        if k == self.snapshot_steps[i]:
+            self.boundary[:, i] = boundary_mass_fractions(self.grid, vals, rho)
+            self.tail[:, i] = spectral_tail_fractions(self.grid, vals)
+            if self.snapshots is not None:
+                self.snapshots[:, i] = vals
+            self.taken = i + 1
         if self.count == self.chunk:
             self.flush()
         return rho, rho_sig
@@ -661,9 +672,9 @@ class _Recorder:
                     ]
         self.first, self.count = stop, 0
 
-    def finish(self, vals: np.ndarray) -> tuple[BatchRun, list[tuple[float, Field]]]:
+    def finish(self, vals: np.ndarray) -> BatchRun:
         """Record what is still held and assemble the budgets; return the
-        BatchRun whose final field is vals, and the kept snapshots."""
+        BatchRun whose final field is vals. The Ito tables are scaled in place."""
         self.flush()
         config, size = self.config, self.size
         steps, dt, sigma, n, dvol = (self.steps, config.dt, config.sigma, self.grid.dim,
@@ -679,7 +690,8 @@ class _Recorder:
         zeros = _frozen(np.zeros((size, steps + 1)))
         if config.equation in ("deterministic", "snls"):
             if self.paths is not None:
-                s1 = self.dots.reshape(steps, size) * dvol
+                s1 = self.dots.reshape(steps, size)
+                s1 *= dvol
                 budget["mass_martingale"] = _cumsum0(2.0 * s1.imag.T * self.g_left * self.incr)
                 drift = _cumsum0(np.full(steps, self.norm_phi_sq) * self.g_left**2 * dt)
                 budget["mass_drift"] = _frozen(np.broadcast_to(drift, (size, steps + 1)))
@@ -690,8 +702,10 @@ class _Recorder:
                 integrand = flow_coeff * (1.0 + times) * series["potential"]
                 budget["energy_flow_drift"] = _cumtrapz0(integrand, dt)
                 if self.paths is not None:
-                    s2, s3, p_lap, q_nl = self.energy_dots.reshape(4, steps, size) * dvol
-                    b1, b2 = self.energy_sums.reshape(2, steps, size) * dvol
+                    self.energy_dots *= dvol
+                    self.energy_sums *= dvol
+                    s2, s3, p_lap, q_nl = self.energy_dots.reshape(4, steps, size)
+                    b1, b2 = self.energy_sums.reshape(2, steps, size)
                     a0, a1, a2 = self.a
                     w = (1.0 + np.arange(steps) * dt)[:, None]
                     g = self.g_left[:, None]
@@ -707,19 +721,19 @@ class _Recorder:
                 else:
                     budget["energy_ito_drift"] = budget["energy_martingale"] = zeros
 
-        mon_times, boundary, tail = (_frozen(np.array(col).T) for col in zip(*self.monitors))
-        run = BatchRun(
+        mon_times = _frozen(self.snapshot_steps * dt)
+        boundary, tail = _frozen(self.boundary), _frozen(self.tail)
+        return BatchRun(
             config=config,
             times=_frozen(times),
             series=series,
             budget=budget,
             monitors={"times": mon_times, "boundary_fraction": boundary, "spectral_tail": tail},
             final=_frozen(vals.copy()),  # not a view that keeps the buffer alive
+            snapshots=None if self.snapshots is None else _frozen(self.snapshots),
             paths=self.paths,
-            warnings=tuple(_collect_warnings(mon_times, boundary[p], tail[p])
-                           for p in range(size)),
+            warnings=tuple(_collect_warnings(mon_times, b, t) for b, t in zip(boundary, tail)),
         )
-        return run, self.snapshots
 
 
 def _require_finite(finite: np.ndarray, what: str, k: int, steps: int, dt: float) -> None:

@@ -103,7 +103,7 @@ def _serialize_trajectory(traj: Trajectory):
     extra = {
         "steps": traj.steps,
         "warnings": list(traj.warnings),
-        "snapshot_times": [float(t) for t in (t for t, _ in traj.snapshots)],
+        "snapshot_times": [float(t) for t in traj.monitors["times"]],
     }
     lines = [("steps", str(traj.steps)), ("recorded times", str(len(traj.times)))]
     for name in traj.series:

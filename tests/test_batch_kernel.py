@@ -147,6 +147,32 @@ def test_batch_rows_equal_batches_of_one(kind, dim):
     assert _digest(three.trajectory(0)) == PINNED[(kind, dim)]
 
 
+@pytest.mark.parametrize("kind", ["deterministic", "snls_full"])
+def test_kept_snapshots_of_every_row_equal_that_rows_own_evolve(kind):
+    """A batch that keeps its snapshots holds a (paths, points, *grid)
+    array; row p's fields and monitors are byte for byte those of row p's
+    own evolve. A batch that does not keep them holds none."""
+    cfg = _config(kind, 1)
+    u0 = [_initial(cfg.grid, r) for r in range(3)]
+    paths = [_path(cfg, r) for r in range(3)] if kind.startswith("snls") else None
+    run = dynamics._integrate(cfg, *dynamics._batch_inputs(cfg, u0, paths, None),
+                              keep_snapshots=True)
+    points = len(cfg.snapshot_steps())
+    assert run.snapshots.shape == (3, points) + cfg.grid.shape
+    for row in range(3):
+        mine = run.trajectory(row)
+        alone = evolve(mine.config, u0[row], path=None if paths is None else paths[row])
+        _assert_same_run(mine, alone, row)
+        assert mine.snapshots.tobytes() == alone.snapshots.tobytes()
+        assert len({snap.tobytes() for snap in mine.snapshots}) == points
+        for t in alone.monitors["times"]:
+            assert mine.snapshot_at(t).values.tobytes() == alone.snapshot_at(t).values.tobytes()
+    kept_none = evolve_batch(cfg, u0, paths)
+    assert kept_none.snapshots is None
+    with pytest.raises(KeyError, match="stored snapshot times: '$"):  # none
+        kept_none.trajectory(0).snapshot_at(0.0)
+
+
 def test_quarter_mebibyte_batch_rows_equal_batches_of_one():
     # four 2-d 64² paths make a 256 KiB batch: from that size numpy's
     # temporary elision may swap the operands of a complex product, which

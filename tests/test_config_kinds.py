@@ -29,6 +29,7 @@ from snlslab.config import _SCHEMA, KINDS, ConfigError, _convert, load_config
 from snlslab.dynamics import EQUATION_KINDS, SimConfig, evolve
 from snlslab.grids import Field, GridSpec
 from snlslab.noise import NoiseSpec, partition_index, partition_steps, sample_path
+from snlslab.selftest import run_selftest
 
 _SIM_HEAD = """\
 grid.points = 64
@@ -242,6 +243,69 @@ def test_tiny_configs_run(name, tmp_path):
         assert manifest["detail"]["energy_subcritical_sup"] == "inf"
 
 
+#: SHA-256 of the stdout and stderr of each TINY run, with its output
+#: directory written as <out>: the order warnings, summary, wrote lines,
+#: after-lines is part of the bytes
+TINY_TRANSCRIPTS = {
+    "simulate": ("2624ff370943679f29c2c526acaed2ac9c1da3c10290c52ea42f57caf4880725",
+                 "2c6f0b531e1c041edab8c33fd725216addeed124f2553c7d4490ac1aa3c1f053"),
+    "ensemble": ("c41b9423bcf81a46a36871e47b568ecbe8693f8939e0f2eefb3029d7feb0e34c",
+                 "c57c05fc620f6af73bcc666870d69f415081f4222029f487e255231f2f16233d"),
+    "tail-decay": ("4de6486f9b2496a90b42a0318ead5e594c50a6a5aad590aeb8b70cd1a30a986b",
+                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "scatter-test": ("74d88af1984d57342a6a29e176d504a3dd7362e42cab49a950d84b0f11511773",
+                     "b0df718acb09b0f41d95fe5ff539de188c8e77d906ebbfddaa6427db019ad4ef"),
+    "growth-fit": ("f90edb010e87e64225a1bd538d63ee08b3fd7447344e721dadb0a0d27f1d10ae",
+                   "a66cde7ea57dc52b11a87f4b377bdbcf977a5e1833ec4beda3798e0f22fac936"),
+    "regimes": ("d96c5dea70ce850741f84d8730d745154705901aab56cc6f6d1e62e0c3ee769d",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "selftest": ("72ee5f9c5132150bf2d556c36c349f73e1637b53f4e9947d418966203c6344a6",
+                 "629b5eff2c590eac4b211f05f6267d868cc1915d5194a1fe393f7a7edffb678c"),
+}
+
+
+@pytest.mark.parametrize("name", list(KINDS))
+def test_tiny_transcripts_are_pinned(name, tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(TINY[name])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert cli.main([name, "--config", str(cfg), "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(s.getvalue().replace(str(out), "<out>").encode()).hexdigest()
+                    for s in (stdout, stderr))
+    assert digests == TINY_TRANSCRIPTS[name]
+
+
+def test_subcommands_offer_the_override_flags_their_kinds_read():
+    """--seed and --workers exist only where noise.seed and ensemble.workers
+    are read; a flag a kind does not read is refused as usage (exit 1)."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for name, kind in KINDS.items():
+        flags = set(re.findall(r"(?<![\w-])--[a-z]+", sub.choices[name].format_help()))
+        expected = {"--config", "--out", "--strict", "--help"}
+        expected |= {"--seed"} if kind.reads("noise.seed") else set()
+        expected |= {"--workers"} if kind.reads("ensemble.workers") else set()
+        assert flags == expected, name
+    assert {n for n, k in KINDS.items() if k.reads("ensemble.workers")} == {
+        "ensemble", "tail-decay", "growth-fit"}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["simulate", "--config", "run.cfg", "--workers", "2"]) == 1
+    assert "usage: unrecognized arguments: --workers 2" in err.getvalue()
+
+
+def test_failing_selftest_exits_2_after_writing_its_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_selftest",
+                        lambda points: run_selftest(points, fault="propagator_sign"))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["selftest", "--out", str(tmp_path)])
+    assert code == 2
+    assert stderr.getvalue().endswith("selftest FAILED\n")
+    assert (tmp_path / "selftest.csv").is_file()
+    assert "FAIL" in (tmp_path / "summary.txt").read_text()
+
+
 # ---------------------------------------------------------------------------
 # bad values fail at load time, naming the key
 # ---------------------------------------------------------------------------
@@ -323,16 +387,16 @@ def test_probed_configs_exit_1_naming_the_key(name, changes, key):
     assert key in err
 
 
-@pytest.mark.parametrize("name, rows, per_point", [("simulate", 1, 1560), ("ensemble", 2, 220)])
+@pytest.mark.parametrize("name, rows, per_point", [("simulate", 1, 456), ("ensemble", 2, 156)])
 def test_recorded_tables_larger_than_memory_are_refused_at_load(name, rows, per_point,
                                                                 monkeypatch):
     """(steps + 1) x rows x SimConfig.point_bytes must fit in physical
     memory; rows is ensemble.size for ensembles. Both configs are snls on 64
-    points. simulate records full (67 words, 536 bytes) and keeps a snapshot
-    field every 2 points (1024 per point); the ensemble records light (21
-    words, 168 bytes) and takes a monitor entry every 10 points (52)."""
+    points and keep no snapshot field. simulate records full (55 words, 440
+    bytes) and takes monitors every 2 points (16 per point); the ensemble
+    records light (19 words, 152 bytes) and takes monitors every 10 points (4)."""
     config = load_config(text=TINY[name])
-    assert config.sim.point_bytes(snapshots=rows == 1) == per_point
+    assert config.sim.point_bytes(snapshots=False) == per_point
     table = (config.sim.steps + 1) * rows * per_point
     pages = {"SC_PHYS_PAGES": table, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)
@@ -458,15 +522,17 @@ def test_every_entry_point_reads_a_time_by_the_one_rule(t, dt, m):
     n = round(t / dt)
     horizon = n * dt
     traj = evolve(SimConfig(grid, sigma=1.0, dt=dt, t_end=horizon, snapshot_stride=1),
-                  Field.zeros(grid))
-    snapshot_step = {id(snap): k for k, (_, snap) in enumerate(traj.snapshots)}
+                  Field.from_function(grid, lambda x: np.exp(-x**2)))
+    # a dispersing field differs at every step, so its bytes name the step
+    snapshot_step = {snap.tobytes(): k for k, snap in enumerate(traj.snapshots)}
+    assert len(snapshot_step) == n + 1
     path = sample_path(NoiseSpec(), horizon, dt)
     view = SimpleNamespace(times=np.arange(n + 1) * dt, series={"pc_energy": np.arange(n + 1.0)})
     steps = {
         "partition_index": _step_or_none(lambda: partition_index(t, dt)),
         "SimConfig.steps": _step_or_none(lambda: SimConfig(grid, sigma=1.0, dt=dt, t_end=t).steps),
         "NoisePath.index_of": _step_or_none(lambda: path.index_of(t)),
-        "snapshot_at": _step_or_none(lambda: snapshot_step[id(traj.snapshot_at(t))]),
+        "snapshot_at": _step_or_none(lambda: snapshot_step[traj.snapshot_at(t).values.tobytes()]),
         "growth_fit": _step_or_none(lambda: growth_fit([view, view], (t / 4, t / 2, t),
                                                        min_paths=2).mean_running_sup.tolist()),
     }

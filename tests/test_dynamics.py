@@ -351,9 +351,10 @@ def test_snapshot_times_follow_stride():
     grid = GridSpec(1, 64, 20.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.25, snapshot_stride=5)
     traj = evolve(cfg, gaussian(grid))
-    stored = [t for t, _ in traj.snapshots]
-    np.testing.assert_allclose(stored, [0.0, 0.05, 0.10, 0.15, 0.20, 0.25])
+    np.testing.assert_allclose(traj.monitors["times"], [0.0, 0.05, 0.10, 0.15, 0.20, 0.25])
+    assert traj.snapshots.shape == (6,) + grid.shape
     assert traj.snapshot_at(0.10).grid == grid
+    assert traj.snapshot_at(0.10).values.tobytes() == traj.snapshots[2].tobytes()
     with pytest.raises(KeyError):
         traj.snapshot_at(0.07)
 
