@@ -113,7 +113,7 @@ def _run_simulate(config: ExperimentConfig) -> _Run:
 
 def _run_ensemble(config: ExperimentConfig) -> _Run:
     result = run_ensemble(config)
-    return result, [f"path {i}: {w}" for i, w in result.path_warnings], ()
+    return result, result.path_warnings, ()
 
 
 def _run_tail(config: ExperimentConfig) -> _Run:
@@ -140,7 +140,7 @@ def _run_growth(config: ExperimentConfig) -> _Run:
     predicted = max(0.0, 2.0 - config.grid.dim * config.sim.sigma)
     bound = predicted + config.growth.bound_slack
     verdict = "within" if fit.slope <= bound else "EXCEEDS"
-    return fit, [f"path {i}: {w}" for i, w in result.path_warnings], [
+    return fit, result.path_warnings, [
         f"slope {format_float(fit.slope)} {verdict} predicted exponent "
         f"{predicted:g} + slack {config.growth.bound_slack:g}"]
 

@@ -556,9 +556,12 @@ def load_config(
             f"least {GROWTH_FIT_PATHS} paths for a stable ensemble mean"
         )
 
-    if sim is not None:  # what the run allocates per point and path; scatter keeps snapshots
+    # what the run allocates per point and path; scatter keeps snapshots, and
+    # ensembles run without the energy budget's tables
+    if sim is not None:
         rows = ensemble_size if "ensemble" in sections else 1
-        points, per_point = sim.steps + 1, sim.point_bytes(snapshots="scatter" in sections)
+        points, per_point = sim.steps + 1, sim.point_bytes(
+            snapshots="scatter" in sections, energy_budget="ensemble" not in sections)
         table = points * rows * per_point
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if table > memory:

@@ -170,7 +170,7 @@ class SimConfig:
             return ["mass"]
         return [f.name for f in dataclass_fields(FunctionalRecord) if f.name != "t"]
 
-    def point_bytes(self, snapshots: bool) -> int:
+    def point_bytes(self, snapshots: bool, energy_budget: bool = True) -> int:
         """Bytes a run allocates per partition point and path, at most.
 
         In float64 words: each series twice (the recorder's table and the
@@ -179,19 +179,19 @@ class SimConfig:
         with noise the increments and their stacked copy (2), the complex
         kick table and its real factor (3), the complex Ito dot table (2),
         the mass budget's temporaries and envelope tables (6); with the
-        energy Ito sums (full snls) the four complex dot and two sum
-        tables (10) and the energy budget's temporaries (8). Per-step
-        tables count per path, as a batch of one pays them. At each
-        snapshot point the monitors take two floats per path, and the
-        point's step and time two more (32 bytes), and with snapshots the
-        field is kept as well (16 per cell).
+        energy Ito sums (full snls, unless energy_budget is False) the four
+        complex dot and two sum tables (10) and the energy budget's
+        temporaries (8). Per-step tables count per path, as a batch of one
+        pays them. At each snapshot point the monitors take two floats per
+        path, and the point's step and time two more (32 bytes), and with
+        snapshots the field is kept as well (16 per cell).
         """
         words = 2 * len(self.series_names) + 4
         if self.equation == "transformed":
             words += 4
         if self.equation == "snls":
             words += 13
-            if self.record == "full":
+            if self.record == "full" and energy_budget:
                 words += 18
         snapshot = 32 + (16 * self.grid.num_cells if snapshots else 0)
         return 8 * words + -(-snapshot // self.snapshot_stride)
@@ -225,7 +225,10 @@ class Trajectory:
         """The snapshot of t's partition point k, stored at the float k * dt:
         ValueError for a t off the partition, KeyError for a k not stored."""
         t_k = partition_index(t, self.config.dt) * self.config.dt
-        stored = [] if self.snapshots is None else self.monitors["times"].tolist()
+        if self.snapshots is None:
+            raise KeyError(f"no snapshot at t={t:g}: the run kept no snapshot fields "
+                           "(evolve keeps them; evolve_batch and simulate do not)")
+        stored = self.monitors["times"].tolist()
         if t_k in stored:
             return Field(self.config.grid, self.snapshots[stored.index(t_k)])
         listed = ", ".join(f"{t_s:g}" for t_s in stored)
@@ -431,7 +434,8 @@ def evolve(config: SimConfig, u0: Field, *, path: NoisePath | None = None,
 
 def evolve_batch(config: SimConfig, u0: Field | Sequence[Field],
                  paths: Sequence[NoisePath] | None = None, *,
-                 shifts: Sequence[Sequence[Field]] | None = None) -> BatchRun:
+                 shifts: Sequence[Sequence[Field]] | None = None,
+                 energy_budget: bool = True) -> BatchRun:
     """Run a batch of paths of one config as one (paths, *grid) array.
 
     u0 is one Field shared by every path or one Field per path. `paths`
@@ -439,8 +443,11 @@ def evolve_batch(config: SimConfig, u0: Field | Sequence[Field],
     config.noise up to the seed. `shifts` (shifted and transformed
     equations) holds one shift series per row. Row p of the result is
     bit-identical to the batch of one made of row p's inputs.
+    energy_budget=False skips the energy Ito sums of a full record, so the
+    budget carries no energy_* entry; every other output keeps its bytes.
     """
-    return _integrate(config, *_batch_inputs(config, u0, paths, shifts))
+    return _integrate(config, *_batch_inputs(config, u0, paths, shifts),
+                      energy_budget=energy_budget)
 
 
 def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
@@ -490,13 +497,15 @@ def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
 
 
 def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
-               shift: list[np.ndarray] | None, keep_snapshots: bool = False) -> BatchRun:
+               shift: list[np.ndarray] | None, keep_snapshots: bool = False,
+               energy_budget: bool = True) -> BatchRun:
     """The path-batched kernel: step the (paths, *grid) array u0 while a
     _Recorder records every row; row p is bit-identical to a batch of one.
-    Snapshot fields are kept only when asked for."""
+    Snapshot fields are kept only when asked for, the energy budget unless
+    told not to."""
     grid, sigma, dt, steps = config.grid, config.sigma, config.dt, config.steps
     lin = grid.propagator(dt)
-    rec = _Recorder(config, u0, paths, keep_snapshots)
+    rec = _Recorder(config, u0, paths, keep_snapshots, energy_budget)
     # per-step inputs: both half-step weights (the transformed coefficient at
     # t + dt/4, t + 3dt/4), the shift at both substep ends, the noise kick
     taus = repeat((0.5 * dt, 0.5 * dt))
@@ -540,14 +549,15 @@ class _Recorder:
     """
 
     def __init__(self, config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
-                 keep_snapshots: bool) -> None:
+                 keep_snapshots: bool, energy_budget: bool) -> None:
         grid = self.grid = config.grid
         self.config, self.paths = config, paths
         size, steps = self.size, self.steps = len(u0), config.steps  # a property: read once
         dvol = grid.cell_volume
         self.full = full = config.record == "full"
         self.frame = "transformed" if config.equation == "transformed" else "physical"
-        self.track_energy = full and config.equation in ("deterministic", "snls")
+        self.track_energy = (energy_budget and full
+                             and config.equation in ("deterministic", "snls"))
         # the noise input the budgets certify; every path shares phi and g
         if paths is not None:
             phi = make_phi(paths[0].spec, grid)

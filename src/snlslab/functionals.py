@@ -204,11 +204,13 @@ class ItoBudget:
 def _require_budget_keys(trajectory: "Trajectory", keys: tuple[str, ...], what: str) -> None:
     missing = [k for k in keys if k not in trajectory.budget]
     if missing:
-        raise ValueError(
-            f"trajectory does not carry the {what} budget sums {missing}; "
-            f"it was run with equation={trajectory.config.equation!r}, "
-            f"record={trajectory.config.record!r}"
-        )
+        config = trajectory.config
+        if config.record == "full" and config.equation in ("deterministic", "snls"):
+            cause = ("its run kept no energy budget (evolve_batch(..., energy_budget=False), "
+                     "as ensembles run)")
+        else:
+            cause = f"it was run with equation={config.equation!r}, record={config.record!r}"
+        raise ValueError(f"trajectory does not carry the {what} budget sums {missing}; {cause}")
 
 
 def ito_mass_budget(trajectory: "Trajectory") -> ItoBudget:

@@ -135,7 +135,7 @@ def _serialize_ensemble(res: EnsembleResult):
         "seeds": [str(s) for s in res.seeds],
         "mass_change_mean": mean_change,
         "mass_change_se": se,
-        "path_warnings": [f"path {i}: {w}" for i, w in res.path_warnings],
+        "path_warnings": res.path_warnings,
     }
     lines = [
         ("paths", str(res.size)),

@@ -169,7 +169,7 @@ def test_kept_snapshots_of_every_row_equal_that_rows_own_evolve(kind):
             assert mine.snapshot_at(t).values.tobytes() == alone.snapshot_at(t).values.tobytes()
     kept_none = evolve_batch(cfg, u0, paths)
     assert kept_none.snapshots is None
-    with pytest.raises(KeyError, match="stored snapshot times: '$"):  # none
+    with pytest.raises(KeyError, match="the run kept no snapshot fields"):
         kept_none.trajectory(0).snapshot_at(0.0)
 
 
@@ -305,14 +305,15 @@ def test_transformed_time_check_covers_every_row():
             functional_columns(grid, vals, np.array([0.0, bad, 0.5]), 1.0, "transformed")
 
 
-def _run_with_chunk(monkeypatch, chunk, kind, dim, u0, paths=None, shifts=None):
+def _run_with_chunk(monkeypatch, chunk, kind, dim, u0, paths=None, shifts=None,
+                    energy_budget=True):
     """evolve_batch with the recorder holding `chunk` steps (None: the default cap)."""
     cfg = _config(kind, dim)
     if chunk is not None:
         rows = np.stack([f.values for f in u0])
         monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", chunk * rows.nbytes)
     try:
-        return evolve_batch(cfg, u0, paths, shifts=shifts)
+        return evolve_batch(cfg, u0, paths, shifts=shifts, energy_budget=energy_budget)
     finally:
         monkeypatch.undo()
 
@@ -337,6 +338,33 @@ def test_recording_independent_of_chunk(kind, dim, monkeypatch):
     for run in runs[1:]:
         for row in range(3):
             _assert_same_run(run.trajectory(row), runs[0].trajectory(row), row)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("kind", ["snls_full", "snls_full_s075"])
+def test_run_without_energy_budget_keeps_every_other_byte(kind, chunk, monkeypatch):
+    """energy_budget=False, as ensembles run, skips the energy Ito sums and
+    nothing else: series, mass budget, monitors, final fields and warnings
+    keep their bytes at one, three and the default steps per chunk, and the
+    budget holds no energy_* entry. For sigma = 0.75 the left half phase then
+    forms |u|^{2 sigma} itself, and the zero row takes the masked sigma != 1
+    Ito sum in the run that keeps the budget."""
+    cfg = _config(kind, 1)
+    u0 = [_initial(cfg.grid, r) for r in range(3)]
+    if kind == "snls_full_s075":
+        u0[1] = make_initial(InitialSpec(kind="zero"), cfg.grid)
+    paths = [_path(cfg, r) for r in range(3)]
+    kept, skipped = (_run_with_chunk(monkeypatch, chunk, kind, 1, u0, paths, energy_budget=keep)
+                     for keep in (True, False))
+    assert set(kept.budget) == {"mass_martingale", "mass_drift", "energy_flow_drift",
+                                "energy_ito_drift", "energy_martingale"}
+    assert set(skipped.budget) == {"mass_martingale", "mass_drift"}
+    assert any(skipped.warnings)
+    for row in range(3):
+        mine, full = skipped.trajectory(row), kept.trajectory(row)
+        full = replace(full, budget={k: v for k, v in full.budget.items()
+                                     if not k.startswith("energy_")})
+        _assert_same_run(mine, full, row)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -542,9 +570,25 @@ def test_ensemble_path_equals_its_own_run(monkeypatch):
         residual = np.float64(ito_mass_budget(alone).residual)
         assert result.mass_residuals[i].tobytes() == residual.tobytes()
         warnings += [(i, w) for w in alone.warnings]
-    assert result.path_warnings == tuple(warnings)
+    assert result.path_warnings == tuple(f"path {i}: {w}" for i, w in warnings)
     counts = [sum(j == i for j, _ in warnings) for i in range(config.ensemble_size)]
     assert min(counts) >= 1 and max(counts) > min(counts)
+
+
+def test_ensembles_ask_for_no_energy_budget(monkeypatch):
+    """run_ensemble never reads a batch's energy budget, so every batch of a
+    full-record ensemble skips its sums."""
+    asked = []
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs.get("energy_budget", True))
+        return evolve_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "evolve_batch", spy)
+    config = load_config(text=ENSEMBLE_TEXT)
+    assert config.sim.record == "full"
+    run_ensemble(config)
+    assert asked and not any(asked)
 
 
 def test_batches_respect_cap_and_workers(monkeypatch):

@@ -387,16 +387,20 @@ def test_probed_configs_exit_1_naming_the_key(name, changes, key):
     assert key in err
 
 
-@pytest.mark.parametrize("name, rows, per_point", [("simulate", 1, 456), ("ensemble", 2, 156)])
+@pytest.mark.parametrize("name, rows, per_point", [("simulate", 1, 456), ("ensemble", 2, 156),
+                                                    ("growth-fit", 2, 300)])
 def test_recorded_tables_larger_than_memory_are_refused_at_load(name, rows, per_point,
                                                                 monkeypatch):
     """(steps + 1) x rows x SimConfig.point_bytes must fit in physical
-    memory; rows is ensemble.size for ensembles. Both configs are snls on 64
-    points and keep no snapshot field. simulate records full (55 words, 440
-    bytes) and takes monitors every 2 points (16 per point); the ensemble
-    records light (19 words, 152 bytes) and takes monitors every 10 points (4)."""
+    memory; rows is ensemble.size for ensembles and growth fits, which keep
+    no energy budget. All three configs are snls on 64 points and keep no
+    snapshot field. simulate records full (55 words, 440 bytes) and takes
+    monitors every 2 points (16 per point); the ensemble records light (19
+    words, 152 bytes) and the growth fit full without the 18 energy words
+    (37 words, 296 bytes), both taking monitors every 10 points (4)."""
     config = load_config(text=TINY[name])
-    assert config.sim.point_bytes(snapshots=False) == per_point
+    energy = config.kind == "simulate"
+    assert config.sim.point_bytes(snapshots=False, energy_budget=energy) == per_point
     table = (config.sim.steps + 1) * rows * per_point
     pages = {"SC_PHYS_PAGES": table, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)

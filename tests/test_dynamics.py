@@ -359,6 +359,15 @@ def test_snapshot_times_follow_stride():
         traj.snapshot_at(0.07)
 
 
+def test_snapshot_at_on_a_run_without_fields_says_that_evolve_keeps_them():
+    grid = GridSpec(1, 64, 20.0)
+    cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.1, snapshot_stride=5)
+    traj = evolve_batch(cfg, gaussian(grid)).trajectory(0)
+    assert traj.snapshots is None
+    with pytest.raises(KeyError, match="kept no snapshot fields.*evolve keeps them"):
+        traj.snapshot_at(0.0)
+
+
 def test_light_record_drops_functional_series():
     grid = GridSpec(1, 64, 20.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.2, record="light")
@@ -503,7 +512,7 @@ def test_transformed_run_at_sigma_n_2_is_the_deterministic_run(dim, sigma):
     assert lens.final.values.tobytes() == det.final.values.tobytes()
 
 
-def _run_peak_bytes(config, u0, paths):
+def _run_peak_bytes(config, u0, paths, energy_budget=True):
     """tracemalloc peak of one run, its noise paths sampled inside it:
     evolve for a batch of one, evolve_batch for more."""
     tracemalloc.start()
@@ -514,31 +523,34 @@ def _run_peak_bytes(config, u0, paths):
             noise = None if config.noise is None else [
                 sample_path(NoiseSpec(seed=s, phi_amplitude=0.2), config.t_end, config.dt)
                 for s in range(paths)]
-            evolve_batch(config, [u0] * paths, noise)
+            evolve_batch(config, [u0] * paths, noise, energy_budget=energy_budget)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("paths", [1, 4])
+@pytest.mark.parametrize("paths, energy_budget", [(1, True), (4, True), (4, False)])
 @pytest.mark.parametrize("equation", ["deterministic", "snls"])
 @pytest.mark.parametrize("record", ["light", "full"])
 def test_run_memory_per_point_and_path_stays_within_the_count(record, equation, paths,
-                                                             monkeypatch):
+                                                             energy_budget, monkeypatch):
     """The peak of a run grows by at most SimConfig.point_bytes per added
-    partition point and path, the count load_config refuses runs by. A
-    chunk of one step keeps the recorder's fixed buffers, and a first run
-    the grid's cached tables, out of the difference between the horizons
-    2.5 and 5."""
+    partition point and path, the count load_config refuses runs by; a
+    batch run as ensembles run it (energy_budget=False) within the count
+    without the energy words. A chunk of one step keeps the recorder's
+    fixed buffers, and a first run the grid's cached tables, out of the
+    difference between the horizons 2.5 and 5."""
     monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 1)
     grid = GridSpec(1, 32, 24.0)
     noise = NoiseSpec(seed=0, phi_amplitude=0.2) if equation == "snls" else None
     short, long = (SimConfig(grid, 0.75, 1e-2, t_end, equation, noise=noise, record=record,
                              snapshot_stride=7) for t_end in (2.5, 5.0))
-    _run_peak_bytes(short, gaussian(grid, amp=1.2), paths)
-    peaks = [_run_peak_bytes(config, gaussian(grid, amp=1.2), paths) for config in (short, long)]
+    _run_peak_bytes(short, gaussian(grid, amp=1.2), paths, energy_budget)
+    peaks = [_run_peak_bytes(config, gaussian(grid, amp=1.2), paths, energy_budget)
+             for config in (short, long)]
     growth = (peaks[1] - peaks[0]) / ((long.steps - short.steps) * paths)
-    assert 0 < growth <= long.point_bytes(snapshots=paths == 1), (growth, peaks)
+    count = long.point_bytes(snapshots=paths == 1, energy_budget=energy_budget)
+    assert 0 < growth <= count, (growth, peaks)
 
 
 def test_initial_data_touching_boundary_is_refused():

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from snlslab.dynamics import SimConfig, evolve
+from snlslab.dynamics import SimConfig, evolve, evolve_batch
 from snlslab.functionals import (
     compute_functionals,
     ito_energy_budget,
     ito_mass_budget,
 )
 from snlslab.grids import Field, GridSpec
-from snlslab.noise import NoiseSpec
+from snlslab.noise import NoiseSpec, sample_path
 from snlslab.operators import pseudo_conformal_forward
 
 SQRT_PI = math.sqrt(math.pi)
@@ -158,8 +158,23 @@ def test_light_record_has_mass_budget_but_no_energy_budget():
                     noise=noise, record="light")
     traj = evolve(cfg, gaussian(grid))
     assert ito_mass_budget(traj).functional == "mass"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="record='light'"):
         ito_energy_budget(traj)
+
+
+def test_full_record_without_energy_budget_names_the_skipped_budget():
+    """A full-record row run as ensembles run it keeps the mass budget; the
+    energy budget's error names the skipped sums, not the record mode."""
+    grid = GridSpec(1, 64, 20.0)
+    noise = NoiseSpec(seed=5)
+    cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.2, equation="snls", noise=noise)
+    path = sample_path(noise, cfg.t_end, cfg.dt)
+    traj = evolve_batch(cfg, gaussian(grid), [path], energy_budget=False).trajectory(0)
+    assert ito_mass_budget(traj).functional == "mass"
+    with pytest.raises(ValueError, match=r"kept no energy budget \(evolve_batch\(\.\.\., "
+                                         r"energy_budget=False\)") as err:
+        ito_energy_budget(traj)
+    assert "record=" not in str(err.value)
 
 
 def test_compute_functionals_validation():
