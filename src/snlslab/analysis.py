@@ -37,6 +37,7 @@ __all__ = [
     "ALPHA_WEIGHTED",
     "THEOREM_NAMES",
     "GROWTH_FIT_PATHS",
+    "GROWTH_SERIES",
     "TheoremCheck",
     "RegimeReport",
     "strauss_exponent",
@@ -56,6 +57,9 @@ ALPHA_H1 = 1.0
 THEOREM_NAMES = ("short_range_L2", "sigma_scattering", "h1_scattering")
 #: the paths a growth fit wants for a stable ensemble mean (growth_fit's default floor)
 GROWTH_FIT_PATHS = 200
+#: the series a growth-fit ensemble records: growth_fit reads pc_energy, the
+#: ensemble's mass budget mass
+GROWTH_SERIES = ("mass", "pc_energy")
 
 _ROW_NORMS = {
     "L2": lambda grid, rows: lp_row_norms(grid, rows, 2.0),

@@ -35,13 +35,14 @@ fields and their |u|² (and |u|^{2σ} when the energy Ito sums read it;
 the left half phase reads it too) for a chunk of steps (as many as fit in
 grids.BATCH_FIELD_BYTES, at least one); the loop writes each new field
 straight into the recorder's next free slot. Once per chunk the
-recorder evaluates the functional series and the discrete sums every
-Ito budget needs (all at left endpoints) in one batched call, and after
-the loop it assembles the budgets, so a finished trajectory certifies
-itself against its noise input. Recorded values never feed back into
-the step, so waiting for the chunk changes no number. Every grid sum is
-taken row by row over C-contiguous rows, so a path's numbers do not
-depend on its batch. The check that every new field is finite is read
+recorder evaluates the functional series (all of a record's, or the
+subset evolve_batch is asked for: growth fits take mass and pc_energy)
+and the discrete sums every Ito budget needs (all at left endpoints) in
+one batched call, and after the loop it assembles the budgets, so a
+finished trajectory certifies itself against its noise input. Recorded
+values never feed back into the step, so waiting for the chunk changes no
+number. Every grid sum is taken row by row over C-contiguous rows, so a
+path's numbers do not depend on its batch. The check that every new field is finite is read
 off the |u|² the recorder holds anyway: one total over the batch, and
 the exact per-row check only when that total is not finite. At the
 points of SimConfig.snapshot_steps() it writes every path's monitors, and
@@ -50,7 +51,7 @@ its field if kept (evolve keeps them), into preallocated arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import repeat
 from typing import Sequence
 
@@ -58,7 +59,7 @@ import numpy as np
 
 from .functionals import (
     FRAME_UNSET,
-    FunctionalRecord,
+    FUNCTIONAL_NAMES,
     compute_functionals,  # noqa: F401  perfbench/tracing.py wraps dynamics.compute_functionals
     functional_columns,
 )
@@ -168,7 +169,7 @@ class SimConfig:
         """The series a run records: every functional, or only the mass."""
         if self.record == "light":
             return ["mass"]
-        return [f.name for f in dataclass_fields(FunctionalRecord) if f.name != "t"]
+        return list(FUNCTIONAL_NAMES)
 
     def point_bytes(self, snapshots: bool, energy_budget: bool = True) -> int:
         """Bytes a run allocates per partition point and path, at most.
@@ -435,7 +436,8 @@ def evolve(config: SimConfig, u0: Field, *, path: NoisePath | None = None,
 def evolve_batch(config: SimConfig, u0: Field | Sequence[Field],
                  paths: Sequence[NoisePath] | None = None, *,
                  shifts: Sequence[Sequence[Field]] | None = None,
-                 energy_budget: bool = True) -> BatchRun:
+                 energy_budget: bool = True,
+                 series: Sequence[str] | None = None) -> BatchRun:
     """Run a batch of paths of one config as one (paths, *grid) array.
 
     u0 is one Field shared by every path or one Field per path. `paths`
@@ -445,9 +447,45 @@ def evolve_batch(config: SimConfig, u0: Field | Sequence[Field],
     bit-identical to the batch of one made of row p's inputs.
     energy_budget=False skips the energy Ito sums of a full record, so the
     budget carries no energy_* entry; every other output keeps its bytes.
+    `series` picks the recorded series among config.series_names (None:
+    all of them); the run then forms, keeps and checks for finiteness only
+    those, and every one of them keeps its bytes. It must hold mass, which
+    the mass budget reads, and while the energy budget is kept, potential
+    and pc_energy, which it reads.
     """
     return _integrate(config, *_batch_inputs(config, u0, paths, shifts),
-                      energy_budget=energy_budget)
+                      energy_budget=energy_budget,
+                      series=_check_series(config, series, energy_budget))
+
+
+def _check_series(config: SimConfig, series: Sequence[str] | None,
+                  energy_budget: bool) -> list[str]:
+    """The series evolve_batch records, in config.series_names order;
+    ValueError naming any name that is not recorded or any left out that
+    a kept budget reads."""
+    recorded = config.series_names
+    if series is None:
+        return recorded
+    wanted = set(series)
+    unknown = sorted(wanted.difference(recorded))
+    if unknown:
+        raise ValueError(f"series {unknown} are not recorded by this run (record="
+                         f"{config.record!r} records {recorded})")
+    if "mass" not in wanted:
+        raise ValueError("series must include 'mass': the mass budget reads it")
+    if _tracks_energy(config, energy_budget):
+        missing = [name for name in ("potential", "pc_energy") if name not in wanted]
+        if missing:
+            raise ValueError(f"series leaves out {missing}, which the energy budget reads; "
+                             "pass energy_budget=False or record them")
+    return [name for name in recorded if name in wanted]
+
+
+def _tracks_energy(config: SimConfig, energy_budget: bool) -> bool:
+    """Whether a run keeps the energy budget: a full deterministic or snls
+    run does unless energy_budget is False."""
+    return (energy_budget and config.record == "full"
+            and config.equation in ("deterministic", "snls"))
 
 
 def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
@@ -498,14 +536,15 @@ def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
 
 def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
                shift: list[np.ndarray] | None, keep_snapshots: bool = False,
-               energy_budget: bool = True) -> BatchRun:
+               energy_budget: bool = True, series: list[str] | None = None) -> BatchRun:
     """The path-batched kernel: step the (paths, *grid) array u0 while a
     _Recorder records every row; row p is bit-identical to a batch of one.
     Snapshot fields are kept only when asked for, the energy budget unless
-    told not to."""
+    told not to, and the series named (None: config.series_names)."""
     grid, sigma, dt, steps = config.grid, config.sigma, config.dt, config.steps
     lin = grid.propagator(dt)
-    rec = _Recorder(config, u0, paths, keep_snapshots, energy_budget)
+    rec = _Recorder(config, u0, paths, keep_snapshots, energy_budget,
+                    config.series_names if series is None else series)
     # per-step inputs: both half-step weights (the transformed coefficient at
     # t + dt/4, t + 3dt/4), the shift at both substep ends, the noise kick
     taus = repeat((0.5 * dt, 0.5 * dt))
@@ -538,8 +577,9 @@ class _Recorder:
     ``held`` is (chunk, paths, *grid), chunk = batch_rows(batch bytes)
     with the cap read at run time; held[j] is the field at
     partition point first + j, ``held_rho`` its |u|² and ``held_rho_sig``
-    (or None) its |u|^{2σ}. The series and
-    Ito tables are flat, one entry per (point, path) in that order.
+    (or None) its |u|^{2σ}. The series (those named, a subset of
+    config.series_names) and Ito tables are flat, one entry per
+    (point, path) in that order.
     ``boundary``, ``tail`` (paths, points) and the kept ``snapshots`` (or
     None, (paths, points, *grid)) hold snapshot point i in column i.
     hold reads the check that a field is finite off the |u|² it holds.
@@ -549,15 +589,14 @@ class _Recorder:
     """
 
     def __init__(self, config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
-                 keep_snapshots: bool, energy_budget: bool) -> None:
+                 keep_snapshots: bool, energy_budget: bool, names: list[str]) -> None:
         grid = self.grid = config.grid
         self.config, self.paths = config, paths
         size, steps = self.size, self.steps = len(u0), config.steps  # a property: read once
         dvol = grid.cell_volume
-        self.full = full = config.record == "full"
+        self.full = config.record == "full"
         self.frame = "transformed" if config.equation == "transformed" else "physical"
-        self.track_energy = (energy_budget and full
-                             and config.equation in ("deterministic", "snls"))
+        self.track_energy = _tracks_energy(config, energy_budget)
         # the noise input the budgets certify; every path shares phi and g
         if paths is not None:
             phi = make_phi(paths[0].spec, grid)
@@ -579,7 +618,6 @@ class _Recorder:
                           sum(float((gp.real**2 + gp.imag**2).sum()) for gp in grads_phi) * dvol)
                 self.energy_dots = np.empty((4, steps * size), dtype=complex)
                 self.energy_sums = np.empty((2, steps * size))
-        names = config.series_names
         self.series = {name: np.empty((steps + 1) * size) for name in names}
         self.checked = [name for name in names if name not in FRAME_UNSET[self.frame]]
         self.snapshot_steps = config.snapshot_steps()
@@ -646,7 +684,8 @@ class _Recorder:
         part = slice(first * size, stop * size)
         if self.full:
             t = np.repeat(np.arange(first, stop) * dt, size)
-            cols = functional_columns(grid, vals, t, sigma, self.frame, rho=rho)
+            cols = functional_columns(grid, vals, t, sigma, self.frame, rho=rho,
+                                      names=tuple(self.series))
             for name, col in self.series.items():
                 col[part] = cols[name]
             finite = np.logical_and.reduce([np.isfinite(cols[name]) for name in self.checked])

@@ -15,6 +15,10 @@ In the lens-transformed frame on t ∈ [0,1) the monitored energies are
       Ẽ₂ = (1−t)^{2−σn} Ẽ₁,
 and Ẽ₁(ũ(t)) equals E(u(s)) at s = t/(1−t) when ũ is the transform of u.
 
+functional_columns evaluates them on a batch of rows, all of them or only
+the named ones: each column has one formula, and a column asked for alone
+is formed from what it reads and has the bytes of the full call's.
+
 The Ito budgets certify a trajectory pathwise: the recorded change of a
 functional must equal its deterministic drift plus Ito correction plus
 discrete martingale sums, up to a residual that shrinks ~linearly in dt.
@@ -22,8 +26,8 @@ discrete martingale sums, up to a residual that shrinks ~linearly in dt.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -80,6 +84,10 @@ class FunctionalRecord:
         return asdict(self)
 
 
+#: the FunctionalRecord columns but t, in field order: the series a full record keeps
+FUNCTIONAL_NAMES = tuple(f.name for f in fields(FunctionalRecord) if f.name != "t")
+
+
 def functional_columns(
     grid: GridSpec,
     vals: np.ndarray,
@@ -87,74 +95,118 @@ def functional_columns(
     sigma: float,
     frame: str = "physical",
     rho: np.ndarray | None = None,
+    names: Sequence[str] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Every monitored functional of each row of a (rows, *grid) array
-    at time `t` (one time for every row, or one per row): one (rows,)
-    array per FunctionalRecord column but t.
+    """Monitored functionals of each row of a (rows, *grid) array at time
+    `t` (one time for every row, or one per row): one (rows,) array per
+    FunctionalRecord column but t, or per column in `names` if given.
 
     The quadratic-weight energy is computed twice — directly from the
     (x − 2iw∇) operator and through the V, G, H decomposition — so the
-    two routes cross-check each other in every recorded row. Every grid
-    sum runs over one C-contiguous row, so a row's values do not depend
-    on its batch. rho, if given, is |vals|² already formed by the
-    caller; it is only read.
+    two routes cross-check each other in every recorded row. Each column
+    is formed by its one formula, and only when a named column reads it:
+    pc_energy alone takes the potential, the spectral gradients and the
+    (x − 2iw∇) sum, and no virial, flux or Hamiltonian. So a column has
+    the same bytes whichever others are named with it. Every grid sum
+    runs over one C-contiguous row, so a row's values do not depend on
+    its batch. rho, if given, is |vals|² already formed by the caller; it
+    is only read.
     """
     if frame not in _FRAMES:
         raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    names = FUNCTIONAL_NAMES if names is None else tuple(names)
+    unknown = [name for name in names if name not in FUNCTIONAL_NAMES]
+    if unknown:
+        raise ValueError(f"unknown functional columns {unknown}; "
+                         f"the columns are {list(FUNCTIONAL_NAMES)}")
     t = np.broadcast_to(np.asarray(t, dtype=float), (len(vals),))
     if frame == "transformed":
         outside = ~((0.0 <= t) & (t < 1.0))
         if outside.any():
             raise ValueError(f"transformed-frame time must lie in [0, 1), got {t[outside][0]}")
-    dvol = grid.cell_volume
-    if rho is None:
-        rho = vals.real**2 + vals.imag**2
+    cols = _Columns(grid, vals, t, sigma, frame)
+    if rho is not None:
+        cols["rho"] = rho
+    return {name: cols[name] for name in names}
 
-    mass = row_sums(rho) * dvol
-    virial = row_sums(grid.radius_squared() * rho) * dvol
-    potential = row_sums(rho ** (sigma + 1.0)) * dvol
 
-    grads = gradients(grid, vals)
-    grad_sq = 0.0
-    flux = 0.0
-    for x_j, gv in zip(grid.coords(), grads):
-        grad_sq += row_sums(gv.real**2 + gv.imag**2) * dvol
+class _Columns(dict):
+    """The quantities of one functional_columns call by name: each is
+    formed by its formula in _FORMULAS when it is first read, and kept."""
+
+    def __init__(self, grid: GridSpec, vals: np.ndarray, t: np.ndarray, sigma: float,
+                 frame: str) -> None:
+        super().__init__()
+        self.grid, self.vals, self.t, self.sigma, self.frame = grid, vals, t, sigma, frame
+        self.dvol = grid.cell_volume
+
+    def __missing__(self, name: str) -> np.ndarray:
+        if name in FRAME_UNSET[self.frame]:
+            value = np.full(len(self.vals), math.nan)
+        else:
+            value = _FORMULAS[name](self)
+        self[name] = value
+        return value
+
+
+def _gradient_sq(c: _Columns) -> np.ndarray:
+    total = 0.0
+    for gv in c["grads"]:
+        total += row_sums(gv.real**2 + gv.imag**2) * c.dvol
+    return total
+
+
+def _virial_flux(c: _Columns) -> np.ndarray:
+    total = 0.0
+    for x_j, gv in zip(c.grid.coords(), c["grads"]):
         # Im ∫ u x_j conj(∂_j u). Complex-multiply operand order is part of
         # the bytes (not bitwise commutative under FMA), and `vals * gv.conj()`
         # lets numpy's temporary elision swap it from 256 KiB up; np.multiply
         # keeps u first at every batch size.
-        flux += row_sums(x_j * np.multiply(vals, gv.conj()).imag) * dvol
-    hamiltonian = 0.5 * grad_sq + potential / (2.0 * sigma + 2.0)
+        total += row_sums(x_j * np.multiply(c.vals, gv.conj()).imag) * c.dvol
+    return total
 
-    cols = {
-        "mass": mass,
-        "hamiltonian": hamiltonian,
-        "gradient_sq": grad_sq,
-        "potential": potential,
-        "virial": virial,
-        "virial_flux": flux,
-    }
-    if frame == "physical":
-        w = 1.0 + t
-        two_iw = (2.0j * w).reshape((-1,) + (1,) * grid.dim)
-        j_sq = 0.0
-        for x_j, gv in zip(grid.coords(), grads):
-            jv = x_j * vals - two_iw * gv
-            j_sq += row_sums(jv.real**2 + jv.imag**2) * dvol
-        cols["pc_energy"] = j_sq + 4.0 / (sigma + 1.0) * w * w * potential
-        cols["pc_energy_decomp"] = virial - 4.0 * w * flux + 8.0 * w * w * hamiltonian
-    else:
-        power = sigma * grid.dim - 2.0
-        # libm pow on Python floats: numpy's vectorised power may round differently
-        rest = [1.0 - t_r for t_r in t.tolist()]
-        e1 = 4.0 * grad_sq + 4.0 / (sigma + 1.0) * np.array([r**power for r in rest]) * potential
-        cols["e1_tilde"] = e1
-        cols["e2_tilde"] = np.array([r ** (-power) for r in rest]) * e1
-    for name in FRAME_UNSET[frame]:
-        cols[name] = np.full(len(vals), math.nan)
-    return cols
+
+def _pc_energy(c: _Columns) -> np.ndarray:
+    w = 1.0 + c.t
+    two_iw = (2.0j * w).reshape((-1,) + (1,) * c.grid.dim)
+    j_sq = 0.0
+    for x_j, gv in zip(c.grid.coords(), c["grads"]):
+        jv = x_j * c.vals - two_iw * gv
+        j_sq += row_sums(jv.real**2 + jv.imag**2) * c.dvol
+    return j_sq + 4.0 / (c.sigma + 1.0) * w * w * c["potential"]
+
+
+def _pc_energy_decomp(c: _Columns) -> np.ndarray:
+    w = 1.0 + c.t
+    return c["virial"] - 4.0 * w * c["virial_flux"] + 8.0 * w * w * c["hamiltonian"]
+
+
+def _lens_weights(c: _Columns, sign: float) -> np.ndarray:
+    """(1−t)^{±(σn−2)} per row, by libm pow on Python floats: numpy's
+    vectorised power may round differently."""
+    power = sign * (c.sigma * c.grid.dim - 2.0)
+    return np.array([(1.0 - t_r) ** power for t_r in c.t.tolist()])
+
+
+#: each quantity's formula, reading the quantities it depends on from its _Columns
+_FORMULAS = {
+    "rho": lambda c: c.vals.real**2 + c.vals.imag**2,
+    "grads": lambda c: gradients(c.grid, c.vals),
+    "mass": lambda c: row_sums(c["rho"]) * c.dvol,
+    "hamiltonian": lambda c: 0.5 * c["gradient_sq"] + c["potential"] / (2.0 * c.sigma + 2.0),
+    "gradient_sq": _gradient_sq,
+    "potential": lambda c: row_sums(c["rho"] ** (c.sigma + 1.0)) * c.dvol,
+    "virial": lambda c: row_sums(c.grid.radius_squared() * c["rho"]) * c.dvol,
+    "virial_flux": _virial_flux,
+    "pc_energy": _pc_energy,
+    "pc_energy_decomp": _pc_energy_decomp,
+    "e1_tilde": lambda c: (4.0 * c["gradient_sq"]
+                           + 4.0 / (c.sigma + 1.0) * _lens_weights(c, 1.0) * c["potential"]),
+    "e2_tilde": lambda c: _lens_weights(c, -1.0) * c["e1_tilde"],
+}
 
 
 def compute_functionals(

@@ -21,11 +21,12 @@ import pytest
 import snlslab.dynamics as dynamics
 import snlslab.ensemble as ensemble
 import snlslab.grids as grids
+from snlslab.analysis import GROWTH_SERIES, growth_fit
 from snlslab.config import InitialSpec, load_config, make_initial, with_path_seed
 from snlslab.dynamics import BatchRun, PathError, SimConfig, evolve, evolve_batch
-from snlslab.ensemble import EnsembleError, run_ensemble
-from snlslab.functionals import (FunctionalRecord, compute_functionals, functional_columns,
-                                 ito_mass_budget)
+from snlslab.ensemble import EnsembleError, SeriesView, run_ensemble
+from snlslab.functionals import (FUNCTIONAL_NAMES, FunctionalRecord, compute_functionals,
+                                 functional_columns, ito_mass_budget)
 from snlslab.grids import Field, GridSpec
 from snlslab.noise import NoisePath, NoiseSpec, sample_path
 from snlslab.reports import emit_report
@@ -296,6 +297,36 @@ def test_functional_columns_take_one_time_per_row(dim, frame):
     assert {k: v.tobytes() for k, v in given.items()} == {k: v.tobytes() for k, v in cols.items()}
 
 
+@pytest.mark.parametrize("frame", ["physical", "transformed"])
+@pytest.mark.parametrize("sigma", [1.0, 0.75])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_subset_columns_equal_the_full_call(dim, sigma, frame):
+    """A column asked for alone, or with pc_energy's growth-fit partner
+    mass, has the bytes of the same column of the full call, in both
+    frames (where the frame leaves it NaN too); only the named columns
+    come back."""
+    grid = GridSpec(dim, 64 if dim == 1 else 32, 24.0)
+    vals = np.stack([_initial(grid, r).values * np.exp(0.3j * r * grid.coords()[-1])
+                     for r in range(3)])
+    times = np.array([0.0, 0.35, 0.9])
+    rho = vals.real**2 + vals.imag**2
+    full = functional_columns(grid, vals, times, sigma, frame)
+    assert tuple(full) == FUNCTIONAL_NAMES
+    for names in [(name,) for name in FUNCTIONAL_NAMES] + [("mass", "pc_energy")]:
+        for given in (None, rho):
+            cols = functional_columns(grid, vals, times, sigma, frame, rho=given, names=names)
+            assert tuple(cols) == names
+            for name in names:
+                assert cols[name].tobytes() == full[name].tobytes(), (names, name)
+
+
+def test_unknown_column_name_is_refused_by_name():
+    grid = GridSpec(1, 64, 24.0)
+    vals = _initial(grid, 0).values[None]
+    with pytest.raises(ValueError, match=r"unknown functional columns \['energy'\]"):
+        functional_columns(grid, vals, 0.0, 1.0, names=("mass", "energy"))
+
+
 def test_transformed_time_check_covers_every_row():
     grid = GridSpec(1, 64, 24.0)
     vals = np.stack([_initial(grid, r).values for r in range(3)])
@@ -306,14 +337,15 @@ def test_transformed_time_check_covers_every_row():
 
 
 def _run_with_chunk(monkeypatch, chunk, kind, dim, u0, paths=None, shifts=None,
-                    energy_budget=True):
+                    energy_budget=True, series=None):
     """evolve_batch with the recorder holding `chunk` steps (None: the default cap)."""
     cfg = _config(kind, dim)
     if chunk is not None:
         rows = np.stack([f.values for f in u0])
         monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", chunk * rows.nbytes)
     try:
-        return evolve_batch(cfg, u0, paths, shifts=shifts, energy_budget=energy_budget)
+        return evolve_batch(cfg, u0, paths, shifts=shifts, energy_budget=energy_budget,
+                            series=series)
     finally:
         monkeypatch.undo()
 
@@ -367,6 +399,55 @@ def test_run_without_energy_budget_keeps_every_other_byte(kind, chunk, monkeypat
         _assert_same_run(mine, full, row)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("kind", ["snls_full", "snls_full_s075"])
+def test_run_recording_a_subset_of_series_keeps_every_other_byte(kind, chunk, monkeypatch):
+    """series=GROWTH_SERIES, as growth fits run, records mass and pc_energy
+    with the bytes of the run that records all ten; the mass budget,
+    monitors, final fields and warnings keep theirs too, at one, three and
+    the default steps per chunk."""
+    cfg = _config(kind, 1)
+    u0 = [_initial(cfg.grid, r) for r in range(3)]
+    if kind == "snls_full_s075":
+        u0[1] = make_initial(InitialSpec(kind="zero"), cfg.grid)
+    paths = [_path(cfg, r) for r in range(3)]
+    every, subset = (_run_with_chunk(monkeypatch, chunk, kind, 1, u0, paths,
+                                     energy_budget=False, series=series)
+                     for series in (None, ("pc_energy", "mass")))
+    assert list(every.series) == list(FUNCTIONAL_NAMES)
+    assert list(subset.series) == ["mass", "pc_energy"]
+    assert any(subset.warnings)
+    for row in range(3):
+        mine, full = subset.trajectory(row), every.trajectory(row)
+        full = replace(full, series={k: full.series[k] for k in ("mass", "pc_energy")})
+        _assert_same_run(mine, full, row)
+
+
+def test_series_outside_the_record_or_without_what_a_budget_reads_are_refused():
+    cfg = _config("snls_full", 1)
+    u0, paths = _initial(cfg.grid, 0), [_path(cfg, 0)]
+    with pytest.raises(ValueError, match=r"series \['bogus', 'energy'\] are not recorded"):
+        evolve_batch(cfg, u0, paths, energy_budget=False, series=("mass", "energy", "bogus"))
+    with pytest.raises(ValueError, match=r"series \['pc_energy'\] are not recorded by this "
+                                         r"run \(record='light' records \['mass'\]\)"):
+        evolve_batch(replace(cfg, record="light"), u0, paths, series=("mass", "pc_energy"))
+    with pytest.raises(ValueError, match="must include 'mass': the mass budget reads it"):
+        evolve_batch(cfg, u0, paths, energy_budget=False, series=("pc_energy",))
+    for kept, left_out in ((("mass", "pc_energy"), "'potential'"),
+                           (("mass", "potential"), "'pc_energy'"),
+                           (("mass",), "'potential', 'pc_energy'")):
+        with pytest.raises(ValueError, match=rf"leaves out \[{left_out}\], which the energy "
+                                             "budget reads"):
+            evolve_batch(cfg, u0, paths, series=kept)
+    det = _config("deterministic", 1)
+    with pytest.raises(ValueError, match=r"leaves out \['potential'\]"):
+        evolve_batch(det, u0, series=GROWTH_SERIES)
+    run = evolve_batch(cfg, u0, paths, series=("mass", "potential", "pc_energy"))
+    assert list(run.series) == ["mass", "potential", "pc_energy"]
+    assert "energy_martingale" in run.budget
+    assert list(evolve_batch(det, u0, energy_budget=False, series=("mass",)).series) == ["mass"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("chunk", [1, 2, 3, None])
 @pytest.mark.parametrize("kick", [1e100, 1e200])
@@ -374,17 +455,19 @@ def test_overflow_inside_a_chunk_fails_at_its_step(kick, chunk, monkeypatch):
     # a kick at step 3 makes row 1's potential overflow at step 4. At 1e200
     # its field overflows at step 5 too, and that failing check flushes the
     # pending chunk; at 1e100 the field stays finite, so only the chunk's own
-    # flush finds step 4, mid-chunk for 3-step chunks (steps 3-5)
+    # flush finds step 4, mid-chunk for 3-step chunks (steps 3-5). A run that
+    # records only GROWTH_SERIES finds it in pc_energy at the same step
     cfg = _config("snls_full", 1)
     paths = [_path(cfg, r) for r in range(2)]
     huge = paths[1].increments.copy()
     huge[3] = kick
     paths[1] = NoisePath(paths[1].spec, paths[1].t_inf, paths[1].dt, huge)
     u0 = [_initial(cfg.grid, r) for r in range(2)]
-    with pytest.raises(PathError, match=r"non-finite functionals after step 4 of 20 "
-                                        r"\(t=0.04\) in path 1 of the batch") as err:
-        _run_with_chunk(monkeypatch, chunk, "snls_full", 1, u0, paths)
-    assert err.value.path == 1
+    for kwargs in ({}, {"energy_budget": False, "series": GROWTH_SERIES}):
+        with pytest.raises(PathError, match=r"non-finite functionals after step 4 of 20 "
+                                            r"\(t=0.04\) in path 1 of the batch") as err:
+            _run_with_chunk(monkeypatch, chunk, "snls_full", 1, u0, paths, **kwargs)
+        assert err.value.path == 1
     light = replace(cfg, record="light")
     if kick == 1e200:
         with pytest.raises(PathError, match=r"non-finite field after step 5 of 20 "):
@@ -589,6 +672,48 @@ def test_ensembles_ask_for_no_energy_budget(monkeypatch):
     assert config.sim.record == "full"
     run_ensemble(config)
     assert asked and not any(asked)
+
+
+GROWTH_TEXT = (ENSEMBLE_TEXT.replace("experiment.kind = ensemble", "experiment.kind = growth-fit")
+               + "growth.tau_grid = 0.01, 0.02, 0.04\n")
+
+
+def test_growth_fits_record_only_the_series_they_read(monkeypatch):
+    """A growth-fit batch asks for GROWTH_SERIES and an ensemble batch for
+    every series; the growth fit's series, mass residuals and warnings
+    are the bytes of the ensemble that records all ten."""
+    asked = []
+
+    def spy(*args, **kwargs):
+        run = evolve_batch(*args, **kwargs)
+        asked.append((kwargs.get("series"), tuple(run.series)))
+        return run
+
+    monkeypatch.setattr(ensemble, "evolve_batch", spy)
+    every = run_ensemble(load_config(text=ENSEMBLE_TEXT))
+    assert asked and set(asked) == {(None, FUNCTIONAL_NAMES)}
+    asked.clear()
+    growth = run_ensemble(load_config(text=GROWTH_TEXT))
+    assert asked and set(asked) == {(GROWTH_SERIES, GROWTH_SERIES)}
+    assert growth.functional_names == GROWTH_SERIES and tuple(growth.aggregates) == GROWTH_SERIES
+    for name in GROWTH_SERIES:
+        assert growth.per_path[name].tobytes() == every.per_path[name].tobytes(), name
+    assert growth.mass_residuals.tobytes() == every.mass_residuals.tobytes()
+    assert growth.path_warnings == every.path_warnings
+
+
+def test_growth_fit_reads_only_the_growth_series():
+    """growth_fit given views that hold only GROWTH_SERIES (a dict raises
+    KeyError on any other series) fits what it fits on all ten."""
+    result = run_ensemble(load_config(text=ENSEMBLE_TEXT))
+    views = result.trajectory_views()
+    assert set(views[0].series) == set(FUNCTIONAL_NAMES)
+    narrow = [SeriesView(v.times, {name: v.series[name] for name in GROWTH_SERIES})
+              for v in views]
+    taus = (0.01, 0.02, 0.04)
+    want, got = growth_fit(views, taus, min_paths=2), growth_fit(narrow, taus, min_paths=2)
+    assert got.mean_running_sup.tobytes() == want.mean_running_sup.tobytes()
+    assert (got.slope, got.intercept) == (want.slope, want.intercept)
 
 
 def test_batches_respect_cap_and_workers(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from snlslab import grids
+from snlslab.analysis import GROWTH_SERIES
 from snlslab.dynamics import (
     _TINY_PHASE,
     SimConfig,
@@ -512,7 +513,7 @@ def test_transformed_run_at_sigma_n_2_is_the_deterministic_run(dim, sigma):
     assert lens.final.values.tobytes() == det.final.values.tobytes()
 
 
-def _run_peak_bytes(config, u0, paths, energy_budget=True):
+def _run_peak_bytes(config, u0, paths, energy_budget=True, series=None):
     """tracemalloc peak of one run, its noise paths sampled inside it:
     evolve for a batch of one, evolve_batch for more."""
     tracemalloc.start()
@@ -523,10 +524,28 @@ def _run_peak_bytes(config, u0, paths, energy_budget=True):
             noise = None if config.noise is None else [
                 sample_path(NoiseSpec(seed=s, phi_amplitude=0.2), config.t_end, config.dt)
                 for s in range(paths)]
-            evolve_batch(config, [u0] * paths, noise, energy_budget=energy_budget)
+            evolve_batch(config, [u0] * paths, noise, energy_budget=energy_budget,
+                         series=series)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _peak_growth_per_point_and_path(record, equation, paths, energy_budget, series=None):
+    """The tracemalloc peak's growth per added partition point and path
+    between the horizons 2.5 and 5, and point_bytes' count for the run. A
+    chunk of one step (BATCH_FIELD_BYTES patched by the caller) keeps the
+    recorder's fixed buffers, and a first run the grid's cached tables,
+    out of the difference."""
+    grid = GridSpec(1, 32, 24.0)
+    noise = NoiseSpec(seed=0, phi_amplitude=0.2) if equation == "snls" else None
+    short, long = (SimConfig(grid, 0.75, 1e-2, t_end, equation, noise=noise, record=record,
+                             snapshot_stride=7) for t_end in (2.5, 5.0))
+    _run_peak_bytes(short, gaussian(grid, amp=1.2), paths, energy_budget, series)
+    peaks = [_run_peak_bytes(config, gaussian(grid, amp=1.2), paths, energy_budget, series)
+             for config in (short, long)]
+    growth = (peaks[1] - peaks[0]) / ((long.steps - short.steps) * paths)
+    return growth, long.point_bytes(snapshots=paths == 1, energy_budget=energy_budget), peaks
 
 
 @pytest.mark.parametrize("paths, energy_budget", [(1, True), (4, True), (4, False)])
@@ -537,19 +556,21 @@ def test_run_memory_per_point_and_path_stays_within_the_count(record, equation, 
     """The peak of a run grows by at most SimConfig.point_bytes per added
     partition point and path, the count load_config refuses runs by; a
     batch run as ensembles run it (energy_budget=False) within the count
-    without the energy words. A chunk of one step keeps the recorder's
-    fixed buffers, and a first run the grid's cached tables, out of the
-    difference between the horizons 2.5 and 5."""
+    without the energy words."""
     monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 1)
-    grid = GridSpec(1, 32, 24.0)
-    noise = NoiseSpec(seed=0, phi_amplitude=0.2) if equation == "snls" else None
-    short, long = (SimConfig(grid, 0.75, 1e-2, t_end, equation, noise=noise, record=record,
-                             snapshot_stride=7) for t_end in (2.5, 5.0))
-    _run_peak_bytes(short, gaussian(grid, amp=1.2), paths, energy_budget)
-    peaks = [_run_peak_bytes(config, gaussian(grid, amp=1.2), paths, energy_budget)
-             for config in (short, long)]
-    growth = (peaks[1] - peaks[0]) / ((long.steps - short.steps) * paths)
-    count = long.point_bytes(snapshots=paths == 1, energy_budget=energy_budget)
+    growth, count, peaks = _peak_growth_per_point_and_path(record, equation, paths,
+                                                           energy_budget)
+    assert 0 < growth <= count, (growth, peaks)
+
+
+@pytest.mark.parametrize("equation", ["deterministic", "snls"])
+def test_growth_series_run_memory_stays_within_the_ten_series_count(equation, monkeypatch):
+    """A batch run as growth fits run it (no energy budget, only
+    GROWTH_SERIES recorded) grows by at most point_bytes per point and
+    path, which still counts all ten series, as load_config does."""
+    monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 1)
+    growth, count, peaks = _peak_growth_per_point_and_path("full", equation, 4, False,
+                                                           GROWTH_SERIES)
     assert 0 < growth <= count, (growth, peaks)
 
 
