@@ -28,12 +28,16 @@ discrete Duhamel form exactly.
 
 The engine is a step loop over a (paths, *grid) array; a single run is
 a batch of one. The loop builds its per-step inputs once (both
-half-step weights, the shift pair, the noise increments), writes every
-step's intermediates into one set of buffers the run owns, and hands each
-partition point to a chunk recorder, which keeps the left-endpoint
-fields and their |u|² (and |u|^{2σ} when the energy Ito sums read it;
-the left half phase reads it too) for a chunk of steps (as many as fit in
-grids.BATCH_FIELD_BYTES, at least one); the loop writes each new field
+half-step weights, the shift pair, the noise increments) and its step
+plan once (_StepBuffers: the buffers every step writes into, their
+.real/.imag views, σ as a 0-d operand and the transform pair resolved
+for the run), so what a step pays beyond its grid points is its ufunc
+calls: ~19 µs per step of a one-path snls light run at N = 8 (numpy
+2.4.6, 2-core Xeon). It hands each partition point to a chunk recorder,
+which keeps the left-endpoint fields and their |u|² (and |u|^{2σ} when
+the energy Ito sums read it; the left half phase reads it too) for a
+chunk of steps (as many as fit in grids.BATCH_FIELD_BYTES, at least
+one), with each slot's views made once; the loop writes each new field
 straight into the recorder's next free slot. Once per chunk the
 recorder evaluates the functional series (all of a record's, or the
 subset evolve_batch is asked for: growth fits take mass and pc_energy)
@@ -291,32 +295,53 @@ class BatchRun:
 
 
 class _StepBuffers:
-    """The working arrays of Strang steps on a (paths, *grid) batch: θ,
-    the mid-step |w|², the shifted sum w = vals + shift, the spectrum, the
-    inverse transform (which also holds the left half phase's output), the
-    noise kick and the mask of angles that need libm. A run allocates one
-    set and every step writes into it.
+    """The run's step plan, made once per run and read by every step.
+
+    It holds the working arrays of Strang steps on a (paths, *grid)
+    batch: θ, the mid-step |w|², the mask of angles that need libm, the
+    shifted sum w = vals + shift, each half phase's factor
+    cos θ + i sin θ, the spectrum and the noise kick; the .real/.imag
+    views the steps write through; σ as a 0-d exponent (None for σ = 1);
+    and, given a grid, the propagator multiplier lin and the transform
+    pair GridSpec.transform_pair resolves. A step then makes no view,
+    resolves no kernel and converts no float exponent. The left half
+    phase writes into the spectrum, which is transformed there and back
+    in place: pocketfft then skips its input copy, which saves 2 µs of a
+    2048-point pair and 3 µs of a 16 × 256 one (numpy 2.4.6, 2-core
+    Xeon), with the same bytes.
 
     Complex products keep the operand order of the allocating step they
-    replace (out *= w, spec *= lin, dw * prop_phi): numpy's complex
+    replace (phase * w, spec *= lin, dw * prop_phi): numpy's complex
     multiply is not bitwise commutative where it uses FMA (numpy 2.4.6 on
     x86-64 is not), so operand order is part of the output bytes. In place
     and out of place, one order gives the same bytes.
     """
 
-    __slots__ = ("theta", "rho", "shifted", "spec", "wave", "kick", "live")
+    __slots__ = ("theta", "rho", "live", "shifted", "phase", "spec", "kick", "shifted_parts",
+                 "phase_parts", "spec_parts", "sigma", "lin", "fft", "ifft")
 
-    def __init__(self, shape: tuple[int, ...]) -> None:
+    def __init__(self, shape: tuple[int, ...], sigma: float, grid: GridSpec | None = None,
+                 lin: np.ndarray | None = None) -> None:
         self.theta, self.rho = np.empty(shape), np.empty(shape)
         self.live = np.empty(shape, dtype=bool)
-        self.shifted, self.spec, self.wave, self.kick = (
+        self.shifted, self.phase, self.spec, self.kick = (
             np.empty(shape, dtype=complex) for _ in range(4))
+        self.shifted_parts, self.phase_parts, self.spec_parts = (
+            (arr.real, arr.imag) for arr in (self.shifted, self.phase, self.spec))
+        # a 0-d operand: ufuncs take it ~0.17 µs faster than a float, same bytes
+        self.sigma = None if sigma == 1.0 else np.array(sigma)
+        self.lin = lin
+        self.fft, self.ifft = (None, None) if grid is None else grid.transform_pair()
 
 
-def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
-                    shift: np.ndarray | None, rho: np.ndarray | None = None,
-                    buf: _StepBuffers | None = None, out: np.ndarray | None = None,
-                    rho_sig: np.ndarray | None = None) -> np.ndarray:
+#: the mask's bounds ±_TINY_PHASE as 0-d operands
+_LIVE_ABOVE, _LIVE_BELOW = np.array(_TINY_PHASE), np.array(-_TINY_PHASE)
+
+
+def _phase_rotation(buf: _StepBuffers, vals: np.ndarray, tau: float, shift: np.ndarray | None,
+                    out: np.ndarray, rho: np.ndarray | None = None,
+                    rho_sig: np.ndarray | None = None,
+                    parts: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Exact nonlinear substep w ← e^{iθ} w with θ = τ|w|^{2σ} and
     w = vals + shift (shift frozen), returning the unshifted field in out.
 
@@ -330,58 +355,62 @@ def _phase_rotation(vals: np.ndarray, sigma: float, tau: float,
     gives NaN; an infinite one is inside it, so cos and sin warn as
     before. rho and rho_sig, if given, are |w|² and |w|^{2σ} already
     formed by the caller (rho is not read when rho_sig is given); they are
-    only read. θ, |w|², w and the mask go to buf's arrays; out must
-    overlap neither w nor them. Without buf, a rotation on its own gets fresh buffers and
-    a fresh out.
+    only read. Otherwise |w|² is formed from w's (.real, .imag): the
+    plan's views of its shifted sum, or, unshifted, parts (views of vals
+    made here if None). θ, |w|², w, the mask and the factor go to the plan
+    buf's arrays; out must overlap neither w nor them.
     """
-    if buf is None:
-        buf, out = _StepBuffers(vals.shape), np.empty(vals.shape, dtype=complex)
-    w = vals if shift is None else np.add(vals, shift, out=buf.shifted)
+    if shift is None:
+        w = vals
+    else:
+        w, parts = np.add(vals, shift, out=buf.shifted), buf.shifted_parts
     theta = buf.theta
     if rho_sig is None:
         if rho is None:
-            rho = np.square(w.real, out=buf.rho)
-            rho += np.square(w.imag, out=theta)
-        rho_sig = rho if sigma == 1.0 else np.power(rho, sigma, out=theta)
+            re, im = (w.real, w.imag) if parts is None else parts
+            rho = np.square(re, out=buf.rho)
+            rho += np.square(im, out=theta)
+        rho_sig = rho if buf.sigma is None else np.power(rho, buf.sigma, out=theta)
     np.multiply(rho_sig, tau, out=theta)
     live = buf.live
     if tau >= 0.0:
-        np.greater_equal(theta, _TINY_PHASE, out=live)
+        np.greater_equal(theta, _LIVE_ABOVE, out=live)
     else:
-        np.less_equal(theta, -_TINY_PHASE, out=live)
-    out.real.fill(1.0)
-    out.imag[...] = theta
-    np.cos(theta, out=out.real, where=live)
-    np.sin(theta, out=out.imag, where=live)
-    out *= w
+        np.less_equal(theta, _LIVE_BELOW, out=live)
+    cos, sin = buf.phase_parts
+    cos.fill(1.0)
+    np.copyto(sin, theta)
+    np.cos(theta, out=cos, where=live)
+    np.sin(theta, out=sin, where=live)
+    np.multiply(buf.phase, w, out=out)
     if shift is not None:
         out -= shift
     return out
 
 
-def _strang_step(vals: np.ndarray, sigma: float, grid: GridSpec, lin: np.ndarray,
-                 tau_left: float, tau_right: float,
-                 s_left: np.ndarray | None, s_right: np.ndarray | None,
-                 rho: np.ndarray | None, buf: _StepBuffers,
-                 out: np.ndarray, rho_sig: np.ndarray | None = None) -> np.ndarray:
+def _strang_step(buf: _StepBuffers, vals: np.ndarray, tau_left: float, tau_right: float,
+                 s_left: np.ndarray | None, s_right: np.ndarray | None, out: np.ndarray,
+                 rho: np.ndarray | None = None,
+                 rho_sig: np.ndarray | None = None) -> np.ndarray:
     """Half phase — full linear propagator — half phase, on every row of
-    a (paths, *grid) array, through buf's arrays into out; lin is the
-    propagator's Fourier multiplier and rho and rho_sig, if given, |vals|²
-    and |vals|^{2σ} for the unshifted left half phase. vals is read in
-    full before out is written, so out may be vals."""
-    left = _phase_rotation(vals, sigma, tau_left, s_left, rho, buf, buf.wave, rho_sig)
-    spec = grid.fft(left, out=buf.spec)
-    spec *= lin
-    wave = grid.ifft(spec, out=buf.wave)
-    return _phase_rotation(wave, sigma, tau_right, s_right, None, buf, out)
+    a (paths, *grid) array, through the plan buf (made with the grid and
+    the propagator's Fourier multiplier) into out; rho and rho_sig, if
+    given, are |vals|² and |vals|^{2σ} for the unshifted left half phase.
+    vals is read in full before out is written, so out may be vals."""
+    spec = buf.spec
+    _phase_rotation(buf, vals, tau_left, s_left, spec, rho, rho_sig)
+    buf.fft(spec, spec)
+    spec *= buf.lin
+    buf.ifft(spec, spec)
+    return _phase_rotation(buf, spec, tau_right, s_right, out, None, None, buf.spec_parts)
 
 
 def step_deterministic(field: Field, dt: float, sigma: float) -> Field:
     """One Strang step of the plain equation."""
     grid = field.grid
     vals = field.values[None]
-    out = _strang_step(vals, sigma, grid, grid.propagator(dt), 0.5 * dt, 0.5 * dt,
-                       None, None, None, _StepBuffers(vals.shape),
+    buf = _StepBuffers(vals.shape, sigma, grid, grid.propagator(dt))
+    out = _strang_step(buf, vals, 0.5 * dt, 0.5 * dt, None, None,
                        np.empty(vals.shape, dtype=complex))
     return Field(grid, out[0])
 
@@ -542,9 +571,9 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
     Snapshot fields are kept only when asked for, the energy budget unless
     told not to, and the series named (None: config.series_names)."""
     grid, sigma, dt, steps = config.grid, config.sigma, config.dt, config.steps
-    lin = grid.propagator(dt)
     rec = _Recorder(config, u0, paths, keep_snapshots, energy_budget,
                     config.series_names if series is None else series)
+    buf = _StepBuffers(u0.shape, sigma, grid, grid.propagator(dt))
     # per-step inputs: both half-step weights (the transformed coefficient at
     # t + dt/4, t + 3dt/4), the shift at both substep ends, the noise kick
     taus = repeat((0.5 * dt, 0.5 * dt))
@@ -555,15 +584,15 @@ def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] |
     ends = repeat((None, None)) if shift is None else zip(shift, shift[1:])
     dws = repeat(None)
     if paths is not None:
-        prop_phi = grid.ifft(lin * rec.phi_hat)
+        prop_phi = grid.ifft(buf.lin * rec.phi_hat)
         dws = (1j * (rec.g_left * rec.incr)).T.reshape((steps, len(u0)) + (1,) * grid.dim)
-    buf = _StepBuffers(u0.shape)
-    vals = rec.slot()
+    unshifted = shift is None  # only then is the held |u|² the left half phase's |w|²
+    vals = rec.slots[0][0]
     vals[...] = u0
     for k, (tau_l, tau_r), (s_l, s_r), dw in zip(range(steps), taus, ends, dws):
-        rho, rho_sig = rec.hold(vals, k)
-        vals = _strang_step(vals, sigma, grid, lin, tau_l, tau_r, s_l, s_r,
-                            rho if shift is None else None, buf, rec.slot(), rho_sig)
+        rho, rho_sig, out = rec.hold(vals, k)
+        vals = _strang_step(buf, vals, tau_l, tau_r, s_l, s_r, out,
+                            rho if unshifted else None, rho_sig)
         if dw is not None:
             vals += np.multiply(dw, prop_phi, out=buf.kick)  # vals is the rotation's output slot
     rec.hold(vals, steps)
@@ -577,11 +606,15 @@ class _Recorder:
     ``held`` is (chunk, paths, *grid), chunk = batch_rows(batch bytes)
     with the cap read at run time; held[j] is the field at
     partition point first + j, ``held_rho`` its |u|² and ``held_rho_sig``
-    (or None) its |u|^{2σ}. The series (those named, a subset of
+    (or None) its |u|^{2σ}. ``slots[j]`` holds the views hold reads of
+    slot j, made once per run: held[j], its .real and .imag, held_rho[j]
+    and held_rho_sig[j] (or None). The series (those named, a subset of
     config.series_names) and Ito tables are flat, one entry per
     (point, path) in that order.
     ``boundary``, ``tail`` (paths, points) and the kept ``snapshots`` (or
-    None, (paths, points, *grid)) hold snapshot point i in column i.
+    None, (paths, points, *grid)) hold snapshot point i in column i;
+    ``next_snapshot`` is the step of the next one as an int (−1 after the
+    last), so a step compares two ints.
     hold reads the check that a field is finite off the |u|² it holds.
     Failures keep the order of a step-by-step record: check flushes the
     held steps before it raises for a field, and flush checks a chunk's
@@ -631,38 +664,44 @@ class _Recorder:
         self.held_rho = np.empty(self.held.shape)
         self.held_rho_sig = (np.empty(self.held.shape) if self.track_energy and paths is not None
                              and config.sigma != 1.0 else None)
+        self.sigma = np.array(config.sigma)  # a 0-d exponent, as the step plan's
         self.rho_scratch = np.empty(u0.shape)
+        # each slot's views, made once: field, its .real and .imag, |u|², |u|^{2σ} or None
+        sig = self.held_rho_sig
+        self.slots = [(held, held.real, held.imag, self.held_rho[j], None if sig is None else sig[j])
+                      for j, held in enumerate(self.held)]
         self.first = self.count = self.taken = 0  # step in held[0], steps held, snapshots taken
+        self.next_snapshot = 0  # SimConfig.snapshot_steps() starts at 0
 
-    def slot(self) -> np.ndarray:
-        """The buffer the next held field is written to."""
-        return self.held[self.count]
-
-    def hold(self, vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Count vals, the field in slot(), in as partition point k: check
-        it, take its monitors (and keep it) at a snapshot point, flush a
-        full chunk, and return its |u|² and its held |u|^{2σ} (or
-        None). A finite total of the non-negative |u|² means every entry
-        of vals is finite, so only a non-finite total calls check; a
-        finite field whose |u|² overflows passes it."""
+    def hold(self, vals: np.ndarray, k: int
+             ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Count vals, the field in the next free slot, in as partition
+        point k: check it, take its monitors (and keep it) at a snapshot
+        point, flush a full chunk, and return its |u|², its held
+        |u|^{2σ} (or None) and the slot the next field is written to. A
+        finite total of the non-negative |u|² means every entry of vals is
+        finite, so only a non-finite total calls check; a finite field
+        whose |u|² overflows passes it."""
         j = self.count
-        rho = np.square(vals.real, out=self.held_rho[j])
-        rho += np.square(vals.imag, out=self.rho_scratch)
+        _, re, im, rho, sig = self.slots[j]
+        np.square(re, out=rho)
+        rho += np.square(im, out=self.rho_scratch)
         if not math.isfinite(np.add.reduce(rho, axis=None)):
             self.check(vals, k)  # vals is not counted in yet: a flush ends at point k - 1
-        self.count = j + 1
-        sig = self.held_rho_sig
-        rho_sig = None if sig is None else np.power(rho, self.config.sigma, out=sig[j])
-        i = self.taken
-        if k == self.snapshot_steps[i]:
+        rho_sig = None if sig is None else np.power(rho, self.sigma, out=sig)
+        if k == self.next_snapshot:
+            i = self.taken
             self.boundary[:, i] = boundary_mass_fractions(self.grid, vals, rho)
             self.tail[:, i] = spectral_tail_fractions(self.grid, vals)
             if self.snapshots is not None:
                 self.snapshots[:, i] = vals
-            self.taken = i + 1
+            self.taken = i = i + 1
+            self.next_snapshot = (int(self.snapshot_steps[i]) if i < len(self.snapshot_steps)
+                                  else -1)
+        self.count = j + 1
         if self.count == self.chunk:
             self.flush()
-        return rho, rho_sig
+        return rho, rho_sig, self.slots[self.count][0]
 
     def check(self, vals: np.ndarray, k: int) -> None:
         """Raise PathError for a non-finite row of vals, the field after

@@ -30,12 +30,19 @@ __all__ = [
     "batches",
 ]
 
+#: a transform over the grid axes, f(values, out) -> out
+Transform = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
 #: bytes one working array of rows may hold: ensembles split their paths
 #: into batches of at most this size, and a run records its functionals
 #: in chunks of max(1, BATCH_FIELD_BYTES // batch bytes) steps. On a
 #: 2-core Xeon at N=256 (light recording, numpy 2.4.6), batches of 16 to
 #: 256 paths took 10-15 us per path-step, with no size clearly fastest.
 BATCH_FIELD_BYTES = 1 << 17
+
+
+def _complex_out(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    return np.empty(values.shape, dtype=complex) if out is None else out
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -96,33 +103,52 @@ class GridSpec:
         its field; skipping numpy's Python wrappers takes a (4, 128) call
         from ~8 to ~5 µs (numpy 2.4.6, 2-core Xeon). Where numpy has no
         private np.fft._pocketfft_umath, np.fft.fft runs each axis
-        instead: the same kernel and factor, so the same bytes. numpy.fft
-        is looked up per call, so it loads at the first transform, not at
-        import.
+        instead: the same kernel and factor, so the same bytes. The kernel
+        is looked up per call (see transform_pair), so numpy.fft loads at
+        the first transform, not at import.
         """
-        return self._transform("fft", 1.0, values, out)
+        return self._resolve("fft", 1.0)(values, _complex_out(values, out))
 
     def ifft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of fft, bit-identical to np.fft.ifftn in the same way."""
         # np.fft.ifft's factor, np.reciprocal(points, dtype=float): exact for 2^m
-        return self._transform("ifft", 1.0 / self.points, values, out)
+        return self._resolve("ifft", 1.0 / self.points)(values, _complex_out(values, out))
 
-    def _transform(self, name: str, factor: float, values: np.ndarray,
-                   out: np.ndarray | None) -> np.ndarray:
-        if out is None:
-            out = np.empty(values.shape, dtype=complex)
+    def transform_pair(self) -> tuple[Transform, Transform]:
+        """fft and ifft resolved now, as f(values, out) -> out with the
+        bytes of the methods: a run resolves its pair once instead of
+        looking the kernel up at every step, so a pair made after
+        np.fft._pocketfft_umath is patched away uses the fallback.
+
+        Each non-last axis runs in place (out=out): numpy 2.4.6 copies no
+        operand identical to the output, so a 2-d or 3-d transform, in
+        place or not, allocates no full temporary and keeps fftn's bytes
+        (tests/test_grids.py::test_in_place_transform_allocates_no_temporary).
+        """
+        return self._resolve("fft", 1.0), self._resolve("ifft", 1.0 / self.points)
+
+    def _resolve(self, name: str, factor: float) -> Transform:
         kernels = getattr(np.fft, "_pocketfft_umath", None)
         if kernels is None:
             public = getattr(np.fft, name)
-            public(values, out=out)
-            for axis in range(-2, -self.dim - 1, -1):
-                public(out, axis=axis, out=out)
+            last = lambda values, out: public(values, out=out)
+            along = lambda out, axis: public(out, axis=axis, out=out)
+        else:
+            # a 0-d factor: the gufunc takes it ~0.15 µs faster than a float
+            kernel, scale = getattr(kernels, name), np.array(factor)
+            last = lambda values, out: kernel(values, scale, out=out)
+            along = lambda out, axis: kernel(out, scale, axes=[(axis,), (), (axis,)], out=out)
+        if self.dim == 1:
+            return last
+        axes = range(-2, -self.dim - 1, -1)
+
+        def transform(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+            last(values, out)
+            for axis in axes:
+                along(out, axis)
             return out
-        kernel = getattr(kernels, name)
-        kernel(values, factor, out=out)
-        for axis in range(-2, -self.dim - 1, -1):
-            kernel(out, factor, axes=[(axis,), (), (axis,)], out=out)
-        return out
+
+        return transform
 
     # -- cached arrays -----------------------------------------------------
 

@@ -1,12 +1,17 @@
 """Time integrator: exactness, order, conservation, reproducibility."""
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from snlslab import grids
+from snlslab import dynamics, grids
 from snlslab.analysis import GROWTH_SERIES
 from snlslab.dynamics import (
     _TINY_PHASE,
@@ -105,8 +110,14 @@ def _rotation_as_exp(vals, sigma, tau, shift):
     return out
 
 
+def _rotate(vals, sigma, tau, shift, rho_sig=None):
+    """_phase_rotation on its own, through a fresh plan into a fresh out."""
+    return _phase_rotation(_StepBuffers(vals.shape, sigma), vals, tau, shift,
+                           np.empty(vals.shape, dtype=complex), rho_sig=rho_sig)
+
+
 def _assert_rotation_bytes(vals, sigma, tau, shift):
-    mine = _phase_rotation(vals, sigma, tau, shift)
+    mine = _rotate(vals, sigma, tau, shift)
     bad = mine.view(np.uint64) != _rotation_as_exp(vals, sigma, tau, shift).view(np.uint64)
     assert not bad.any(), (f"{ROTATION_CHANGED} (sigma={sigma}, tau={tau!r}, "
                            f"first differing entries {np.argwhere(bad)[:3].tolist()})")
@@ -191,13 +202,13 @@ def test_phase_rotation_skips_libm_without_changing_bytes(sigma, shifted):
         # θ = τ·rho_sig exactly: |w|^{2σ} handed in as the caller's rho_sig
         vals = rng.normal(size=mags.shape) + 1j * rng.normal(size=mags.shape)
         rho_sig = mags / abs(tau)
-        got = _phase_rotation(vals, sigma, tau, shift, rho_sig=rho_sig)
+        got = _rotate(vals, sigma, tau, shift, rho_sig)
         want = _rotation_with_libm(vals, sigma, tau, shift, rho_sig)
         _assert_same_bytes(got, want, f"given |w|^(2σ), tau={tau}")
         # θ formed from w = vals + shift, landing on the rows up to rounding
         w = (mags / abs(tau)) ** (0.5 / sigma) * phase
         vals = w if shift is None else w - shift
-        got = _phase_rotation(vals, sigma, tau, shift)
+        got = _rotate(vals, sigma, tau, shift)
         want = _rotation_with_libm(vals, sigma, tau, shift)
         _assert_same_bytes(got, want, f"sigma={sigma}, tau={tau}")
 
@@ -215,7 +226,7 @@ def test_phase_rotation_keeps_non_finite_angles_non_finite(bad, tau):
         want = _rotation_with_libm(vals, 1.0, tau, None, rho_sig)
     with warnings.catch_warnings(record=True) as after:
         warnings.simplefilter("always")
-        got = _phase_rotation(vals, 1.0, tau, None, rho_sig=rho_sig)
+        got = _rotate(vals, 1.0, tau, None, rho_sig)
     finite = np.isfinite(want)
     assert np.array_equal(np.isfinite(got), finite)
     assert not finite[1, [0, 9, 40]].any()
@@ -295,7 +306,7 @@ def test_buffered_step_matches_allocating_step(dim, points, sigma, shifted):
     tau_pairs = [(0.5 * dt, 0.5 * dt),
                  (0.5 * dt * (1.0 - (0.3 + 0.25 * dt)) ** power,
                   0.5 * dt * (1.0 - (0.3 + 0.75 * dt)) ** power)]
-    buf = _StepBuffers(shape)  # shared by every step below, as a run shares it
+    buf = _StepBuffers(shape, sigma, grid, lin)  # shared by every step below, as a run shares it
     vals = draw(2.0)
     for tau_left, tau_right in tau_pairs:
         # the left half phase forms |w|² itself, reads a recorder's |w|², or
@@ -308,16 +319,126 @@ def test_buffered_step_matches_allocating_step(dim, points, sigma, shifted):
                 rho_sig = rho**sigma if given == "rho_sig" else None
             want = _allocating_step(vals, sigma, grid, lin, tau_left, tau_right, s_left, s_right)
             out = np.empty(shape, dtype=complex)
-            got = _strang_step(vals, sigma, grid, lin, tau_left, tau_right, s_left, s_right,
-                               rho, buf, out, rho_sig)
+            got = _strang_step(buf, vals, tau_left, tau_right, s_left, s_right, out,
+                               rho, rho_sig)
             assert got is out
             assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
             # in place: out is vals, as when a recorder chunk holds one step
             same = vals.copy()
-            _strang_step(same, sigma, grid, lin, tau_left, tau_right, s_left, s_right,
-                         rho, buf, same, rho_sig)
+            _strang_step(buf, same, tau_left, tau_right, s_left, s_right, same, rho, rho_sig)
             assert same.tobytes() == want.tobytes()
             vals = want
+
+
+#: a whole run's kinds: the equation and, for snls, the record
+RUN_KINDS = ("deterministic", "snls_light", "snls_full", "random_shifted", "transformed")
+
+
+def _oracle_config(kind, dim, sigma):
+    grid = GridSpec(dim, {1: 32, 2: 16, 3: 8}[dim], 16.0)
+    equation = "snls" if kind.startswith("snls") else kind
+    noise = (NoiseSpec(phi_amplitude=0.5, g_kind="power_law", g_alpha=1.0, seed=5)
+             if equation == "snls" else None)
+    return SimConfig(grid, sigma, 0.01, 0.1, equation, noise=noise, snapshot_stride=3,
+                     record="light" if kind == "snls_light" else "full")
+
+
+def _oracle_inputs(config, size):
+    """size initial rows, and the noise paths (snls) or shift series
+    (shifted and transformed equations) of each row."""
+    grid, steps = config.grid, config.steps
+    u0 = [Field.from_function(grid, lambda *xs, r=r: (1.5 + 0.1 * r) * (1.0 + 0.2j * xs[0])
+                              * np.exp(-sum(x * x for x in xs))) for r in range(size)]
+    paths = shifts = None
+    if config.equation == "snls":
+        paths = [sample_path(replace(config.noise, seed=config.noise.seed + r), config.t_end,
+                             config.dt) for r in range(size)]
+    elif config.equation != "deterministic":
+        shifts = [[Field.from_function(grid, lambda *xs, k=k, r=r: (0.3 + 0.1 * r) * (k + 1)
+                                       / (steps + 1) * np.exp(-sum(x * x for x in xs) + 0.7j * k))
+                   for k in range(steps + 1)] for r in range(size)]
+    return u0, paths, shifts
+
+
+def _allocating_run(config, u0, paths, shifts):
+    """Every partition point's field, stepped point by point by
+    _allocating_step with the noise kick i·S(dt)[φ]·g(t_k)·ΔB_k added
+    after each step: the loop of _integrate written with fresh arrays."""
+    grid, sigma, dt, steps = config.grid, config.sigma, config.dt, config.steps
+    lin = np.exp(1j * dt * grid.k_squared())
+    taus = [(0.5 * dt, 0.5 * dt)] * steps
+    if config.equation == "transformed":
+        t, power = np.arange(steps) * dt, sigma * grid.dim - 2.0
+        taus = list(zip(0.5 * dt * (1.0 - (t + 0.25 * dt)) ** power,
+                        0.5 * dt * (1.0 - (t + 0.75 * dt)) ** power))
+    if paths is not None:
+        phi = make_phi(paths[0].spec, grid).values
+        prop_phi = np.fft.ifftn(lin * np.fft.fftn(phi))
+        kicks = 1j * (paths[0].g_at_left() * np.stack([p.increments for p in paths]))
+    vals = np.stack([f.values for f in u0])
+    fields = [vals]
+    for k, (tau_left, tau_right) in enumerate(taus):
+        s_left = s_right = None
+        if shifts is not None:
+            s_left, s_right = (np.stack([series[j].values for series in shifts])
+                               for j in (k, k + 1))
+        vals = _allocating_step(vals, sigma, grid, lin, tau_left, tau_right, s_left, s_right)
+        if paths is not None:
+            vals = vals + kicks[:, k].reshape((-1,) + (1,) * grid.dim) * prop_phi
+        fields.append(vals)
+    return fields
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("sigma", [0.75, 1.0, 1.5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_whole_run_matches_allocating_steps(kind, dim, sigma, size, chunk, monkeypatch):
+    """A whole run of the step loop, with its step plan, recorder slots and
+    noise kick, keeps every snapshot point's field and the final field of
+    every row byte for byte equal to _allocating_step applied point by
+    point, at one, three and the default steps per chunk."""
+    config = _oracle_config(kind, dim, sigma)
+    u0, paths, shifts = _oracle_inputs(config, size)
+    if chunk is not None:
+        monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", chunk * size * config.grid.num_cells * 16)
+    run = dynamics._integrate(config, *dynamics._batch_inputs(config, u0, paths, shifts),
+                              keep_snapshots=True)
+    want = _allocating_run(config, u0, paths, shifts)
+    assert run.final.tobytes() == want[-1].tobytes()
+    for i, k in enumerate(config.snapshot_steps()):
+        assert run.snapshots[:, i].tobytes() == want[k].tobytes(), f"snapshot at step {k}"
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_whole_run_without_the_private_kernels_keeps_the_bytes(dim, monkeypatch):
+    """A run resolves its transform pair once, when it starts: with
+    np.fft._pocketfft_umath patched away the pair falls back to np.fft's
+    public fft and ifft, which every step then calls, and the run keeps
+    every byte of its series, budgets, snapshots and final field."""
+    config = _oracle_config("snls_full", dim, 0.75)
+    u0, paths, _ = _oracle_inputs(config, 1)
+    want = evolve(config, u0[0], path=paths[0])
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        public = getattr(np.fft, name)
+
+        def counted(*args, _public=public, _name=name, **kwargs):
+            calls[_name] += 1
+            return _public(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    monkeypatch.delattr(np.fft, "_pocketfft_umath")
+    got = evolve(config, u0[0], path=paths[0])
+    assert min(calls.values()) >= config.steps * dim  # one call per axis and step at least
+    for group in ("series", "budget", "monitors"):
+        mine, theirs = getattr(got, group), getattr(want, group)
+        assert list(mine) == list(theirs)
+        for key in theirs:
+            assert mine[key].tobytes() == theirs[key].tobytes(), (group, key)
+    assert got.snapshots.tobytes() == want.snapshots.tobytes()
+    assert got.final.values.tobytes() == want.final.values.tobytes()
 
 
 # -- conservation and convergence ---------------------------------------------
@@ -531,19 +652,43 @@ def _run_peak_bytes(config, u0, paths, energy_budget=True, series=None):
         tracemalloc.stop()
 
 
-def _peak_growth_per_point_and_path(record, equation, paths, energy_budget, series=None):
-    """The tracemalloc peak's growth per added partition point and path
-    between the horizons 2.5 and 5, and point_bytes' count for the run. A
-    chunk of one step (BATCH_FIELD_BYTES patched by the caller) keeps the
-    recorder's fixed buffers, and a first run the grid's cached tables,
-    out of the difference."""
+def _peak_configs(record, equation):
     grid = GridSpec(1, 32, 24.0)
     noise = NoiseSpec(seed=0, phi_amplitude=0.2) if equation == "snls" else None
-    short, long = (SimConfig(grid, 0.75, 1e-2, t_end, equation, noise=noise, record=record,
-                             snapshot_stride=7) for t_end in (2.5, 5.0))
-    _run_peak_bytes(short, gaussian(grid, amp=1.2), paths, energy_budget, series)
-    peaks = [_run_peak_bytes(config, gaussian(grid, amp=1.2), paths, energy_budget, series)
-             for config in (short, long)]
+    return [SimConfig(grid, 0.75, 1e-2, t_end, equation, noise=noise, record=record,
+                      snapshot_stride=7) for t_end in (2.5, 5.0)]
+
+
+def _peaks_in_this_process(record, equation, paths, energy_budget, series):
+    """The peaks of the runs to the horizons 2.5 and 5, with one step per
+    chunk, so the recorder's fixed buffers stay out of the difference.
+    An untraced run of each horizon first fills the grid's cached tables
+    and numpy's caches of small blocks, which the first runs of a process
+    grow (the first traced short run read 111,624 B against 64,904 B once
+    settled)."""
+    grids.BATCH_FIELD_BYTES = 1  # this process runs nothing else
+    configs = _peak_configs(record, equation)
+    u0 = gaussian(configs[0].grid, amp=1.2)
+    for config in configs:
+        _run_peak_bytes(config, u0, paths, energy_budget, series)
+    return [_run_peak_bytes(config, u0, paths, energy_budget, series) for config in configs]
+
+
+def _peak_growth_per_point_and_path(record, equation, paths, energy_budget, series=None):
+    """The tracemalloc peak's growth per added partition point and path
+    between the horizons 2.5 and 5, and point_bytes' count for the run.
+    The peaks are taken in a fresh interpreter, so what ran before in
+    this process cannot move them."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    code = (f"import test_dynamics as t; print(*t._peaks_in_this_process("
+            f"{record!r}, {equation!r}, {paths}, {energy_budget}, {series!r}))")
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    peaks = [int(word) for word in run.stdout.split()]
+    short, long = _peak_configs(record, equation)
     growth = (peaks[1] - peaks[0]) / ((long.steps - short.steps) * paths)
     return growth, long.point_bytes(snapshots=paths == 1, energy_budget=energy_budget), peaks
 
@@ -552,23 +697,21 @@ def _peak_growth_per_point_and_path(record, equation, paths, energy_budget, seri
 @pytest.mark.parametrize("equation", ["deterministic", "snls"])
 @pytest.mark.parametrize("record", ["light", "full"])
 def test_run_memory_per_point_and_path_stays_within_the_count(record, equation, paths,
-                                                             energy_budget, monkeypatch):
+                                                             energy_budget):
     """The peak of a run grows by at most SimConfig.point_bytes per added
     partition point and path, the count load_config refuses runs by; a
     batch run as ensembles run it (energy_budget=False) within the count
     without the energy words."""
-    monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 1)
     growth, count, peaks = _peak_growth_per_point_and_path(record, equation, paths,
                                                            energy_budget)
     assert 0 < growth <= count, (growth, peaks)
 
 
 @pytest.mark.parametrize("equation", ["deterministic", "snls"])
-def test_growth_series_run_memory_stays_within_the_ten_series_count(equation, monkeypatch):
+def test_growth_series_run_memory_stays_within_the_ten_series_count(equation):
     """A batch run as growth fits run it (no energy budget, only
     GROWTH_SERIES recorded) grows by at most point_bytes per point and
     path, which still counts all ten series, as load_config does."""
-    monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 1)
     growth, count, peaks = _peak_growth_per_point_and_path("full", equation, 4, False,
                                                            GROWTH_SERIES)
     assert 0 < growth <= count, (growth, peaks)

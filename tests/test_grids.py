@@ -1,5 +1,6 @@
 """Grid geometry, field containers, resolution monitors."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,33 @@ def test_grid_fft_without_the_private_kernels_keeps_the_bytes(dim, monkeypatch):
         same = values.copy()
         assert transform(same, out=same).tobytes() == reference.tobytes()
         assert transform(values).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("private", [True, False])
+@pytest.mark.parametrize("shape", [(4, 64, 64), (4, 16, 16, 16)])
+def test_in_place_transform_allocates_no_temporary(shape, private, monkeypatch):
+    """An in-place 2-d or 3-d transform runs each axis in place without a
+    full temporary (numpy copies no operand identical to its output), with
+    or without the private kernels, and keeps np.fft.fftn's and ifftn's
+    bytes."""
+    grid = GridSpec(len(shape) - 1, shape[-1], 8.0)
+    rng = np.random.default_rng(len(shape))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(-grid.dim, 0))
+    if not private:
+        monkeypatch.delattr(np.fft, "_pocketfft_umath")
+    for transform, reference in zip(grid.transform_pair(), (np.fft.fftn, np.fft.ifftn)):
+        same = values.copy()
+        transform(same.copy(), same)  # the first call loads numpy.fft and its plan caches
+        same[...] = values
+        tracemalloc.start()
+        try:
+            assert transform(same, same) is same
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes // 8, peak
+        assert same.tobytes() == reference(values, axes=axes).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
