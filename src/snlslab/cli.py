@@ -25,7 +25,7 @@ from . import __version__
 from .analysis import classify_regime, growth_fit, scattering_cauchy
 from .config import (GROWTH_MIN_PATHS, KINDS, ConfigError, ExperimentConfig, load_config,
                      make_initial)
-from .dynamics import evolve, evolve_batch
+from .dynamics import Trajectory, evolve_batch
 from .ensemble import run_ensemble, sample_ensemble_paths
 from .noise import make_phi, sample_path, tail_decay_fit
 from .reports import ReportIOError, emit_report, format_float
@@ -104,10 +104,15 @@ def _print_warnings(lines: Sequence[str]) -> None:
 _Run = tuple[object, Sequence[str], Sequence[str]]  # result, warnings, after-lines
 
 
-def _run_simulate(config: ExperimentConfig) -> _Run:
+def _run_one(config: ExperimentConfig) -> Trajectory:
+    """The one path of simulate and scatter-test, recorded as the kind's plan says."""
     u0, sim = make_initial(config.initial, config.grid), config.sim
     paths = None if sim.noise is None else [sample_path(sim.noise, sim.t_end, sim.dt)]
-    traj = evolve_batch(sim, u0, paths).trajectory(0)
+    return evolve_batch(sim, u0, paths, plan=KINDS[config.kind].plan).trajectory(0)
+
+
+def _run_simulate(config: ExperimentConfig) -> _Run:
+    traj = _run_one(config)
     return traj, traj.warnings, ()
 
 
@@ -126,8 +131,7 @@ def _run_tail(config: ExperimentConfig) -> _Run:
 
 
 def _run_scatter(config: ExperimentConfig) -> _Run:
-    u0 = make_initial(config.initial, config.grid)
-    traj = evolve(config.sim, u0)
+    traj = _run_one(config)
     report = scattering_cauchy(traj, config.scatter.norm_kind,
                                config.scatter.checkpoints)
     return report, traj.warnings, ()

@@ -8,12 +8,12 @@ does not consume are rejected too, so a typo can never silently steer a
 run.
 
 Each experiment kind is one ``ExperimentKind`` record in ``KINDS``: its
-name, its command-line help line and the sections it reads. A kind's
-required keys are the schema keys without a default in those sections.
-Every spec is built from its section's keys by one helper, so a value
-its constructor rejects fails at load time with the key named; the
-schema itself is read off the spec fields, so each key's type and
-default are declared once, on its spec.
+name, its command-line help line, the sections it reads and what its runs
+record (its ``RecordPlan``). A kind's required keys are the schema keys
+without a default in those sections. Every spec is built from its
+section's keys by one helper, so a value its constructor rejects fails
+at load time with the key named; the schema itself is read off the spec
+fields, so each key's type and default are declared once, on its spec.
 
 Defaults are materialized at load time and echoed back through
 ``ExperimentConfig.echo()``; the SHA-256 of that canonical echo is the
@@ -36,9 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (GROWTH_FIT_PATHS, THEOREM_NAMES, check_geometric, check_scatter_args,
-                       classify_regime)
-from .dynamics import SimConfig, _check_inside_half_box
+from .analysis import (GROWTH_FIT_PATHS, GROWTH_SERIES, THEOREM_NAMES, check_geometric,
+                       check_scatter_args, classify_regime)
+from .dynamics import RecordPlan, SimConfig, _check_inside_half_box
 from .grids import Field, GridSpec
 from .noise import (NoiseSpec, check_fit_window, g_sq_tail_bound, make_phi, partition_index,
                     partition_steps, path_seed)
@@ -70,8 +70,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentKind:
-    """One experiment kind: its subcommand name, help line, and the
-    config sections it reads besides ``experiment`` and ``output``.
+    """One experiment kind: its subcommand name, help line, the config
+    sections it reads besides ``experiment`` and ``output``, and, if it
+    reads ``sim``, its RecordPlan: what its driver hands evolve_batch and
+    the memory rule counts, the series, budgets and fields it reports.
 
     The sections decide what ``load_config`` builds: a kind that reads
     ``ensemble`` runs noise paths, so it always gets a noise spec and
@@ -82,6 +84,7 @@ class ExperimentKind:
     name: str
     help: str
     sections: tuple[str, ...]
+    plan: RecordPlan | None = None
 
     def reads(self, key: str) -> bool:
         return key.split(".", 1)[0] in ("experiment", "output", *self.sections)
@@ -91,15 +94,18 @@ KINDS: dict[str, ExperimentKind] = {
     k.name: k
     for k in (
         ExperimentKind("simulate", "run one trajectory and write its series/budget artifacts",
-                       ("grid", "sim", "initial", "noise")),
+                       ("grid", "sim", "initial", "noise"), RecordPlan()),
         ExperimentKind("ensemble", "run many seeded trajectories and aggregate the budgets",
-                       ("grid", "sim", "initial", "noise", "ensemble")),
+                       ("grid", "sim", "initial", "noise", "ensemble"),
+                       RecordPlan(energy_budget=False)),
         ExperimentKind("tail-decay", "measure the decay of the far-tail stochastic convolution",
                        ("grid", "noise", "tail", "ensemble")),
         ExperimentKind("scatter-test", "pullback Cauchy diagnostic for scattering at checkpoints",
-                       ("grid", "sim", "initial", "noise", "scatter")),
+                       ("grid", "sim", "initial", "noise", "scatter"),
+                       RecordPlan(("mass",), energy_budget=False, snapshots=True)),
         ExperimentKind("growth-fit", "fit the growth exponent of the quadratic-weight energy",
-                       ("grid", "sim", "initial", "noise", "ensemble", "growth")),
+                       ("grid", "sim", "initial", "noise", "ensemble", "growth"),
+                       RecordPlan(GROWTH_SERIES, energy_budget=False)),
         ExperimentKind("regimes", "classify a (dimension, power, envelope) triple", ("regimes",)),
         ExperimentKind("selftest", "run the closed-form oracle battery", ("selftest",)),
     )
@@ -498,6 +504,10 @@ def load_config(
     sim = initial = None
     if "sim" in sections:
         sim = _build(SimConfig, "sim", get, grid=grid, noise=noise)
+        try:
+            kind.plan.series_names(sim)
+        except ValueError as exc:
+            raise ConfigError(f"sim.record: kind {name!r} needs record = full: {exc}") from None
         initial = _build(InitialSpec, "initial", get)
         try:
             _check_inside_half_box(make_initial(initial, grid))
@@ -508,8 +518,6 @@ def load_config(
     if "growth" in sections:
         for tau in get("growth.tau_grid"):
             _recorded_step(tau, sim, "growth.tau_grid, sim.dt", "horizon")
-        if sim.record != "full":
-            raise ConfigError("sim.record: growth-fit needs record = full")
         growth = _build(GrowthSpec, "growth", get)
 
     tail = None
@@ -556,12 +564,10 @@ def load_config(
             f"least {GROWTH_FIT_PATHS} paths for a stable ensemble mean"
         )
 
-    # what the run allocates per point and path; scatter keeps snapshots, and
-    # ensembles run without the energy budget's tables
+    # what a run of the kind's plan allocates per point and path
     if sim is not None:
         rows = ensemble_size if "ensemble" in sections else 1
-        points, per_point = sim.steps + 1, sim.point_bytes(
-            snapshots="scatter" in sections, energy_budget="ensemble" not in sections)
+        points, per_point = sim.steps + 1, sim.point_bytes(kind.plan)
         table = points * rows * per_point
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if table > memory:

@@ -39,18 +39,18 @@ the energy Ito sums read it; the left half phase reads it too) for a
 chunk of steps (as many as fit in grids.BATCH_FIELD_BYTES, at least
 one), with each slot's views made once; the loop writes each new field
 straight into the recorder's next free slot. Once per chunk the
-recorder evaluates the functional series (all of a record's, or the
-subset evolve_batch is asked for: growth fits take mass and pc_energy)
-and the discrete sums every Ito budget needs (all at left endpoints) in
-one batched call, and after the loop it assembles the budgets, so a
-finished trajectory certifies itself against its noise input. Recorded
-values never feed back into the step, so waiting for the chunk changes no
-number. Every grid sum is taken row by row over C-contiguous rows, so a
-path's numbers do not depend on its batch. The check that every new field is finite is read
+recorder evaluates the series its RecordPlan names (a plan of the mass
+alone sums the held |u|²) and the discrete sums every kept Ito budget
+needs (all at left endpoints) in one batched call, and after the loop
+it assembles the budgets, so a finished trajectory certifies itself
+against its noise input. Recorded values never feed back into the
+step, so waiting for the chunk changes no number. Every grid sum is
+taken row by row over C-contiguous rows, so a path's numbers do not
+depend on its batch. The check that every new field is finite is read
 off the |u|² the recorder holds anyway: one total over the batch, and
 the exact per-row check only when that total is not finite. At the
 points of SimConfig.snapshot_steps() it writes every path's monitors, and
-its field if kept (evolve keeps them), into preallocated arrays.
+its field if the plan keeps it (evolve's does), into preallocated arrays.
 """
 from __future__ import annotations
 
@@ -83,6 +83,7 @@ from .noise import NoisePath, NoiseSpec, check_paths, make_phi, partition_index,
 __all__ = [
     "EQUATION_KINDS",
     "SimConfig",
+    "RecordPlan",
     "Trajectory",
     "BatchRun",
     "PathError",
@@ -168,38 +169,68 @@ class SimConfig:
         """The snapshot points: the steps k with k % snapshot_stride == 0 or k == steps."""
         return np.append(np.arange(0, self.steps, self.snapshot_stride), self.steps)
 
-    @property
-    def series_names(self) -> list[str]:
-        """The series a run records: every functional, or only the mass."""
-        if self.record == "light":
-            return ["mass"]
-        return list(FUNCTIONAL_NAMES)
+    def point_bytes(self, plan: RecordPlan) -> int:
+        """Bytes a run under plan allocates per partition point and path, at most.
 
-    def point_bytes(self, snapshots: bool, energy_budget: bool = True) -> int:
-        """Bytes a run allocates per partition point and path, at most.
-
-        In float64 words: each series twice (the recorder's table and the
-        run's row-major copy), the times and budgets with their temporaries
-        (4), the transformed equation's two weight tables and theirs (4);
-        with noise the increments and their stacked copy (2), the complex
-        kick table and its real factor (3), the complex Ito dot table (2),
-        the mass budget's temporaries and envelope tables (6); with the
-        energy Ito sums (full snls, unless energy_budget is False) the four
+        In float64 words: each of its series twice (the recorder's table
+        and the run's row-major copy), the times and budgets with their
+        temporaries (4), the transformed equation's two weight tables and
+        theirs (4); with noise the increments and their stacked copy (2),
+        the complex kick table and its real factor (3), the complex Ito dot
+        table (2), the mass budget's temporaries and envelope tables (6);
+        with the energy Ito sums (snls, if the plan keeps them) the four
         complex dot and two sum tables (10) and the energy budget's
         temporaries (8). Per-step tables count per path, as a batch of one
         pays them. At each snapshot point the monitors take two floats per
-        path, and the point's step and time two more (32 bytes), and with
-        snapshots the field is kept as well (16 per cell).
+        path, and the point's step and time two more (32 bytes), and a kept
+        snapshot field 16 per cell.
         """
-        words = 2 * len(self.series_names) + 4
+        words = 2 * len(plan.series_names(self)) + 4
         if self.equation == "transformed":
             words += 4
         if self.equation == "snls":
             words += 13
-            if self.record == "full" and energy_budget:
+            if plan.keeps_energy(self):
                 words += 18
-        snapshot = 32 + (16 * self.grid.num_cells if snapshots else 0)
+        snapshot = 32 + (16 * self.grid.num_cells if plan.snapshots else 0)
         return 8 * words + -(-snapshot // self.snapshot_stride)
+
+
+@dataclass(frozen=True)
+class RecordPlan:
+    """What a run records besides its mass budget; each config.KINDS kind
+    that runs a SimConfig carries one. series: those of the record to keep
+    (None: all), each with the bytes the whole record gives it; energy_budget:
+    keep a full record's energy Ito budget; snapshots: keep snapshot fields."""
+
+    series: tuple[str, ...] | None = None
+    energy_budget: bool = True
+    snapshots: bool = False
+
+    def keeps_energy(self, config: SimConfig) -> bool:
+        """Whether a run of config keeps the energy budget under this plan."""
+        return (self.energy_budget and config.record == "full"
+                and config.equation in ("deterministic", "snls"))
+
+    def series_names(self, config: SimConfig) -> list[str]:
+        """The series a run of config records, in the record's order; ValueError
+        naming any the record does not give, or any left out that a kept budget reads."""
+        recorded = ["mass"] if config.record == "light" else list(FUNCTIONAL_NAMES)
+        if self.series is None:
+            return recorded
+        wanted = set(self.series)
+        unknown = sorted(wanted.difference(recorded))
+        if unknown:
+            raise ValueError(f"series {unknown} are not recorded by this run (record="
+                             f"{config.record!r} records {recorded})")
+        if "mass" not in wanted:
+            raise ValueError("series must include 'mass': the mass budget reads it")
+        if self.keeps_energy(config):
+            missing = [name for name in ("potential", "pc_energy") if name not in wanted]
+            if missing:
+                raise ValueError(f"series leaves out {missing}, which the energy budget reads; "
+                                 "plan energy_budget=False or record them")
+        return [name for name in recorded if name in wanted]
 
 
 @dataclass(frozen=True)
@@ -231,8 +262,8 @@ class Trajectory:
         ValueError for a t off the partition, KeyError for a k not stored."""
         t_k = partition_index(t, self.config.dt) * self.config.dt
         if self.snapshots is None:
-            raise KeyError(f"no snapshot at t={t:g}: the run kept no snapshot fields "
-                           "(evolve keeps them; evolve_batch and simulate do not)")
+            raise KeyError(f"no snapshot at t={t:g}: the run kept no snapshot fields (a "
+                           "RecordPlan with snapshots=True keeps them, as evolve's does)")
         stored = self.monitors["times"].tolist()
         if t_k in stored:
             return Field(self.config.grid, self.snapshots[stored.index(t_k)])
@@ -446,75 +477,36 @@ def evolve(config: SimConfig, u0: Field, *, path: NoisePath | None = None,
     path is sampled from config.noise). `shift` supplies the frozen
     shift series for the shifted/transformed equations; None means an
     all-zero shift, under which random_shifted reduces exactly to the
-    deterministic run.
+    deterministic run. It is a batch of one under RecordPlan(snapshots=True),
+    which also keeps the field at every snapshot point.
     """
     if config.equation == "snls" and shift is None:
         if path is None:
             path = sample_path(config.noise, config.t_end, config.dt)
         elif path.spec != config.noise:
             raise ValueError("config.noise and the supplied path disagree; pass one or the other")
-    # a batch of one that also keeps its snapshot fields
-    return _integrate(
-        config,
-        *_batch_inputs(config, u0, None if path is None else [path],
-                       None if shift is None else [shift]),
-        keep_snapshots=True,
-    ).trajectory(0)
+    inputs = _batch_inputs(config, u0, None if path is None else [path],
+                           None if shift is None else [shift])
+    return _integrate(config, *inputs, RecordPlan(snapshots=True)).trajectory(0)
 
 
 def evolve_batch(config: SimConfig, u0: Field | Sequence[Field],
                  paths: Sequence[NoisePath] | None = None, *,
                  shifts: Sequence[Sequence[Field]] | None = None,
-                 energy_budget: bool = True,
-                 series: Sequence[str] | None = None) -> BatchRun:
+                 plan: RecordPlan = RecordPlan()) -> BatchRun:
     """Run a batch of paths of one config as one (paths, *grid) array.
 
     u0 is one Field shared by every path or one Field per path. `paths`
     (snls only) holds one noise path per row; their specs must equal
     config.noise up to the seed. `shifts` (shifted and transformed
     equations) holds one shift series per row. Row p of the result is
-    bit-identical to the batch of one made of row p's inputs.
-    energy_budget=False skips the energy Ito sums of a full record, so the
-    budget carries no energy_* entry; every other output keeps its bytes.
-    `series` picks the recorded series among config.series_names (None:
-    all of them); the run then forms, keeps and checks for finiteness only
-    those, and every one of them keeps its bytes. It must hold mass, which
-    the mass budget reads, and while the energy budget is kept, potential
-    and pc_energy, which it reads.
+    bit-identical to the batch of one made of row p's inputs. `plan`
+    says what the run records (by default the record's series and the
+    energy budget, no snapshot fields); every output it keeps has the
+    bytes of the run that keeps everything, and an energy budget it skips
+    leaves no energy_* entry in the budget.
     """
-    return _integrate(config, *_batch_inputs(config, u0, paths, shifts),
-                      energy_budget=energy_budget,
-                      series=_check_series(config, series, energy_budget))
-
-
-def _check_series(config: SimConfig, series: Sequence[str] | None,
-                  energy_budget: bool) -> list[str]:
-    """The series evolve_batch records, in config.series_names order;
-    ValueError naming any name that is not recorded or any left out that
-    a kept budget reads."""
-    recorded = config.series_names
-    if series is None:
-        return recorded
-    wanted = set(series)
-    unknown = sorted(wanted.difference(recorded))
-    if unknown:
-        raise ValueError(f"series {unknown} are not recorded by this run (record="
-                         f"{config.record!r} records {recorded})")
-    if "mass" not in wanted:
-        raise ValueError("series must include 'mass': the mass budget reads it")
-    if _tracks_energy(config, energy_budget):
-        missing = [name for name in ("potential", "pc_energy") if name not in wanted]
-        if missing:
-            raise ValueError(f"series leaves out {missing}, which the energy budget reads; "
-                             "pass energy_budget=False or record them")
-    return [name for name in recorded if name in wanted]
-
-
-def _tracks_energy(config: SimConfig, energy_budget: bool) -> bool:
-    """Whether a run keeps the energy budget: a full deterministic or snls
-    run does unless energy_budget is False."""
-    return (energy_budget and config.record == "full"
-            and config.equation in ("deterministic", "snls"))
+    return _integrate(config, *_batch_inputs(config, u0, paths, shifts), plan)
 
 
 def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
@@ -564,15 +556,12 @@ def _batch_inputs(config: SimConfig, u0: Field | Sequence[Field],
 
 
 def _integrate(config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
-               shift: list[np.ndarray] | None, keep_snapshots: bool = False,
-               energy_budget: bool = True, series: list[str] | None = None) -> BatchRun:
+               shift: list[np.ndarray] | None, plan: RecordPlan) -> BatchRun:
     """The path-batched kernel: step the (paths, *grid) array u0 while a
-    _Recorder records every row; row p is bit-identical to a batch of one.
-    Snapshot fields are kept only when asked for, the energy budget unless
-    told not to, and the series named (None: config.series_names)."""
+    _Recorder records what plan says of every row; row p is bit-identical
+    to a batch of one."""
     grid, sigma, dt, steps = config.grid, config.sigma, config.dt, config.steps
-    rec = _Recorder(config, u0, paths, keep_snapshots, energy_budget,
-                    config.series_names if series is None else series)
+    rec = _Recorder(config, u0, paths, plan)
     buf = _StepBuffers(u0.shape, sigma, grid, grid.propagator(dt))
     # per-step inputs: both half-step weights (the transformed coefficient at
     # t + dt/4, t + 3dt/4), the shift at both substep ends, the noise kick
@@ -608,9 +597,9 @@ class _Recorder:
     partition point first + j, ``held_rho`` its |u|² and ``held_rho_sig``
     (or None) its |u|^{2σ}. ``slots[j]`` holds the views hold reads of
     slot j, made once per run: held[j], its .real and .imag, held_rho[j]
-    and held_rho_sig[j] (or None). The series (those named, a subset of
-    config.series_names) and Ito tables are flat, one entry per
-    (point, path) in that order.
+    and held_rho_sig[j] (or None). The series (the plan's) and Ito tables
+    are flat, one entry per (point, path) in that order; a plan of the
+    mass alone sums the held |u|² instead of calling functional_columns.
     ``boundary``, ``tail`` (paths, points) and the kept ``snapshots`` (or
     None, (paths, points, *grid)) hold snapshot point i in column i;
     ``next_snapshot`` is the step of the next one as an int (−1 after the
@@ -622,14 +611,13 @@ class _Recorder:
     """
 
     def __init__(self, config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
-                 keep_snapshots: bool, energy_budget: bool, names: list[str]) -> None:
+                 plan: RecordPlan) -> None:
         grid = self.grid = config.grid
         self.config, self.paths = config, paths
         size, steps = self.size, self.steps = len(u0), config.steps  # a property: read once
         dvol = grid.cell_volume
-        self.full = config.record == "full"
         self.frame = "transformed" if config.equation == "transformed" else "physical"
-        self.track_energy = _tracks_energy(config, energy_budget)
+        self.track_energy = plan.keeps_energy(config)
         # the noise input the budgets certify; every path shares phi and g
         if paths is not None:
             phi = make_phi(paths[0].spec, grid)
@@ -651,12 +639,13 @@ class _Recorder:
                           sum(float((gp.real**2 + gp.imag**2).sum()) for gp in grads_phi) * dvol)
                 self.energy_dots = np.empty((4, steps * size), dtype=complex)
                 self.energy_sums = np.empty((2, steps * size))
-        self.series = {name: np.empty((steps + 1) * size) for name in names}
-        self.checked = [name for name in names if name not in FRAME_UNSET[self.frame]]
+        self.series = {name: np.empty((steps + 1) * size) for name in plan.series_names(config)}
+        self.mass_only = list(self.series) == ["mass"]
+        self.checked = [name for name in self.series if name not in FRAME_UNSET[self.frame]]
         self.snapshot_steps = config.snapshot_steps()
         self.boundary, self.tail = np.empty((2, size, len(self.snapshot_steps)))
         self.snapshots = (np.empty(self.boundary.shape + grid.shape, dtype=complex)
-                          if keep_snapshots else None)
+                          if plan.snapshots else None)
         # |u|² feeds the functionals or mass, the energy Ito sums, the unshifted left half
         # phase; |u|^{2σ} (σ ≠ 1) is held only when the energy Ito sums read it
         self.chunk = batch_rows(u0.nbytes)
@@ -721,7 +710,9 @@ class _Recorder:
         vals = self.held.reshape((-1,) + grid.shape)[:self.count * size]
         rho = self.held_rho.reshape((-1,) + grid.shape)[:self.count * size]
         part = slice(first * size, stop * size)
-        if self.full:
+        if self.mass_only:
+            self.series["mass"][part] = row_sums(rho)
+        else:
             t = np.repeat(np.arange(first, stop) * dt, size)
             cols = functional_columns(grid, vals, t, sigma, self.frame, rho=rho,
                                       names=tuple(self.series))
@@ -731,8 +722,6 @@ class _Recorder:
             if not finite.all():  # name the earliest failing step
                 for k, row in enumerate(finite.reshape(-1, size), start=first):
                     _require_finite(row, "functionals", k, steps, dt)
-        else:
-            self.series["mass"][part] = row_sums(rho)
         # the last partition point starts no step, so it has no Ito sums
         rows = (min(stop, steps) - first) * size
         if self.paths is not None and rows > 0:
@@ -768,7 +757,7 @@ class _Recorder:
         steps, dt, sigma, n, dvol = (self.steps, config.dt, config.sigma, self.grid.dim,
                                      self.grid.cell_volume)
         times = config.times()
-        if not self.full:
+        if self.mass_only:
             self.series["mass"] *= dvol
         series = {name: _frozen(col.reshape(steps + 1, size).T)
                   for name, col in self.series.items()}

@@ -10,9 +10,10 @@ single-worker run never loads multiprocessing. The fold concatenates
 each batch's (paths, steps+1) series blocks in path order and reduces
 them single-threaded, which makes outputs bitwise identical for any
 worker count and batch composition, including the inline workers=1
-route. No batch keeps the energy budget, which no kind reads, and a
-growth fit's batches record only analysis.GROWTH_SERIES, the series it
-reads, so its fold runs over those alone.
+route. Every batch records what its kind's plan in config.KINDS says:
+no energy budget, which no ensemble reads, and for a growth fit only
+analysis.GROWTH_SERIES, the series it reads, so its fold runs over those
+alone.
 
 A failing path aborts the whole ensemble with its path index in the
 error message rather than yielding a partial, silently biased result.
@@ -27,8 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import GROWTH_SERIES
-from .config import ExperimentConfig, make_initial, with_path_seed
+from .config import KINDS, ExperimentConfig, make_initial, with_path_seed
 from .dynamics import PathError, evolve_batch
 from .dynamics import evolve  # noqa: F401  perfbench/tracing.py wraps ensemble.evolve
 from .functionals import ito_mass_budget
@@ -129,16 +129,14 @@ class SeriesView:
 def _run_batch(args: tuple[ExperimentConfig, int, int]
                ) -> tuple[dict[str, np.ndarray], list[float], tuple[tuple[str, ...], ...]]:
     """Run paths [start, stop) as one batch; return its (rows, steps+1)
-    series blocks, its per-path mass residuals and its per-path warnings.
-    Nothing reads an ensemble's energy budget, so the batch skips its sums;
-    a growth fit reads only GROWTH_SERIES, so its batch records only those."""
+    series blocks, its per-path mass residuals and its per-path warnings,
+    recorded as the kind's plan says."""
     config, start, stop = args
-    series = GROWTH_SERIES if config.kind == "growth-fit" else None
     try:
         sims = [with_path_seed(config, i) for i in range(start, stop)]
         u0 = make_initial(config.initial, config.grid)
         run = evolve_batch(sims[0], u0, [sample_path(s.noise, s.t_end, s.dt) for s in sims],
-                           energy_budget=False, series=series)
+                           plan=KINDS[config.kind].plan)
         residuals = [ito_mass_budget(run.trajectory(p)).residual for p in range(run.size)]
     except PathError as exc:
         raise EnsembleError(f"path {start + exc.path} failed: {exc}") from exc

@@ -258,8 +258,8 @@ def _require_budget_keys(trajectory: "Trajectory", keys: tuple[str, ...], what: 
     if missing:
         config = trajectory.config
         if config.record == "full" and config.equation in ("deterministic", "snls"):
-            cause = ("its run kept no energy budget (evolve_batch(..., energy_budget=False), "
-                     "as ensembles run)")
+            cause = ("its run kept no energy budget (a RecordPlan with energy_budget=False, "
+                     "as ensembles, growth fits and scatter tests run)")
         else:
             cause = f"it was run with equation={config.equation!r}, record={config.record!r}"
         raise ValueError(f"trajectory does not carry the {what} budget sums {missing}; {cause}")

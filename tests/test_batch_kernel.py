@@ -23,7 +23,7 @@ import snlslab.ensemble as ensemble
 import snlslab.grids as grids
 from snlslab.analysis import GROWTH_SERIES, growth_fit
 from snlslab.config import InitialSpec, load_config, make_initial, with_path_seed
-from snlslab.dynamics import BatchRun, PathError, SimConfig, evolve, evolve_batch
+from snlslab.dynamics import BatchRun, PathError, RecordPlan, SimConfig, evolve, evolve_batch
 from snlslab.ensemble import EnsembleError, SeriesView, run_ensemble
 from snlslab.functionals import (FUNCTIONAL_NAMES, FunctionalRecord, compute_functionals,
                                  functional_columns, ito_mass_budget)
@@ -157,7 +157,7 @@ def test_kept_snapshots_of_every_row_equal_that_rows_own_evolve(kind):
     u0 = [_initial(cfg.grid, r) for r in range(3)]
     paths = [_path(cfg, r) for r in range(3)] if kind.startswith("snls") else None
     run = dynamics._integrate(cfg, *dynamics._batch_inputs(cfg, u0, paths, None),
-                              keep_snapshots=True)
+                              RecordPlan(snapshots=True))
     points = len(cfg.snapshot_steps())
     assert run.snapshots.shape == (3, points) + cfg.grid.shape
     for row in range(3):
@@ -337,15 +337,14 @@ def test_transformed_time_check_covers_every_row():
 
 
 def _run_with_chunk(monkeypatch, chunk, kind, dim, u0, paths=None, shifts=None,
-                    energy_budget=True, series=None):
+                    plan=RecordPlan()):
     """evolve_batch with the recorder holding `chunk` steps (None: the default cap)."""
     cfg = _config(kind, dim)
     if chunk is not None:
         rows = np.stack([f.values for f in u0])
         monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", chunk * rows.nbytes)
     try:
-        return evolve_batch(cfg, u0, paths, shifts=shifts, energy_budget=energy_budget,
-                            series=series)
+        return evolve_batch(cfg, u0, paths, shifts=shifts, plan=plan)
     finally:
         monkeypatch.undo()
 
@@ -375,8 +374,8 @@ def test_recording_independent_of_chunk(kind, dim, monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 3, None])
 @pytest.mark.parametrize("kind", ["snls_full", "snls_full_s075"])
 def test_run_without_energy_budget_keeps_every_other_byte(kind, chunk, monkeypatch):
-    """energy_budget=False, as ensembles run, skips the energy Ito sums and
-    nothing else: series, mass budget, monitors, final fields and warnings
+    """A plan without the energy budget, as ensembles run, skips the energy
+    Ito sums and nothing else: series, mass budget, monitors, final fields and warnings
     keep their bytes at one, three and the default steps per chunk, and the
     budget holds no energy_* entry. For sigma = 0.75 the left half phase then
     forms |u|^{2 sigma} itself, and the zero row takes the masked sigma != 1
@@ -386,7 +385,8 @@ def test_run_without_energy_budget_keeps_every_other_byte(kind, chunk, monkeypat
     if kind == "snls_full_s075":
         u0[1] = make_initial(InitialSpec(kind="zero"), cfg.grid)
     paths = [_path(cfg, r) for r in range(3)]
-    kept, skipped = (_run_with_chunk(monkeypatch, chunk, kind, 1, u0, paths, energy_budget=keep)
+    kept, skipped = (_run_with_chunk(monkeypatch, chunk, kind, 1, u0, paths,
+                                     plan=RecordPlan(energy_budget=keep))
                      for keep in (True, False))
     assert set(kept.budget) == {"mass_martingale", "mass_drift", "energy_flow_drift",
                                 "energy_ito_drift", "energy_martingale"}
@@ -402,7 +402,7 @@ def test_run_without_energy_budget_keeps_every_other_byte(kind, chunk, monkeypat
 @pytest.mark.parametrize("chunk", [1, 3, None])
 @pytest.mark.parametrize("kind", ["snls_full", "snls_full_s075"])
 def test_run_recording_a_subset_of_series_keeps_every_other_byte(kind, chunk, monkeypatch):
-    """series=GROWTH_SERIES, as growth fits run, records mass and pc_energy
+    """A plan of GROWTH_SERIES, as growth fits run, records mass and pc_energy
     with the bytes of the run that records all ten; the mass budget,
     monitors, final fields and warnings keep theirs too, at one, three and
     the default steps per chunk."""
@@ -412,7 +412,7 @@ def test_run_recording_a_subset_of_series_keeps_every_other_byte(kind, chunk, mo
         u0[1] = make_initial(InitialSpec(kind="zero"), cfg.grid)
     paths = [_path(cfg, r) for r in range(3)]
     every, subset = (_run_with_chunk(monkeypatch, chunk, kind, 1, u0, paths,
-                                     energy_budget=False, series=series)
+                                     plan=RecordPlan(series, energy_budget=False))
                      for series in (None, ("pc_energy", "mass")))
     assert list(every.series) == list(FUNCTIONAL_NAMES)
     assert list(subset.series) == ["mass", "pc_energy"]
@@ -427,25 +427,28 @@ def test_series_outside_the_record_or_without_what_a_budget_reads_are_refused():
     cfg = _config("snls_full", 1)
     u0, paths = _initial(cfg.grid, 0), [_path(cfg, 0)]
     with pytest.raises(ValueError, match=r"series \['bogus', 'energy'\] are not recorded"):
-        evolve_batch(cfg, u0, paths, energy_budget=False, series=("mass", "energy", "bogus"))
+        evolve_batch(cfg, u0, paths,
+                     plan=RecordPlan(("mass", "energy", "bogus"), energy_budget=False))
     with pytest.raises(ValueError, match=r"series \['pc_energy'\] are not recorded by this "
                                          r"run \(record='light' records \['mass'\]\)"):
-        evolve_batch(replace(cfg, record="light"), u0, paths, series=("mass", "pc_energy"))
+        evolve_batch(replace(cfg, record="light"), u0, paths,
+                     plan=RecordPlan(("mass", "pc_energy")))
     with pytest.raises(ValueError, match="must include 'mass': the mass budget reads it"):
-        evolve_batch(cfg, u0, paths, energy_budget=False, series=("pc_energy",))
+        evolve_batch(cfg, u0, paths, plan=RecordPlan(("pc_energy",), energy_budget=False))
     for kept, left_out in ((("mass", "pc_energy"), "'potential'"),
                            (("mass", "potential"), "'pc_energy'"),
                            (("mass",), "'potential', 'pc_energy'")):
         with pytest.raises(ValueError, match=rf"leaves out \[{left_out}\], which the energy "
                                              "budget reads"):
-            evolve_batch(cfg, u0, paths, series=kept)
+            evolve_batch(cfg, u0, paths, plan=RecordPlan(kept))
     det = _config("deterministic", 1)
     with pytest.raises(ValueError, match=r"leaves out \['potential'\]"):
-        evolve_batch(det, u0, series=GROWTH_SERIES)
-    run = evolve_batch(cfg, u0, paths, series=("mass", "potential", "pc_energy"))
+        evolve_batch(det, u0, plan=RecordPlan(GROWTH_SERIES))
+    run = evolve_batch(cfg, u0, paths, plan=RecordPlan(("mass", "potential", "pc_energy")))
     assert list(run.series) == ["mass", "potential", "pc_energy"]
     assert "energy_martingale" in run.budget
-    assert list(evolve_batch(det, u0, energy_budget=False, series=("mass",)).series) == ["mass"]
+    mass = evolve_batch(det, u0, plan=RecordPlan(("mass",), energy_budget=False))
+    assert list(mass.series) == ["mass"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -463,10 +466,10 @@ def test_overflow_inside_a_chunk_fails_at_its_step(kick, chunk, monkeypatch):
     huge[3] = kick
     paths[1] = NoisePath(paths[1].spec, paths[1].t_inf, paths[1].dt, huge)
     u0 = [_initial(cfg.grid, r) for r in range(2)]
-    for kwargs in ({}, {"energy_budget": False, "series": GROWTH_SERIES}):
+    for plan in (RecordPlan(), RecordPlan(GROWTH_SERIES, energy_budget=False)):
         with pytest.raises(PathError, match=r"non-finite functionals after step 4 of 20 "
                                             r"\(t=0.04\) in path 1 of the batch") as err:
-            _run_with_chunk(monkeypatch, chunk, "snls_full", 1, u0, paths, **kwargs)
+            _run_with_chunk(monkeypatch, chunk, "snls_full", 1, u0, paths, plan=plan)
         assert err.value.path == 1
     light = replace(cfg, record="light")
     if kick == 1e200:
@@ -658,43 +661,17 @@ def test_ensemble_path_equals_its_own_run(monkeypatch):
     assert min(counts) >= 1 and max(counts) > min(counts)
 
 
-def test_ensembles_ask_for_no_energy_budget(monkeypatch):
-    """run_ensemble never reads a batch's energy budget, so every batch of a
-    full-record ensemble skips its sums."""
-    asked = []
-
-    def spy(*args, **kwargs):
-        asked.append(kwargs.get("energy_budget", True))
-        return evolve_batch(*args, **kwargs)
-
-    monkeypatch.setattr(ensemble, "evolve_batch", spy)
-    config = load_config(text=ENSEMBLE_TEXT)
-    assert config.sim.record == "full"
-    run_ensemble(config)
-    assert asked and not any(asked)
-
-
 GROWTH_TEXT = (ENSEMBLE_TEXT.replace("experiment.kind = ensemble", "experiment.kind = growth-fit")
                + "growth.tau_grid = 0.01, 0.02, 0.04\n")
 
 
-def test_growth_fits_record_only_the_series_they_read(monkeypatch):
-    """A growth-fit batch asks for GROWTH_SERIES and an ensemble batch for
-    every series; the growth fit's series, mass residuals and warnings
-    are the bytes of the ensemble that records all ten."""
-    asked = []
-
-    def spy(*args, **kwargs):
-        run = evolve_batch(*args, **kwargs)
-        asked.append((kwargs.get("series"), tuple(run.series)))
-        return run
-
-    monkeypatch.setattr(ensemble, "evolve_batch", spy)
+def test_growth_fits_record_only_the_series_they_read():
+    """A growth fit records GROWTH_SERIES and an ensemble every series; the
+    growth fit's series, mass residuals and warnings are the bytes of the
+    ensemble that records all ten."""
     every = run_ensemble(load_config(text=ENSEMBLE_TEXT))
-    assert asked and set(asked) == {(None, FUNCTIONAL_NAMES)}
-    asked.clear()
+    assert every.functional_names == FUNCTIONAL_NAMES
     growth = run_ensemble(load_config(text=GROWTH_TEXT))
-    assert asked and set(asked) == {(GROWTH_SERIES, GROWTH_SERIES)}
     assert growth.functional_names == GROWTH_SERIES and tuple(growth.aggregates) == GROWTH_SERIES
     for name in GROWTH_SERIES:
         assert growth.per_path[name].tobytes() == every.per_path[name].tobytes(), name

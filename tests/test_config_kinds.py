@@ -22,11 +22,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from snlslab import cli
+from snlslab import cli, ensemble
 from snlslab import config as config_module
 from snlslab.analysis import growth_fit
 from snlslab.config import _SCHEMA, KINDS, ConfigError, _convert, load_config
-from snlslab.dynamics import EQUATION_KINDS, SimConfig, evolve
+from snlslab.dynamics import EQUATION_KINDS, SimConfig, evolve, evolve_batch
 from snlslab.grids import Field, GridSpec
 from snlslab.noise import NoiseSpec, partition_index, partition_steps, sample_path
 from snlslab.selftest import run_selftest
@@ -99,6 +99,32 @@ def test_cli_drivers_and_subcommands_follow_kinds():
     assert list(cli._DRIVERS) == list(KINDS)
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     assert list(sub.choices) == list(KINDS)
+
+
+def test_every_kind_that_reads_sim_carries_a_plan_and_no_other_does():
+    planned = {name for name, kind in KINDS.items() if kind.plan is not None}
+    assert planned == {name for name, kind in KINDS.items() if "sim" in kind.sections}
+    assert planned == {"simulate", "ensemble", "scatter-test", "growth-fit"}
+
+
+def test_drivers_hand_evolve_batch_exactly_their_kinds_plan(monkeypatch):
+    """ensemble._run_batch (ensembles and growth fits), cli._run_simulate
+    and cli._run_scatter run evolve_batch with KINDS[kind].plan itself."""
+    asked = []
+
+    def spy(*args, plan, **kwargs):
+        asked.append(plan)
+        return evolve_batch(*args, plan=plan, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve_batch", spy)
+    monkeypatch.setattr(ensemble, "evolve_batch", spy)
+    for name, kind in KINDS.items():
+        if kind.plan is None:
+            continue
+        asked.clear()
+        code, err = _run_cli(name, TINY[name])
+        assert code == 0, err
+        assert asked and all(plan is kind.plan for plan in asked), (name, asked)
 
 
 def test_required_keys_are_the_undefaulted_keys_of_the_sections_read():
@@ -388,19 +414,21 @@ def test_probed_configs_exit_1_naming_the_key(name, changes, key):
 
 
 @pytest.mark.parametrize("name, rows, per_point", [("simulate", 1, 456), ("ensemble", 2, 156),
-                                                    ("growth-fit", 2, 300)])
+                                                    ("scatter-test", 1, 680),
+                                                    ("growth-fit", 2, 172)])
 def test_recorded_tables_larger_than_memory_are_refused_at_load(name, rows, per_point,
                                                                 monkeypatch):
-    """(steps + 1) x rows x SimConfig.point_bytes must fit in physical
-    memory; rows is ensemble.size for ensembles and growth fits, which keep
-    no energy budget. All three configs are snls on 64 points and keep no
-    snapshot field. simulate records full (55 words, 440 bytes) and takes
-    monitors every 2 points (16 per point); the ensemble records light (19
-    words, 152 bytes) and the growth fit full without the 18 energy words
-    (37 words, 296 bytes), both taking monitors every 10 points (4)."""
+    """(steps + 1) x rows x SimConfig.point_bytes(the kind's plan) must fit
+    in physical memory; rows is ensemble.size for ensembles and growth
+    fits. All four configs are snls on 64 points. simulate records full
+    with its energy budget (55 words, 440 bytes) and takes monitors every 2
+    points (16 per point); the ensemble records light (19 words, 152
+    bytes) and the growth fit its two series without the energy budget (21
+    words, 168 bytes), both taking monitors every 10 points (4);
+    scatter-test records the mass alone (19 words, 152 bytes) and keeps
+    the field with the monitors every 2 points (528)."""
     config = load_config(text=TINY[name])
-    energy = config.kind == "simulate"
-    assert config.sim.point_bytes(snapshots=False, energy_budget=energy) == per_point
+    assert config.sim.point_bytes(KINDS[name].plan) == per_point
     table = (config.sim.steps + 1) * rows * per_point
     pages = {"SC_PHYS_PAGES": table, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)

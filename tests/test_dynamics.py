@@ -13,8 +13,10 @@ import pytest
 
 from snlslab import dynamics, grids
 from snlslab.analysis import GROWTH_SERIES
+from snlslab.config import KINDS
 from snlslab.dynamics import (
     _TINY_PHASE,
+    RecordPlan,
     SimConfig,
     _phase_rotation,
     _StepBuffers,
@@ -404,7 +406,7 @@ def test_whole_run_matches_allocating_steps(kind, dim, sigma, size, chunk, monke
     if chunk is not None:
         monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", chunk * size * config.grid.num_cells * 16)
     run = dynamics._integrate(config, *dynamics._batch_inputs(config, u0, paths, shifts),
-                              keep_snapshots=True)
+                              RecordPlan(snapshots=True))
     want = _allocating_run(config, u0, paths, shifts)
     assert run.final.tobytes() == want[-1].tobytes()
     for i, k in enumerate(config.snapshot_steps()):
@@ -481,12 +483,13 @@ def test_snapshot_times_follow_stride():
         traj.snapshot_at(0.07)
 
 
-def test_snapshot_at_on_a_run_without_fields_says_that_evolve_keeps_them():
+def test_snapshot_at_on_a_run_without_fields_names_the_plan_that_keeps_them():
     grid = GridSpec(1, 64, 20.0)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.1, snapshot_stride=5)
     traj = evolve_batch(cfg, gaussian(grid)).trajectory(0)
     assert traj.snapshots is None
-    with pytest.raises(KeyError, match="kept no snapshot fields.*evolve keeps them"):
+    with pytest.raises(KeyError, match=r"kept no snapshot fields \(a RecordPlan with "
+                                       r"snapshots=True keeps them, as evolve's does\)"):
         traj.snapshot_at(0.0)
 
 
@@ -634,19 +637,15 @@ def test_transformed_run_at_sigma_n_2_is_the_deterministic_run(dim, sigma):
     assert lens.final.values.tobytes() == det.final.values.tobytes()
 
 
-def _run_peak_bytes(config, u0, paths, energy_budget=True, series=None):
-    """tracemalloc peak of one run, its noise paths sampled inside it:
-    evolve for a batch of one, evolve_batch for more."""
+def _run_peak_bytes(config, u0, paths, plan):
+    """tracemalloc peak of one evolve_batch run under plan, its noise
+    paths sampled inside it."""
     tracemalloc.start()
     try:
-        if paths == 1:
-            evolve(config, u0)
-        else:
-            noise = None if config.noise is None else [
-                sample_path(NoiseSpec(seed=s, phi_amplitude=0.2), config.t_end, config.dt)
-                for s in range(paths)]
-            evolve_batch(config, [u0] * paths, noise, energy_budget=energy_budget,
-                         series=series)
+        noise = None if config.noise is None else [
+            sample_path(NoiseSpec(seed=s, phi_amplitude=0.2), config.t_end, config.dt)
+            for s in range(paths)]
+        evolve_batch(config, [u0] * paths, noise, plan=plan)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -659,7 +658,7 @@ def _peak_configs(record, equation):
                       snapshot_stride=7) for t_end in (2.5, 5.0)]
 
 
-def _peaks_in_this_process(record, equation, paths, energy_budget, series):
+def _peaks_in_this_process(record, equation, paths, plan):
     """The peaks of the runs to the horizons 2.5 and 5, with one step per
     chunk, so the recorder's fixed buffers stay out of the difference.
     An untraced run of each horizon first fills the grid's cached tables
@@ -670,11 +669,11 @@ def _peaks_in_this_process(record, equation, paths, energy_budget, series):
     configs = _peak_configs(record, equation)
     u0 = gaussian(configs[0].grid, amp=1.2)
     for config in configs:
-        _run_peak_bytes(config, u0, paths, energy_budget, series)
-    return [_run_peak_bytes(config, u0, paths, energy_budget, series) for config in configs]
+        _run_peak_bytes(config, u0, paths, plan)
+    return [_run_peak_bytes(config, u0, paths, plan) for config in configs]
 
 
-def _peak_growth_per_point_and_path(record, equation, paths, energy_budget, series=None):
+def _peak_growth_per_point_and_path(record, equation, paths, plan):
     """The tracemalloc peak's growth per added partition point and path
     between the horizons 2.5 and 5, and point_bytes' count for the run.
     The peaks are taken in a fresh interpreter, so what ran before in
@@ -683,37 +682,43 @@ def _peak_growth_per_point_and_path(record, equation, paths, energy_budget, seri
     path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
                                          os.environ.get("PYTHONPATH")]))
     code = (f"import test_dynamics as t; print(*t._peaks_in_this_process("
-            f"{record!r}, {equation!r}, {paths}, {energy_budget}, {series!r}))")
+            f"{record!r}, {equation!r}, {paths}, t.{plan!r}))")
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     peaks = [int(word) for word in run.stdout.split()]
     short, long = _peak_configs(record, equation)
     growth = (peaks[1] - peaks[0]) / ((long.steps - short.steps) * paths)
-    return growth, long.point_bytes(snapshots=paths == 1, energy_budget=energy_budget), peaks
+    return growth, long.point_bytes(plan), peaks
 
 
-@pytest.mark.parametrize("paths, energy_budget", [(1, True), (4, True), (4, False)])
+@pytest.mark.parametrize("paths, plan", [
+    pytest.param(1, RecordPlan(snapshots=True), id="evolve"),
+    pytest.param(4, KINDS["simulate"].plan, id="simulate"),
+    pytest.param(4, KINDS["ensemble"].plan, id="ensemble"),
+    pytest.param(1, KINDS["scatter-test"].plan, id="scatter-test"),
+])
 @pytest.mark.parametrize("equation", ["deterministic", "snls"])
 @pytest.mark.parametrize("record", ["light", "full"])
-def test_run_memory_per_point_and_path_stays_within_the_count(record, equation, paths,
-                                                             energy_budget):
-    """The peak of a run grows by at most SimConfig.point_bytes per added
-    partition point and path, the count load_config refuses runs by; a
-    batch run as ensembles run it (energy_budget=False) within the count
-    without the energy words."""
-    growth, count, peaks = _peak_growth_per_point_and_path(record, equation, paths,
-                                                           energy_budget)
+def test_run_memory_per_point_and_path_stays_within_the_count(record, equation, paths, plan):
+    """The peak of a run grows by at most SimConfig.point_bytes(plan) per
+    added partition point and path, the count load_config refuses runs
+    by: evolve's plan on one path, the simulate and ensemble plans on a
+    batch of four, and the scatter-test plan (the mass alone and the
+    fields) on one path."""
+    growth, count, peaks = _peak_growth_per_point_and_path(record, equation, paths, plan)
     assert 0 < growth <= count, (growth, peaks)
 
 
 @pytest.mark.parametrize("equation", ["deterministic", "snls"])
-def test_growth_series_run_memory_stays_within_the_ten_series_count(equation):
-    """A batch run as growth fits run it (no energy budget, only
-    GROWTH_SERIES recorded) grows by at most point_bytes per point and
-    path, which still counts all ten series, as load_config does."""
-    growth, count, peaks = _peak_growth_per_point_and_path("full", equation, 4, False,
-                                                           GROWTH_SERIES)
+def test_growth_series_run_memory_stays_within_its_plans_count(equation):
+    """A batch run under the growth-fit plan (no energy budget, only
+    GROWTH_SERIES recorded) grows by at most point_bytes of that plan per
+    point and path, which counts its two series, not all ten."""
+    plan = KINDS["growth-fit"].plan
+    assert plan.series == GROWTH_SERIES
+    growth, count, peaks = _peak_growth_per_point_and_path("full", equation, 4, plan)
+    assert count < _peak_configs("full", equation)[1].point_bytes(KINDS["ensemble"].plan)
     assert 0 < growth <= count, (growth, peaks)
 
 

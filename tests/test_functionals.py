@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from snlslab.dynamics import SimConfig, evolve, evolve_batch
+from snlslab.dynamics import RecordPlan, SimConfig, evolve, evolve_batch
 from snlslab.functionals import (
     compute_functionals,
     ito_energy_budget,
@@ -169,10 +169,11 @@ def test_full_record_without_energy_budget_names_the_skipped_budget():
     noise = NoiseSpec(seed=5)
     cfg = SimConfig(grid, sigma=1.0, dt=1e-2, t_end=0.2, equation="snls", noise=noise)
     path = sample_path(noise, cfg.t_end, cfg.dt)
-    traj = evolve_batch(cfg, gaussian(grid), [path], energy_budget=False).trajectory(0)
+    plan = RecordPlan(energy_budget=False)
+    traj = evolve_batch(cfg, gaussian(grid), [path], plan=plan).trajectory(0)
     assert ito_mass_budget(traj).functional == "mass"
-    with pytest.raises(ValueError, match=r"kept no energy budget \(evolve_batch\(\.\.\., "
-                                         r"energy_budget=False\)") as err:
+    with pytest.raises(ValueError, match=r"kept no energy budget \(a RecordPlan with "
+                                         r"energy_budget=False, as ensembles") as err:
         ito_energy_budget(traj)
     assert "record=" not in str(err.value)
 

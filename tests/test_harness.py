@@ -707,17 +707,25 @@ def test_cli_strict_turns_warnings_into_exit_1(tmp_path, capsys):
     assert "strict mode" in captured.err
 
 
-def test_cli_numerical_failure_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("kind, text, message", [
     # |u|² of amplitude-1e200 data overflows, so the first recorded functionals are not finite
-    cfg = _write_cfg(tmp_path, SIM_TEXT.replace("initial.amplitude = 0.7",
-                                                "initial.amplitude = 1e200"))
+    ("simulate", SIM_TEXT, "non-finite functionals after step 0"),
+    # scatter-test's plan records the mass alone, even on a full record, so it
+    # forms no functional that overflows at step 0: the field fails at step 1
+    ("scatter-test", SCATTER_HEAD + "scatter.checkpoints = 0.02, 0.04, 0.06\n",
+     "non-finite field after step 1 of 60"),
+])
+def test_cli_numerical_failure_exits_2(kind, text, message, tmp_path, capsys):
+    assert "sim.record" not in text  # the default, full
+    cfg = _write_cfg(tmp_path, text.replace("initial.amplitude = 0.7",
+                                            "initial.amplitude = 1e200"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
     assert code == 2
     assert "numerical error" in captured.err
-    assert "non-finite functionals after step 0" in captured.err
+    assert message in captured.err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
