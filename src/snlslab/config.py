@@ -342,9 +342,7 @@ def _effective_alpha(noise: NoiseSpec | None) -> float:
     absent noise decays faster than any power (alpha = inf); a nonzero
     constant envelope never decays (alpha = 0).
     """
-    if noise is None or noise.phi_kind == "zero" or noise.g_kind == "zero":
-        return math.inf
-    if noise.g_kind == "indicator":
+    if noise is None or noise.phi_kind == "zero" or noise.g_kind in ("zero", "indicator"):
         return math.inf
     if noise.g_kind == "constant":
         return math.inf if noise.g_constant == 0.0 else 0.0
@@ -360,7 +358,8 @@ def _check_scatter_hypotheses(
 ) -> list[str]:
     if not scatter.theorem:
         return []
-    report = classify_regime(grid.dim, 2.0 * sim.sigma, _effective_alpha(noise))
+    alpha = _effective_alpha(noise)
+    report = classify_regime(grid.dim, 2.0 * sim.sigma, alpha)
     check = {c.name: c for c in report.checks}[scatter.theorem]
     if check.applies:
         return []
@@ -372,7 +371,7 @@ def _check_scatter_hypotheses(
         )
     if not check.decay_ok:
         reasons.append(
-            f"noise decay fails (effective alpha = {_effective_alpha(noise):g}, "
+            f"noise decay fails (effective alpha = {alpha:g}, "
             f"needs > {check.required_alpha:g})"
         )
     return [

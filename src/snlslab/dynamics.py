@@ -39,8 +39,8 @@ the energy Ito sums read it; the left half phase reads it too) for a
 chunk of steps (as many as fit in grids.BATCH_FIELD_BYTES, at least
 one), with each slot's views made once; the loop writes each new field
 straight into the recorder's next free slot. Once per chunk the
-recorder evaluates the series its RecordPlan names (a plan of the mass
-alone sums the held |u|²) and the discrete sums every kept Ito budget
+recorder evaluates the series its RecordPlan names (the mass of every
+plan sums the held |u|²) and the discrete sums every kept Ito budget
 needs (all at left endpoints) in one batched call, and after the loop
 it assembles the budgets, so a finished trajectory certifies itself
 against its noise input. Recorded values never feed back into the
@@ -93,6 +93,8 @@ __all__ = [
 ]
 
 EQUATION_KINDS = ("deterministic", "snls", "random_shifted", "transformed")
+#: the equations whose runs keep Ito budgets (the energy one as RecordPlan.keeps_energy says)
+_BUDGET_EQUATIONS = ("deterministic", "snls")
 _RECORD_MODES = ("full", "light")
 
 #: below this |θ| the rotation writes cos θ = 1, sin θ = θ without libm
@@ -198,10 +200,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RecordPlan:
-    """What a run records besides its mass budget; each config.KINDS kind
-    that runs a SimConfig carries one. series: those of the record to keep
-    (None: all), each with the bytes the whole record gives it; energy_budget:
-    keep a full record's energy Ito budget; snapshots: keep snapshot fields."""
+    """What a run records besides its monitors and (_BUDGET_EQUATIONS) its
+    mass budget; each config.KINDS kind that runs a SimConfig carries one.
+    series: those of the record to keep (None: all), each with the bytes the
+    whole record gives it; energy_budget: keep a full record's energy Ito
+    budget; snapshots: keep snapshot fields."""
 
     series: tuple[str, ...] | None = None
     energy_budget: bool = True
@@ -210,7 +213,7 @@ class RecordPlan:
     def keeps_energy(self, config: SimConfig) -> bool:
         """Whether a run of config keeps the energy budget under this plan."""
         return (self.energy_budget and config.record == "full"
-                and config.equation in ("deterministic", "snls"))
+                and config.equation in _BUDGET_EQUATIONS)
 
     def series_names(self, config: SimConfig) -> list[str]:
         """The series a run of config records, in the record's order; ValueError
@@ -598,8 +601,8 @@ class _Recorder:
     (or None) its |u|^{2σ}. ``slots[j]`` holds the views hold reads of
     slot j, made once per run: held[j], its .real and .imag, held_rho[j]
     and held_rho_sig[j] (or None). The series (the plan's) and Ito tables
-    are flat, one entry per (point, path) in that order; a plan of the
-    mass alone sums the held |u|² instead of calling functional_columns.
+    are flat, one entry per (point, path) in that order: mass the row sums
+    of the held |u|² (finish scales them), ``others`` from functional_columns.
     ``boundary``, ``tail`` (paths, points) and the kept ``snapshots`` (or
     None, (paths, points, *grid)) hold snapshot point i in column i;
     ``next_snapshot`` is the step of the next one as an int (−1 after the
@@ -640,13 +643,13 @@ class _Recorder:
                 self.energy_dots = np.empty((4, steps * size), dtype=complex)
                 self.energy_sums = np.empty((2, steps * size))
         self.series = {name: np.empty((steps + 1) * size) for name in plan.series_names(config)}
-        self.mass_only = list(self.series) == ["mass"]
+        self.others = tuple(name for name in self.series if name != "mass")
         self.checked = [name for name in self.series if name not in FRAME_UNSET[self.frame]]
         self.snapshot_steps = config.snapshot_steps()
         self.boundary, self.tail = np.empty((2, size, len(self.snapshot_steps)))
         self.snapshots = (np.empty(self.boundary.shape + grid.shape, dtype=complex)
                           if plan.snapshots else None)
-        # |u|² feeds the functionals or mass, the energy Ito sums, the unshifted left half
+        # |u|² feeds mass and the functionals, the energy Ito sums, the unshifted left half
         # phase; |u|^{2σ} (σ ≠ 1) is held only when the energy Ito sums read it
         self.chunk = batch_rows(u0.nbytes)
         self.held = np.empty((self.chunk,) + u0.shape, dtype=complex)
@@ -710,15 +713,15 @@ class _Recorder:
         vals = self.held.reshape((-1,) + grid.shape)[:self.count * size]
         rho = self.held_rho.reshape((-1,) + grid.shape)[:self.count * size]
         part = slice(first * size, stop * size)
-        if self.mass_only:
-            self.series["mass"][part] = row_sums(rho)
-        else:
+        self.series["mass"][part] = row_sums(rho)
+        if self.others:
             t = np.repeat(np.arange(first, stop) * dt, size)
             cols = functional_columns(grid, vals, t, sigma, self.frame, rho=rho,
-                                      names=tuple(self.series))
-            for name, col in self.series.items():
-                col[part] = cols[name]
-            finite = np.logical_and.reduce([np.isfinite(cols[name]) for name in self.checked])
+                                      names=self.others)
+            for name, col in cols.items():
+                self.series[name][part] = col
+            finite = np.logical_and.reduce([np.isfinite(self.series[name][part])
+                                            for name in self.checked])
             if not finite.all():  # name the earliest failing step
                 for k, row in enumerate(finite.reshape(-1, size), start=first):
                     _require_finite(row, "functionals", k, steps, dt)
@@ -757,15 +760,14 @@ class _Recorder:
         steps, dt, sigma, n, dvol = (self.steps, config.dt, config.sigma, self.grid.dim,
                                      self.grid.cell_volume)
         times = config.times()
-        if self.mass_only:
-            self.series["mass"] *= dvol
+        self.series["mass"] *= dvol
         series = {name: _frozen(col.reshape(steps + 1, size).T)
                   for name, col in self.series.items()}
         del self.series  # the flat tables are not kept through the budget
 
         budget: dict[str, np.ndarray] = {}
         zeros = _frozen(np.zeros((size, steps + 1)))
-        if config.equation in ("deterministic", "snls"):
+        if config.equation in _BUDGET_EQUATIONS:
             if self.paths is not None:
                 s1 = self.dots.reshape(steps, size)
                 s1 *= dvol

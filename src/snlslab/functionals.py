@@ -256,8 +256,9 @@ class ItoBudget:
 def _require_budget_keys(trajectory: "Trajectory", keys: tuple[str, ...], what: str) -> None:
     missing = [k for k in keys if k not in trajectory.budget]
     if missing:
+        from .dynamics import RecordPlan  # here: dynamics imports this module
         config = trajectory.config
-        if config.record == "full" and config.equation in ("deterministic", "snls"):
+        if RecordPlan().keeps_energy(config):
             cause = ("its run kept no energy budget (a RecordPlan with energy_budget=False, "
                      "as ensembles, growth fits and scatter tests run)")
         else:

@@ -201,8 +201,12 @@ class GridSpec:
 
         return self._cached("_k_squared", build)
 
+    def free_phase(self, t: float) -> np.ndarray:
+        """e^{i t |k|²}, the free flow S(t)'s Fourier multiplier, as a fresh array."""
+        return np.exp(1j * t * self.k_squared())
+
     def propagator(self, dt: float) -> np.ndarray:
-        """The free propagator's Fourier multiplier e^{i dt |k|²}, read-only.
+        """free_phase(dt), read-only.
 
         Only the last dt's array is kept: a run that steps with one dt
         builds it once, and a new dt replaces it.
@@ -210,7 +214,7 @@ class GridSpec:
         kept = self.__dict__.get("_propagator")
         if kept is not None and kept[0] == dt:
             return kept[1]
-        arr = np.exp(1j * dt * self.k_squared())
+        arr = self.free_phase(dt)
         arr.flags.writeable = False
         object.__setattr__(self, "_propagator", (dt, arr))
         return arr

@@ -219,12 +219,9 @@ class NoisePath:
     def steps(self) -> int:
         return len(self.increments)
 
-    def left_times(self) -> np.ndarray:
-        return self.dt * np.arange(self.steps)
-
     def g_at_left(self) -> np.ndarray:
         """Envelope at the left partition points (the Ito evaluation points)."""
-        return _g_values(self.spec, self.left_times())
+        return _g_values(self.spec, self.dt * np.arange(self.steps))
 
     def index_of(self, t: float) -> int:
         """Partition index of an on-partition time no later than t_inf."""
@@ -300,7 +297,6 @@ def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterat
     step skips only when every path weights it by zero; a zero-weight row
     then adds exact zeros, which leave its sum unchanged.
     """
-    k2 = grid.k_squared()
     dt = paths[0].dt
     acc = np.zeros((len(paths),) + grid.shape, dtype=np.complex128)
     term = np.empty_like(acc)
@@ -316,7 +312,7 @@ def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterat
         weights = weights.reshape(weights.shape + (1,) * grid.dim)
         for k, w, on in zip(block, weights, live):
             if on:
-                acc += np.multiply(np.exp(-1j * (k * dt) * k2), w, out=term)
+                acc += np.multiply(grid.free_phase(-(k * dt)), w, out=term)
             yield acc
 
 
@@ -325,7 +321,7 @@ def _propagated_sum(path: NoisePath, phi: Field, ks: range, t: float, sign: comp
     grid = phi.grid
     for acc in _noise_scan([path], grid, ks):
         pass  # keep the last sum
-    vals = sign * grid.ifft(np.exp(1j * t * grid.k_squared()) * (acc[0] * phi.spectrum()))
+    vals = sign * grid.ifft(grid.free_phase(t) * (acc[0] * phi.spectrum()))
     return Field(grid, vals)
 
 
@@ -345,14 +341,13 @@ def convolution_series(path: NoisePath, phi: Field) -> list[Field]:
     One running Fourier accumulator; cost is one inverse FFT per output.
     """
     grid = phi.grid
-    k2 = grid.k_squared()
     hat = phi.spectrum()
     scan = _noise_scan([path], grid, range(path.steps))
     next(scan)  # z(0) is the empty sum
     out = [Field.zeros(grid)]
     for m, acc in enumerate(scan, start=1):
         t = m * path.dt
-        out.append(Field(grid, 1j * grid.ifft(np.exp(1j * t * k2) * (acc[0] * hat))))
+        out.append(Field(grid, 1j * grid.ifft(grid.free_phase(t) * (acc[0] * hat))))
     return out
 
 
@@ -370,10 +365,9 @@ def _tail_sups(paths: Sequence[NoisePath], phi: Field, p_space: float,
     the max. Other p take the W^{1,p} norms of all rows in one batch.
     """
     grid = phi.grid
-    k2 = grid.k_squared()
     hat = phi.spectrum()
     dt, steps = paths[0].dt, paths[0].steps
-    weight = 1.0 + k2
+    weight = 1.0 + grid.k_squared()
     want = range(steps + 1) if idx is None else [int(m) for m in idx]
     low = min(want)
     kept = dict.fromkeys(want)  # partition index -> the running sup there
@@ -389,7 +383,7 @@ def _tail_sups(paths: Sequence[NoisePath], phi: Field, p_space: float,
             power *= weight
             value = row_sums(power)
         else:
-            vals = -1j * grid.ifft(np.exp(1j * (m * dt) * k2) * z_hat)
+            vals = -1j * grid.ifft(grid.free_phase(m * dt) * z_hat)
             value = sobolev_row_norms(grid, vals, p_space)
         np.maximum(sup, value, out=sup)
         if m in kept:

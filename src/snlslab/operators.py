@@ -3,7 +3,7 @@
 Conventions, fixed once here and relied on everywhere else:
 
 * propagate(u, t) applies the Fourier multiplier exp(+i t |k|^2), the
-  flow of  i u_t - Lap u = 0.
+  flow of  i u_t - Lap u = 0, as GridSpec.free_phase(t) forms it.
 * modulate(u, theta) multiplies by exp(i theta |x|^2 / 4).
 * dilate(u, beta) is a pure relabelling: same samples times beta^{dim/2}
   on a grid with box length L/beta.
@@ -37,8 +37,7 @@ def propagate(field: Field, t: float) -> Field:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
-    hat = field.spectrum()
-    hat = hat * np.exp(1j * t * field.grid.k_squared())
+    hat = field.spectrum() * field.grid.free_phase(t)
     return Field(field.grid, field.grid.ifft(hat))
 
 

@@ -233,3 +233,7 @@ def test_growth_fit_validation():
         growth_fit([traj, traj], [1.0, 2.0, 3.0], min_paths=2)
     with pytest.raises(ValueError, match="horizon"):
         growth_fit([traj, traj], [4.0, 8.0, 16.0], min_paths=2)
+    # a transformed-frame or light record carries NaN pc_energy
+    unset = _FakeTraj(times, {"pc_energy": np.full(101, math.nan)})
+    with pytest.raises(ValueError, match="pc_energy series contains non-finite entries"):
+        growth_fit([traj, unset], [1.0, 2.0, 4.0], min_paths=2)

@@ -529,9 +529,9 @@ def test_non_finite_field_fails_at_its_step_after_recording_the_steps_before(
     assert str(err) == (f"non-finite field after step {k} of {cfg.steps} (t={k * cfg.dt:.6g}) "
                         f"in path {p} of the batch; the run was aborted")
     clean = _batch(kind, 1, [0, 1, 2])
-    scale = cfg.grid.cell_volume if cfg.record == "light" else 1.0  # finish scales light mass
     for name, col in clean.series.items():
         want = col.T.ravel()[:k * 3]
+        scale = cfg.grid.cell_volume if name == "mass" else 1.0  # finish scales mass
         assert (rec.series[name][:k * 3] * scale).tobytes() == want.tobytes(), name
 
 
@@ -724,6 +724,24 @@ def test_ensemble_error_names_failing_path(monkeypatch, workers):
     # so the recorded functionals fail one step before the field would
     with pytest.raises(EnsembleError,
                        match=r"path 5 failed: non-finite functionals after step 4 of 20 "):
+        run_ensemble(config)
+
+
+def test_ensemble_error_outside_one_row_names_the_batch_first_path(monkeypatch):
+    """An error that is no PathError is not tied to a row: it names the
+    first path of its batch, here path 4 of the batch of paths 4 and 5."""
+    config = load_config(text=ENSEMBLE_TEXT)
+    doomed = ensemble.with_path_seed(config, 5).noise
+    real = ensemble.sample_path
+
+    def sampler(spec, t_inf, dt):
+        if spec == doomed:
+            raise ValueError("no path for this seed")
+        return real(spec, t_inf, dt)
+
+    monkeypatch.setattr(ensemble, "sample_path", sampler)
+    monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 2 * 16 * config.grid.num_cells)
+    with pytest.raises(EnsembleError, match=r"^path 4 failed: no path for this seed$"):
         run_ensemble(config)
 
 

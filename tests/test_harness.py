@@ -22,6 +22,7 @@ from snlslab.analysis import GROWTH_FIT_PATHS, classify_regime, growth_fit
 from snlslab.cli import main
 from snlslab.config import (
     ConfigError,
+    _effective_alpha,
     load_config,
     make_initial,
     parse_config_text,
@@ -306,6 +307,32 @@ def test_scatter_window_failure_is_named():
     ).replace("noise.g_kind = constant", "noise.g_kind = power_law")
     config = load_config(text=text)
     assert any("window fails" in w for w in config.warnings)
+
+
+@pytest.mark.parametrize("g_kind, warned", [("power_law", True), ("indicator", False),
+                                             ("zero", False)])
+def test_scatter_theorem_that_applies_warns_of_nothing(g_kind, warned):
+    # at dim 1 and 2*sigma = 4, h1_scattering's window holds and it needs alpha > 1:
+    # g_alpha = 0.5 fails a power law, while indicator and zero envelopes decay at once
+    text = (SCATTER_THEOREM_TEXT.replace("sim.sigma = 1.0", "sim.sigma = 2.0")
+            .replace("noise.g_kind = constant", f"noise.g_kind = {g_kind}\nnoise.g_alpha = 0.5")
+            .replace("sigma_scattering", "h1_scattering"))
+    warnings = load_config(text=text).warnings
+    assert bool(warnings) == warned
+    if warned:
+        assert "effective alpha = 0.5, needs > 1" in warnings[0]
+    else:
+        assert load_config(text=text, strict=True).warnings == ()
+
+
+def test_effective_alpha_of_each_envelope():
+    assert _effective_alpha(None) == math.inf
+    assert _effective_alpha(NoiseSpec(phi_kind="zero", g_kind="power_law")) == math.inf
+    for g_kind in ("zero", "indicator"):
+        assert _effective_alpha(NoiseSpec(g_kind=g_kind, g_alpha=0.5)) == math.inf
+    assert _effective_alpha(NoiseSpec(g_kind="constant", g_constant=0.0)) == math.inf
+    assert _effective_alpha(NoiseSpec(g_kind="constant")) == 0.0
+    assert _effective_alpha(NoiseSpec(g_kind="power_law", g_alpha=0.5)) == 0.5
 
 
 def test_scatter_theorem_accepts_every_name_classify_regime_checks():
@@ -673,6 +700,21 @@ def test_cli_regimes_smoke(tmp_path, capsys):
     assert code == 0
     summary = (out / "summary.txt").read_text()
     assert "class" in summary and "sigma_scattering" in summary
+
+
+def test_cli_regimes_names_a_theorem_that_needs_small_data(tmp_path):
+    # at dim 1 and 2*sigma = 4, sigma_scattering applies for small data only
+    cfg = _write_cfg(
+        tmp_path,
+        "experiment.kind = regimes\nregimes.dim = 1\n"
+        "regimes.two_sigma = 4.0\nregimes.alpha = 3.0\n",
+    )
+    out = tmp_path / "rg"
+    assert main(["regimes", "--config", str(cfg), "--out", str(out)]) == 0
+    verdicts = dict(line.split(None, 1) for line in (out / "summary.txt").read_text().splitlines()
+                    if line.split(None, 1)[0] in ("sigma_scattering", "h1_scattering"))
+    assert verdicts == {"sigma_scattering": "applies (small data required)",
+                        "h1_scattering": "applies"}
 
 
 @pytest.mark.parametrize(

@@ -264,6 +264,10 @@ def test_tail_decay_fit_window_validation():
         tail_decay_fit(paths, phi, fit_window=(0.5, 4.0))
     with pytest.raises(ValueError, match="zero envelope"):
         tail_decay_fit([sample_path(NoiseSpec(g_kind="zero"), 8.0, 0.1)], phi)
+    # an indicator envelope that ends before the window [1, 4] leaves no tail there
+    early = NoiseSpec(g_kind="indicator", g_t0=0.0, g_t1=0.5)
+    with pytest.raises(ValueError, match="tail sup-norm vanished inside the fit window"):
+        tail_decay_fit([sample_path(early, 8.0, 0.1)], make_phi(early, grid))
 
 
 # -- pinned outputs of the Fourier noise scan -------------------------------
