@@ -434,8 +434,9 @@ def load_config(
 
     Exactly one of ``path`` or ``text`` must be given. ``overrides``
     maps schema keys to replacement values (the CLI routes --seed,
-    --workers, --out through it); overridden values participate in the
-    canonical echo and therefore in the config hash. With ``strict``
+    --workers, --out through it), typed by the rule that types config
+    text; overridden values participate in the canonical echo and
+    therefore in the config hash. With ``strict``
     any hypothesis warning becomes a hard error.
     """
     if (path is None) == (text is None):
@@ -452,7 +453,8 @@ def load_config(
     for key, val in (overrides or {}).items():
         if key not in _SCHEMA:
             raise ConfigError(f"{key}: unknown override key")
-        values[key] = val
+        raw = ",".join(map(str, val)) if isinstance(val, (tuple, list)) else str(val)
+        values[key] = _convert(key, raw)  # typed as config text is, so echo, hash and run agree
 
     name = values.get("experiment.kind")
     if name is None:

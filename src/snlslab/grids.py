@@ -11,6 +11,7 @@ recorder chunk, tail-fit chunk, noise-scan weight block) is sized by
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,12 +50,34 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _kept(method: Callable) -> Callable:
+    """A zero-argument GridSpec method whose value (an array or a tuple of
+    arrays) is built on the first call, made read-only and kept in the
+    instance __dict__ under _<name> for every later call."""
+    slot = "_" + method.__name__
+
+    @functools.wraps(method)
+    def kept(self: GridSpec):
+        try:
+            return self.__dict__[slot]
+        except KeyError:
+            value = method(self)
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            object.__setattr__(self, slot, value)
+            return value
+
+    return kept
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [-L/2, L/2)^dim.
 
-    Derived arrays (coordinates, frequencies, multipliers) are cached on
-    first use; they are not dataclass fields, so equality and hashing see
+    Its fixed geometry (coordinates, frequencies, |k|², |x|², the ∂
+    symbols, the monitor masks) is kept by ``_kept``: built on first use,
+    read-only, never rebuilt. ``propagator`` keeps one slot, the last dt's
+    multiplier. Neither is a dataclass field, so equality and hashing see
     only (dim, points, box_length).
     """
 
@@ -150,56 +173,40 @@ class GridSpec:
 
         return transform
 
-    # -- cached arrays -----------------------------------------------------
+    # -- kept geometry (see _kept) and the free-flow multiplier -----------
 
-    def _cached(self, name: str, build: Callable[[], np.ndarray]) -> np.ndarray:
-        try:
-            return self.__dict__[name]
-        except KeyError:
-            arr = build()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-            return arr
-
+    @_kept
     def axis_coords(self) -> np.ndarray:
         """Sample points of one axis: -L/2 + j*dx for j = 0..N-1."""
-        return self._cached(
-            "_axis_coords",
-            lambda: -0.5 * self.box_length + self.dx * np.arange(self.points),
-        )
+        return -0.5 * self.box_length + self.dx * np.arange(self.points)
 
+    @_kept
     def axis_freqs(self) -> np.ndarray:
         """One axis of frequencies, standard DFT layout scaled by 2*pi/L."""
-        return self._cached(
-            "_axis_freqs",
-            lambda: 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx),
-        )
+        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
 
-    def _broadcast(self, axis_values: np.ndarray, axis: int) -> np.ndarray:
-        shape = [1] * self.dim
-        shape[axis] = self.points
-        return axis_values.reshape(shape)
+    def _broadcast(self, axis_values: np.ndarray) -> tuple[np.ndarray, ...]:
+        """axis_values laid along each grid axis in turn, as broadcastable views."""
+        return tuple(axis_values.reshape((1,) * axis + (self.points,) + (1,) * (self.dim - 1 - axis))
+                     for axis in range(self.dim))
 
+    @_kept
     def coords(self) -> tuple[np.ndarray, ...]:
         """Broadcastable coordinate arrays, one per axis."""
-        x = self.axis_coords()
-        return tuple(self._broadcast(x, a) for a in range(self.dim))
+        return self._broadcast(self.axis_coords())
 
+    @_kept
     def freqs(self) -> tuple[np.ndarray, ...]:
         """Broadcastable frequency arrays, one per axis."""
-        k = self.axis_freqs()
-        return tuple(self._broadcast(k, a) for a in range(self.dim))
+        return self._broadcast(self.axis_freqs())
 
+    @_kept
     def k_squared(self) -> np.ndarray:
         """|k|^2 on the full grid (Laplacian symbol up to sign)."""
-
-        def build() -> np.ndarray:
-            out = np.zeros(self.shape)
-            for k in self.freqs():
-                out = out + k**2
-            return out
-
-        return self._cached("_k_squared", build)
+        out = np.zeros(self.shape)
+        for k in self.freqs():
+            out = out + k**2
+        return out
 
     def free_phase(self, t: float) -> np.ndarray:
         """e^{i t |k|²}, the free flow S(t)'s Fourier multiplier, as a fresh array."""
@@ -219,44 +226,35 @@ class GridSpec:
         object.__setattr__(self, "_propagator", (dt, arr))
         return arr
 
+    @_kept
     def radius_squared(self) -> np.ndarray:
         """|x|^2 on the full grid."""
+        out = np.zeros(self.shape)
+        for x in self.coords():
+            out = out + x**2
+        return out
 
-        def build() -> np.ndarray:
-            out = np.zeros(self.shape)
-            for x in self.coords():
-                out = out + x**2
-            return out
-
-        return self._cached("_radius_squared", build)
-
+    @_kept
     def derivative_symbols(self) -> tuple[np.ndarray, ...]:
         """Broadcastable 1j*k arrays, one per axis: the symbols of ∂_j."""
-        ik = self._cached("_axis_ik", lambda: 1j * self.axis_freqs())
-        return tuple(self._broadcast(ik, a) for a in range(self.dim))
+        return self._broadcast(1j * self.axis_freqs())
 
+    @_kept
     def outside_half_box(self) -> np.ndarray:
         """Points outside the centred half-box [-L/4, L/4]^dim."""
+        inside = np.ones(self.shape, dtype=bool)
+        for x in self.coords():
+            inside = inside & (np.abs(x) <= self.box_length / 4.0)
+        return ~inside
 
-        def build() -> np.ndarray:
-            inside = np.ones(self.shape, dtype=bool)
-            for x in self.coords():
-                inside = inside & (np.abs(x) <= self.box_length / 4.0)
-            return ~inside
-
-        return self._cached("_outside_half_box", build)
-
+    @_kept
     def outer_frequencies(self) -> np.ndarray:
         """Frequencies with some |k_j| above two thirds of the axis Nyquist."""
-
-        def build() -> np.ndarray:
-            cutoff = (2.0 / 3.0) * np.pi / self.dx
-            outer = np.zeros(self.shape, dtype=bool)
-            for k in self.freqs():
-                outer = outer | (np.abs(k) > cutoff)
-            return outer
-
-        return self._cached("_outer_frequencies", build)
+        cutoff = (2.0 / 3.0) * np.pi / self.dx
+        outer = np.zeros(self.shape, dtype=bool)
+        for k in self.freqs():
+            outer = outer | (np.abs(k) > cutoff)
+        return outer
 
 
 @dataclass(frozen=True, eq=False)

@@ -123,7 +123,7 @@ def make_phi(spec: NoiseSpec, grid: GridSpec) -> Field:
     vals = spec.phi_amplitude * np.exp(-r2 / (2.0 * spec.phi_width**2))
     if spec.phi_kind == "gaussian_times_poly":
         vals = vals * (grid.coords()[0] - spec.phi_center) / spec.phi_width
-    return Field(grid, np.broadcast_to(vals, grid.shape))
+    return Field(grid, vals)
 
 
 def g_value(spec: NoiseSpec, t: float) -> float:
@@ -292,19 +292,18 @@ def _noise_scan(paths: Sequence[NoisePath], grid: GridSpec, ks: range) -> Iterat
     Each step writes its term into one ``term`` buffer allocated with the
     accumulator. The weights g(t_k) dB_k are built for one block of
     consecutive steps (a grids.batches block of (paths,) float rows) at a
-    time, with paths[0]'s g (every path's, as the paths differ only in
-    seed) evaluated once per block, never as a (steps, paths) table. A
-    step skips only when every path weights it by zero; a zero-weight row
-    then adds exact zeros, which leave its sum unchanged.
+    time, never as a (steps, paths) table; g is paths[0].g_at_left(), read
+    once per scan (the paths differ only in seed). A step skips only when
+    every path weights it by zero; a zero-weight row adds exact zeros.
     """
-    dt = paths[0].dt
+    dt, g_left = paths[0].dt, paths[0].g_at_left()
     acc = np.zeros((len(paths),) + grid.shape, dtype=np.complex128)
     term = np.empty_like(acc)
     yield acc
     for lo, hi in batches(len(ks), 8 * len(paths)):
         block = ks[lo:hi]
         kk = np.arange(block.start, block.stop, block.step)
-        g = _g_values(paths[0].spec, dt * kk)
+        g = g_left[kk]
         weights = np.empty((len(kk), len(paths)))
         for j, path in enumerate(paths):
             np.multiply(g, path.increments[kk], out=weights[:, j])

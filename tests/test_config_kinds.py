@@ -302,6 +302,32 @@ def test_tiny_transcripts_are_pinned(name, tmp_path):
     assert digests == TINY_TRANSCRIPTS[name]
 
 
+@pytest.mark.parametrize("name, key, value, text", [
+    ("simulate", "sim.t_end", 2, "2"),
+    ("simulate", "sim.snapshot_stride", 4, "4"),
+    ("ensemble", "noise.seed", 12, "12"),
+    ("ensemble", "noise.phi_amplitude", 1, "1"),
+    ("scatter-test", "scatter.checkpoints", (0.01, 0.02, 0.03), "0.01, 0.02, 0.03"),
+    ("growth-fit", "growth.tau_grid", [0.04, 0.08, 0.16], "0.04,0.08,0.16"),
+])
+def test_an_override_loads_as_the_same_config_text_does(name, key, value, text):
+    values = _parse(TINY[name])
+    values[key] = text
+    written = load_config(text=_render(values))
+    overridden = load_config(text=TINY[name], overrides={key: value})
+    assert overridden.echo() == written.echo()
+    assert overridden.config_hash == written.config_hash
+
+
+@pytest.mark.parametrize("key, value", [
+    ("noise.seed", 7.9), ("sim.snapshot_stride", 2.5), ("ensemble.size", True),
+    ("sim.t_end", "soon"), ("sim.t_end", True),
+])
+def test_an_override_its_key_cannot_take_is_refused_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: cannot parse"):
+        load_config(text=TINY["ensemble"], overrides={key: value})
+
+
 def test_subcommands_offer_the_override_flags_their_kinds_read():
     """--seed and --workers exist only where noise.seed and ensemble.workers
     are read; a flag a kind does not read is refused as usage (exit 1)."""

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snlslab import noise
+from snlslab import grids, noise
 from snlslab.grids import Field, GridSpec, batches, row_sums
 from snlslab.noise import (
     NoiseSpec,
@@ -104,6 +104,26 @@ def test_scan_accumulators_match_forwards_and_backwards(setup):
         assert len(got) == len(want) == len(ks) + 1
         for a, b in zip(got, want):
             _same(a, b)
+
+
+@pytest.mark.parametrize("spec", [SPEC, replace(SPEC, g_kind="indicator", g_t0=0.1, g_t1=0.25)],
+                         ids=["power_law", "indicator"])
+def test_scan_in_small_blocks_and_with_zero_weights_matches(setup, spec, monkeypatch):
+    """Blocks of three steps, so the envelope is read at several block
+    offsets both ways; the indicator's zero weights take the skip."""
+    grid = setup[0]
+    paths = [sample_path(replace(spec, seed=seed), T_INF, DT) for seed in (7, 8)]
+    monkeypatch.setattr(grids, "BATCH_FIELD_BYTES", 3 * 8 * len(paths))
+    steps = paths[0].steps
+    assert len(batches(steps, 8 * len(paths))) == 3
+    for ks in (range(steps), range(steps - 1, -1, -1), range(1, steps - 1)):
+        got = [acc.copy() for acc in noise._noise_scan(paths, grid, ks)]
+        want = _parent_scan(paths, grid, ks)
+        assert len(got) == len(want) == len(ks) + 1
+        for a, b in zip(got, want):
+            _same(a, b)
+    if spec.g_kind == "indicator":
+        assert np.flatnonzero(paths[0].g_at_left() == 0.0).tolist() == [0, 1, 5, 6, 7]
 
 
 @pytest.mark.parametrize("p_space", [2.0, 3.0])

@@ -150,6 +150,81 @@ def test_propagator_is_the_exp_and_keeps_only_the_last_dt(dim):
     assert grid.propagator(2.5e-3) is again
 
 
+def _parent_axis_coords(grid):
+    return -0.5 * grid.box_length + grid.dx * np.arange(grid.points)
+
+
+def _parent_axis_freqs(grid):
+    return 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.dx)
+
+
+def _parent_broadcast(grid, axis_values, axis):
+    shape = [1] * grid.dim
+    shape[axis] = grid.points
+    return axis_values.reshape(shape)
+
+
+def _parent_coords(grid):
+    return tuple(_parent_broadcast(grid, _parent_axis_coords(grid), a) for a in range(grid.dim))
+
+
+def _parent_freqs(grid):
+    return tuple(_parent_broadcast(grid, _parent_axis_freqs(grid), a) for a in range(grid.dim))
+
+
+def _parent_sum_of_squares(grid, parts):
+    out = np.zeros(grid.shape)
+    for part in parts:
+        out = out + part**2
+    return out
+
+
+def _parent_outside_half_box(grid):
+    inside = np.ones(grid.shape, dtype=bool)
+    for x in _parent_coords(grid):
+        inside = inside & (np.abs(x) <= grid.box_length / 4.0)
+    return ~inside
+
+
+def _parent_outer_frequencies(grid):
+    cutoff = (2.0 / 3.0) * np.pi / grid.dx
+    outer = np.zeros(grid.shape, dtype=bool)
+    for k in _parent_freqs(grid):
+        outer = outer | (np.abs(k) > cutoff)
+    return outer
+
+
+# each kept GridSpec method and the build it had before the keeping rule
+PARENT_BUILDS = {
+    "axis_coords": _parent_axis_coords,
+    "axis_freqs": _parent_axis_freqs,
+    "coords": _parent_coords,
+    "freqs": _parent_freqs,
+    "k_squared": lambda grid: _parent_sum_of_squares(grid, _parent_freqs(grid)),
+    "radius_squared": lambda grid: _parent_sum_of_squares(grid, _parent_coords(grid)),
+    "derivative_symbols": lambda grid: tuple(_parent_broadcast(grid, 1j * _parent_axis_freqs(grid), a)
+                                             for a in range(grid.dim)),
+    "outside_half_box": _parent_outside_half_box,
+    "outer_frequencies": _parent_outer_frequencies,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_BUILDS))
+@pytest.mark.parametrize("grid", [GridSpec(1, 2048, 16.0), GridSpec(2, 64, 12.0), GridSpec(3, 8, 7.0)],
+                         ids=lambda grid: f"dim{grid.dim}")
+def test_kept_geometry_has_the_parent_bytes_read_only_and_built_once(grid, name):
+    got = getattr(grid, name)()
+    want = PARENT_BUILDS[name](grid)
+    arrays = got if isinstance(got, tuple) else (got,)
+    wanted = want if isinstance(want, tuple) else (want,)
+    assert type(got) is type(want) and len(arrays) == len(wanted)
+    for a, b in zip(arrays, wanted):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    assert getattr(grid, name)() is got  # kept: a second call builds nothing
+    assert grid.__dict__[f"_{name}"] is got
+
+
 def test_radius_squared_matches_coords():
     grid = GridSpec(2, 16, 8.0)
     xs = grid.coords()
