@@ -14,10 +14,10 @@ Conventions used throughout:
   so (2, inf) is the sup-in-time L^2 norm. Admissibility means
   2/q = n(1/2 - 1/p) with the single forbidden triple (p, q, n) =
   (inf, 2, 2).
-* Decay envelopes are the power-law family (1+t)^{-alpha}; the
-  little-o hypotheses of the scattering statements translate to the
-  strict thresholds alpha > 5/2 (L^2 and weighted-space scattering)
-  and alpha > 1 (H^1 scattering).
+* Decay envelopes are the power-law family <t>^{-alpha} = (1+t^2)^{-alpha/2}
+  (noise.NoiseSpec); the little-o hypotheses of the scattering statements
+  translate to the strict thresholds alpha > 5/2 (L^2 and weighted-space
+  scattering) and alpha > 1 (H^1 scattering).
 """
 from __future__ import annotations
 

@@ -41,16 +41,17 @@ one), with each slot's views made once; the loop writes each new field
 straight into the recorder's next free slot. Once per chunk the
 recorder evaluates the series its RecordPlan names (the mass of every
 plan sums the held |u|²) and the discrete sums every kept Ito budget
-needs (all at left endpoints) in one batched call, and after the loop
-it assembles the budgets, so a finished trajectory certifies itself
-against its noise input. Recorded values never feed back into the
-step, so waiting for the chunk changes no number. Every grid sum is
-taken row by row over C-contiguous rows, so a path's numbers do not
-depend on its batch. The check that every new field is finite is read
-off the |u|² the recorder holds anyway: one total over the batch, and
-the exact per-row check only when that total is not finite. At the
-points of SimConfig.snapshot_steps() it writes every path's monitors, and
-its field if the plan keeps it (evolve's does), into preallocated arrays.
+needs (all at left endpoints) in one batched call, into the (paths,
+points) tables the run returns; after the loop it assembles the budgets,
+so a finished trajectory certifies itself against its noise input.
+Recorded values never feed back into the step, so waiting for the chunk
+changes no number. Every grid sum is taken row by row over C-contiguous
+rows, so a path's numbers do not depend on its batch. The check that
+every new field is finite is read off the |u|² the recorder holds
+anyway: one total over the batch, and the exact per-row check only when
+that total is not finite. At the points of SimConfig.snapshot_steps() it
+writes every path's monitors, and its field if the plan keeps it
+(evolve's does), into preallocated arrays.
 """
 from __future__ import annotations
 
@@ -174,18 +175,19 @@ class SimConfig:
     def point_bytes(self, plan: RecordPlan) -> int:
         """Bytes a run under plan allocates per partition point and path, at most.
 
-        In float64 words: each of its series twice (the recorder's table
-        and the run's row-major copy), the times and budgets with their
-        temporaries (4), the transformed equation's two weight tables and
-        theirs (4); with noise the increments and their stacked copy (2),
-        the complex kick table and its real factor (3), the complex Ito dot
-        table (2), the mass budget's temporaries and envelope tables (6);
-        with the energy Ito sums (snls, if the plan keeps them) the four
-        complex dot and two sum tables (10) and the energy budget's
-        temporaries (8). Per-step tables count per path, as a batch of one
-        pays them. At each snapshot point the monitors take two floats per
-        path, and the point's step and time two more (32 bytes), and a kept
-        snapshot field 16 per cell.
+        In float64 words: each of its series twice (its (paths, steps+1)
+        table, and room for the transients of the chunk loop and finish, which
+        the tracemalloc tests need: evolve's full deterministic run peaks at
+        253 of 270 bytes), the times and budgets with their temporaries (4),
+        the transformed equation's two weight tables and theirs (4); with
+        noise the increments and their stacked copy (2), the complex kick
+        table and its real factor (3), the Ito dot table's ⟨u,φ⟩ row (2), the
+        mass budget's temporaries and envelope tables (6); with the energy Ito
+        sums (snls, if the plan keeps them) the dot table's four energy rows
+        and the two sum rows (10), the energy budget's temporaries (8).
+        Per-step tables count per path, as a batch of one pays them. At each
+        snapshot point the monitors take two floats per path, and the point's
+        step and time two more (32 bytes), and a kept field 16 per cell.
         """
         words = 2 * len(plan.series_names(self)) + 4
         if self.equation == "transformed":
@@ -286,11 +288,12 @@ class PathError(RuntimeError):
 class BatchRun:
     """Finished runs of a batch of paths that share one config.
 
-    Row p of every per-path array belongs to path p: series and budget
-    arrays have shape (paths, steps+1), the monitor fractions
-    (paths, points) against the shared ``monitors["times"]`` (the
-    config's snapshot_steps()), ``final`` (paths, *grid) and
-    ``snapshots``, None unless the fields were kept, (paths, points, *grid).
+    Row p of every per-path array belongs to path p: series (the
+    recorder's own tables) and budget arrays have shape (paths, steps+1),
+    the monitor fractions (paths, points) against the shared
+    ``monitors["times"]`` (the config's snapshot_steps()), ``final``
+    (paths, *grid) and ``snapshots``, None unless the fields were kept,
+    (paths, points, *grid).
     """
 
     config: SimConfig
@@ -595,22 +598,22 @@ class _Recorder:
     """Records one _integrate run a chunk of steps at a time, takes its
     snapshot monitors and assembles its budgets and BatchRun.
 
-    ``held`` is (chunk, paths, *grid), chunk = batch_rows(batch bytes)
-    with the cap read at run time; held[j] is the field at
-    partition point first + j, ``held_rho`` its |u|² and ``held_rho_sig``
-    (or None) its |u|^{2σ}. ``slots[j]`` holds the views hold reads of
-    slot j, made once per run: held[j], its .real and .imag, held_rho[j]
-    and held_rho_sig[j] (or None). The series (the plan's) and Ito tables
-    are flat, one entry per (point, path) in that order: mass the row sums
-    of the held |u|² (finish scales them), ``others`` from functional_columns.
-    ``boundary``, ``tail`` (paths, points) and the kept ``snapshots`` (or
-    None, (paths, points, *grid)) hold snapshot point i in column i;
+    ``held`` is (chunk, paths, *grid), chunk = batch_rows(batch bytes) with
+    the cap read at run time; held[j] is the field at partition point
+    first + j, ``held_rho`` its |u|² and ``held_rho_sig`` (or None) its
+    |u|^{2σ}. ``slots[j]`` holds the views hold reads of slot j, made once per
+    run: held[j], its .real and .imag, held_rho[j] and held_rho_sig[j] (or
+    None). Every table is (…, paths, points) as BatchRun returns it, written
+    by _put: the plan's series (mass the row sums of the held |u|², ``others``
+    from functional_columns), the Ito tables ``dots`` (⟨u,φ⟩, then the energy
+    sums' four dots) and ``sums`` (their two real sums); finish scales them in
+    place. ``boundary``, ``tail`` (paths, points) and the kept ``snapshots``
+    (or None, (paths, points, *grid)) hold snapshot point i in column i;
     ``next_snapshot`` is the step of the next one as an int (−1 after the
-    last), so a step compares two ints.
-    hold reads the check that a field is finite off the |u|² it holds.
-    Failures keep the order of a step-by-step record: check flushes the
-    held steps before it raises for a field, and flush checks a chunk's
-    functionals earliest step first.
+    last), so a step compares two ints. hold reads the check that a field is
+    finite off the |u|² it holds. Failures keep the order of a step-by-step
+    record: check flushes the held steps before it raises for a field, and
+    flush checks a chunk's functionals earliest step first.
     """
 
     def __init__(self, config: SimConfig, u0: np.ndarray, paths: tuple[NoisePath, ...] | None,
@@ -630,7 +633,6 @@ class _Recorder:
             self.cw_phi = phi.values.conj()
             self.phi_sq = phi.values.real**2 + phi.values.imag**2
             self.norm_phi_sq = float(self.phi_sq.sum()) * dvol
-            self.dots = np.empty(steps * size, dtype=complex)
             if self.track_energy:
                 grads_phi = [g.values for g in gradient(phi)]
                 xgrad_phi = sum(x_j * gp for x_j, gp in zip(grid.coords(), grads_phi))
@@ -640,9 +642,9 @@ class _Recorder:
                 self.a = (float((grid.radius_squared() * self.phi_sq).sum()) * dvol,
                           float((phi.values * self.cw_energy[1]).imag.sum()) * dvol,
                           sum(float((gp.real**2 + gp.imag**2).sum()) for gp in grads_phi) * dvol)
-                self.energy_dots = np.empty((4, steps * size), dtype=complex)
-                self.energy_sums = np.empty((2, steps * size))
-        self.series = {name: np.empty((steps + 1) * size) for name in plan.series_names(config)}
+                self.sums = np.empty((2, size, steps))
+            self.dots = np.empty((5 if self.track_energy else 1, size, steps), dtype=complex)
+        self.series = {name: np.empty((size, steps + 1)) for name in plan.series_names(config)}
         self.others = tuple(name for name in self.series if name != "mass")
         self.checked = [name for name in self.series if name not in FRAME_UNSET[self.frame]]
         self.snapshot_steps = config.snapshot_steps()
@@ -703,6 +705,10 @@ class _Recorder:
             self.flush()
             _require_finite(finite, "field", k, self.steps, self.config.dt)
 
+    def _put(self, table: np.ndarray, sums: np.ndarray) -> None:
+        """Write row sums, held step-major, into columns first, first + 1, ... of table."""
+        table[:, self.first:self.first + len(sums) // self.size] = sums.reshape(-1, self.size).T
+
     def flush(self) -> None:
         """Record the held steps as one batch of contiguous rows; empty the buffers."""
         if not self.count:
@@ -712,44 +718,40 @@ class _Recorder:
         stop = first + self.count
         vals = self.held.reshape((-1,) + grid.shape)[:self.count * size]
         rho = self.held_rho.reshape((-1,) + grid.shape)[:self.count * size]
-        part = slice(first * size, stop * size)
-        self.series["mass"][part] = row_sums(rho)
+        self._put(self.series["mass"], row_sums(rho))
         if self.others:
             t = np.repeat(np.arange(first, stop) * dt, size)
             cols = functional_columns(grid, vals, t, sigma, self.frame, rho=rho,
                                       names=self.others)
             for name, col in cols.items():
-                self.series[name][part] = col
-            finite = np.logical_and.reduce([np.isfinite(self.series[name][part])
+                self._put(self.series[name], col)
+            finite = np.logical_and.reduce([np.isfinite(self.series[name][:, first:stop])
                                             for name in self.checked])
             if not finite.all():  # name the earliest failing step
-                for k, row in enumerate(finite.reshape(-1, size), start=first):
-                    _require_finite(row, "functionals", k, steps, dt)
+                for k, column in enumerate(finite.T, start=first):
+                    _require_finite(column, "functionals", k, steps, dt)
         # the last partition point starts no step, so it has no Ito sums
         rows = (min(stop, steps) - first) * size
         if self.paths is not None and rows > 0:
             vals, rho = vals[:rows], rho[:rows]
-            part = slice(first * size, first * size + rows)
             prod = vals * self.cw_phi
-            self.dots[part] = row_sums(prod)
+            dots = [row_sums(prod)]
             if self.track_energy:
-                dots, sums = self.energy_dots, self.energy_sums
                 rho_sig = (rho if sigma == 1.0
                            else self.held_rho_sig.reshape((-1,) + grid.shape)[:rows])
-                for j, cw in enumerate(self.cw_energy):
-                    dots[j, part] = row_sums(vals * cw)
-                dots[3, part] = row_sums(rho_sig * prod)
-                sums[0, part] = row_sums(rho_sig * self.phi_sq)
+                dots += [*(row_sums(vals * cw) for cw in self.cw_energy), row_sums(rho_sig * prod)]
                 im_pt = prod.imag
                 if sigma == 1.0:
-                    sums[1, part] = row_sums(im_pt**2)
+                    b2 = row_sums(im_pt**2)
                 elif (rho > 0.0).all():  # an all-True mask sums the same contiguous rows
-                    sums[1, part] = row_sums(rho ** (sigma - 1.0) * im_pt**2)
+                    b2 = row_sums(rho ** (sigma - 1.0) * im_pt**2)
                 else:  # the rho > 0 mask differs by row: one masked sum per row
-                    sums[1, part] = [
-                        float((r[m] ** (sigma - 1.0) * i[m] ** 2).sum())
-                        for r, i, m in zip(rho, im_pt, rho > 0.0)
-                    ]
+                    b2 = np.array([float((r[m] ** (sigma - 1.0) * i[m] ** 2).sum())
+                                   for r, i, m in zip(rho, im_pt, rho > 0.0)])
+                for table, col in zip(self.sums, (row_sums(rho_sig * self.phi_sq), b2)):
+                    self._put(table, col)
+            for table, col in zip(self.dots, dots):
+                self._put(table, col)
         self.first, self.count = stop, 0
 
     def finish(self, vals: np.ndarray) -> BatchRun:
@@ -761,18 +763,16 @@ class _Recorder:
                                      self.grid.cell_volume)
         times = config.times()
         self.series["mass"] *= dvol
-        series = {name: _frozen(col.reshape(steps + 1, size).T)
-                  for name, col in self.series.items()}
-        del self.series  # the flat tables are not kept through the budget
+        series = {name: _frozen(col) for name, col in self.series.items()}
 
         budget: dict[str, np.ndarray] = {}
         zeros = _frozen(np.zeros((size, steps + 1)))
         if config.equation in _BUDGET_EQUATIONS:
             if self.paths is not None:
-                s1 = self.dots.reshape(steps, size)
-                s1 *= dvol
-                budget["mass_martingale"] = _cumsum0(2.0 * s1.imag.T * self.g_left * self.incr)
-                drift = _cumsum0(np.full(steps, self.norm_phi_sq) * self.g_left**2 * dt)
+                self.dots *= dvol
+                s1, g = self.dots[0], self.g_left
+                budget["mass_martingale"] = _cumsum0(2.0 * s1.imag * g * self.incr)
+                drift = _cumsum0(np.full(steps, self.norm_phi_sq) * g**2 * dt)
                 budget["mass_drift"] = _frozen(np.broadcast_to(drift, (size, steps + 1)))
             else:
                 budget["mass_martingale"] = budget["mass_drift"] = zeros
@@ -781,13 +781,9 @@ class _Recorder:
                 integrand = flow_coeff * (1.0 + times) * series["potential"]
                 budget["energy_flow_drift"] = _cumtrapz0(integrand, dt)
                 if self.paths is not None:
-                    self.energy_dots *= dvol
-                    self.energy_sums *= dvol
-                    s2, s3, p_lap, q_nl = self.energy_dots.reshape(4, steps, size)
-                    b1, b2 = self.energy_sums.reshape(2, steps, size)
-                    a0, a1, a2 = self.a
-                    w = (1.0 + np.arange(steps) * dt)[:, None]
-                    g = self.g_left[:, None]
+                    self.sums *= dvol
+                    (s2, s3, p_lap, q_nl), (b1, b2), (a0, a1, a2) = self.dots[1:], self.sums, self.a
+                    w = 1.0 + np.arange(steps) * dt
                     t2_terms = g * (
                         2.0 * s2.imag + 4.0 * n * w * s1.real + 8.0 * w * s3.real
                         + 8.0 * w * w * (q_nl.imag - p_lap.imag)
@@ -795,8 +791,8 @@ class _Recorder:
                     t1_terms = g * g * (
                         a0 - 4.0 * w * a1 + 4.0 * w * w * (a2 + b1) + 8.0 * sigma * w * w * b2
                     )
-                    budget["energy_ito_drift"] = _cumsum0(t1_terms.T * dt)
-                    budget["energy_martingale"] = _cumsum0(t2_terms.T * self.incr)
+                    budget["energy_ito_drift"] = _cumsum0(t1_terms * dt)
+                    budget["energy_martingale"] = _cumsum0(t2_terms * self.incr)
                 else:
                     budget["energy_ito_drift"] = budget["energy_martingale"] = zeros
 

@@ -77,8 +77,8 @@ class GridSpec:
     Its fixed geometry (coordinates, frequencies, |k|², |x|², the ∂
     symbols, the monitor masks) is kept by ``_kept``: built on first use,
     read-only, never rebuilt. ``propagator`` keeps one slot, the last dt's
-    multiplier. Neither is a dataclass field, so equality and hashing see
-    only (dim, points, box_length).
+    multiplier. Equality, hashing, pickling and copying see only (dim,
+    points, box_length): a copy builds its own read-only tables.
     """
 
     dim: int
@@ -96,6 +96,9 @@ class GridSpec:
             raise ValueError(f"box_length must be positive and finite, got {self.box_length!r}")
         object.__setattr__(self, "points", int(self.points))
         object.__setattr__(self, "box_length", float(self.box_length))
+
+    def __reduce__(self) -> tuple[type, tuple[int, int, float]]:
+        return GridSpec, (self.dim, self.points, self.box_length)
 
     # -- scalar geometry ---------------------------------------------------
 

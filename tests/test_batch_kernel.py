@@ -479,6 +479,38 @@ def test_overflow_inside_a_chunk_fails_at_its_step(kick, chunk, monkeypatch):
         assert np.isfinite(evolve_batch(light, u0, paths).final).all()
 
 
+def _keep_recorders(patch) -> list:
+    """Patch dynamics._Recorder with a subclass that lists each recorder it makes."""
+    recorders = []
+
+    class Kept(dynamics._Recorder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            recorders.append(self)
+
+    patch.setattr(dynamics, "_Recorder", Kept)
+    return recorders
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_series_are_the_recorders_own_tables(kind, monkeypatch):
+    """A batch of several paths gets the recorder's series tables themselves,
+    each (paths, steps+1), C-contiguous and read-only, and its Ito tables
+    are (..., paths, steps): finish copies and transposes none of them."""
+    recorders = _keep_recorders(monkeypatch)
+    run = _batch(kind, 1, [0, 1, 2])
+    (rec,) = recorders
+    assert run.series.keys() == rec.series.keys()
+    for name, col in run.series.items():
+        assert np.shares_memory(col, rec.series[name]), name
+        assert col.shape == (3, run.config.steps + 1) and col.flags.c_contiguous, name
+        assert not col.flags.writeable, name
+    if kind.startswith("snls"):
+        rows = 5 if rec.track_energy else 1
+        assert rec.dots.shape == (rows, 3, run.config.steps)
+        assert not rec.track_energy or rec.sums.shape == (2, 3, run.config.steps)
+
+
 def _poisoned_run(monkeypatch, kind, chunk, k, p, bad):
     """A 3-row evolve_batch whose field after step k has `bad` at entry 5
     of row p (before the noise kick), with `chunk` steps held per chunk
@@ -487,13 +519,6 @@ def _poisoned_run(monkeypatch, kind, chunk, k, p, bad):
     cfg = _config(kind, 1)
     u0 = [_initial(cfg.grid, r) for r in range(3)]
     paths = [_path(cfg, r) for r in range(3)] if kind.startswith("snls") else None
-    recorders = []
-
-    class Kept(dynamics._Recorder):
-        def __init__(self, *args):
-            super().__init__(*args)
-            recorders.append(self)
-
     step, calls = dynamics._strang_step, itertools.count(1)
 
     def poisoned(*args):
@@ -503,7 +528,7 @@ def _poisoned_run(monkeypatch, kind, chunk, k, p, bad):
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "_Recorder", Kept)
+        recorders = _keep_recorders(patch)
         patch.setattr(dynamics, "_strang_step", poisoned)
         if chunk is not None:
             patch.setattr(grids, "BATCH_FIELD_BYTES", chunk * 3 * cfg.grid.num_cells * 16)
@@ -530,9 +555,8 @@ def test_non_finite_field_fails_at_its_step_after_recording_the_steps_before(
                         f"in path {p} of the batch; the run was aborted")
     clean = _batch(kind, 1, [0, 1, 2])
     for name, col in clean.series.items():
-        want = col.T.ravel()[:k * 3]
         scale = cfg.grid.cell_volume if name == "mass" else 1.0  # finish scales mass
-        assert (rec.series[name][:k * 3] * scale).tobytes() == want.tobytes(), name
+        assert (rec.series[name][:, :k] * scale).tobytes() == col[:, :k].tobytes(), name
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

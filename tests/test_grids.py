@@ -1,5 +1,7 @@
 """Grid geometry, field containers, resolution monitors."""
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -223,6 +225,31 @@ def test_kept_geometry_has_the_parent_bytes_read_only_and_built_once(grid, name)
         assert not a.flags.writeable
     assert getattr(grid, name)() is got  # kept: a second call builds nothing
     assert grid.__dict__[f"_{name}"] is got
+
+
+@pytest.mark.parametrize("duplicate", [lambda grid: pickle.loads(pickle.dumps(grid)),
+                                       copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+@pytest.mark.parametrize("grid", [GridSpec(1, 2048, 16.0), GridSpec(2, 64, 12.0), GridSpec(3, 8, 7.0)],
+                         ids=lambda grid: f"dim{grid.dim}")
+def test_a_used_grid_copies_as_its_three_numbers_and_keeps_its_tables_read_only(grid, duplicate):
+    """A grid whose tables and propagator are built pickles as (dim, points,
+    box_length) alone, so a pool job does not ship them, and its copy
+    equals it and builds its own read-only tables with the same bytes."""
+    for name in PARENT_BUILDS:
+        getattr(grid, name)()
+    grid.propagator(1e-3)
+    assert len(pickle.dumps(grid)) <= 128
+    twin = duplicate(grid)
+    assert twin == grid and hash(twin) == hash(grid)
+    for name in PARENT_BUILDS:
+        assert f"_{name}" not in twin.__dict__, name
+        got, kept = getattr(twin, name)(), getattr(grid, name)()
+        for a, b in zip(got if isinstance(got, tuple) else (got,),
+                        kept if isinstance(kept, tuple) else (kept,)):
+            assert not a.flags.writeable and a.tobytes() == b.tobytes(), name
+    prop = twin.propagator(1e-3)
+    assert not prop.flags.writeable and prop.tobytes() == grid.propagator(1e-3).tobytes()
 
 
 def test_radius_squared_matches_coords():
